@@ -1,12 +1,15 @@
 """Seeded parallel ensembles with streaming moment accumulation.
 
-Trajectory i always draws from RNG stream i, and trajectories are processed
-in fixed-size chunks whose boundaries do not depend on the worker count, so
-an ensemble result is a pure function of (params, n_steps, n_traj,
-master_seed, snapshots, reservoir_k): scheduling can only change wall time,
-never a bit of the output. Chunks run the walk in lockstep over numpy
-arrays (one lane per trajectory), which is what makes 1e9 total steps
-feasible without leaving float64 determinism.
+Trajectory i always draws from RNG stream i. Trajectories are accumulated
+in blocks of chunk_size, one accumulator per block and snapshot, folded in
+block order, so an ensemble result is a pure function of (params, n_steps,
+n_traj, master_seed, snapshots, reservoir_k, chunk_size). The block size
+fixes the last-ulp bits of the folded moments; the lane width a task
+simulates at once (whole blocks, up to LANES_MAX lanes) and the worker
+count can only change wall time, never a bit of the output. Tasks run the
+walk in lockstep over numpy arrays (one lane per trajectory), updated in
+place, which is what makes 1e9 total steps feasible without leaving float64
+determinism.
 """
 
 from concurrent.futures import ProcessPoolExecutor
@@ -20,6 +23,8 @@ from .model import ModelParams, Regime, derive_constants
 from .rng import RngStream, Xoshiro256Batch
 
 CHUNK_SIZE_DEFAULT = 4096
+# widest lockstep walk one task runs; a speed constant, not part of the output
+LANES_MAX = 16384
 HORIZON_FACTOR_MIN = 16
 
 
@@ -136,46 +141,63 @@ class EnsembleResult:
     acc_m: list = None      # filled by martingale_track
 
 
+def _thresholds(n_plus, n_minus, p, q, th_m, const_plus, const_minus,
+                a, cum, tmp):
+    """Write a step's thresholds into a and cum (tmp is scratch).
+
+    Same float operations, in the same order, as
+        a = (n_plus*p + n_minus*q)*th_m + const_plus
+        cum = a + (n_minus*p + n_plus*q)*th_m + const_minus
+    """
+    np.multiply(n_plus, p, out=a)
+    np.multiply(n_minus, q, out=tmp)
+    a += tmp
+    a *= th_m
+    a += const_plus
+    np.multiply(n_minus, p, out=cum)
+    np.multiply(n_plus, q, out=tmp)
+    cum += tmp
+    cum *= th_m
+    cum += a  # float addition commutes, so this is a + (...)
+    cum += const_minus
+
+
 def _simulate_chunk(params: ModelParams, n_steps, snaps, master_seed, lo, hi):
-    """Lockstep walk of trajectories [lo, hi); returns S, Z at snapshots."""
+    """Lockstep walk of trajectories [lo, hi); yields (S, Z) at each snapshot.
+
+    snaps is sorted; the walk stops once the last snapshot has been yielded.
+    """
     p, q, theta = params.p, params.q, params.theta
     rng = Xoshiro256Batch(master_seed, np.arange(lo, hi, dtype=np.uint64))
     width = hi - lo
     n_plus = np.zeros(width)
     n_minus = np.zeros(width)
-    s_rows = np.empty((len(snaps), width))
-    z_rows = np.empty((len(snaps), width))
-    is_snap = np.zeros(n_steps + 1, dtype=bool)
-    is_snap[np.asarray(snaps, dtype=np.int64)] = True
-    row = 0
+    a = np.full(width, p, dtype=np.float64)  # step 1 has no memory to recall
+    cum = np.full(width, p + q, dtype=np.float64)
+    tmp = np.empty(width)
+    plus = np.empty(width, dtype=bool)
+    below = np.empty(width, dtype=bool)
+    pending = iter(snaps)
+    next_snap = next(pending)
 
     const_plus = (1.0 - theta) * p
     const_minus = (1.0 - theta) * q
-    first_cum = p + q
-
-    u = rng.uniforms()
-    plus = u < p
-    minus = (~plus) & (u < first_cum)
-    n_plus += plus
-    n_minus += minus
-    if is_snap[1]:
-        s_rows[row] = n_plus - n_minus
-        z_rows[row] = n_plus + n_minus
-        row += 1
-    for m in range(1, n_steps):
+    for m in range(1, n_steps + 1):
         u = rng.uniforms()
-        th_m = theta / m
-        p_plus = (n_plus * p + n_minus * q) * th_m + const_plus
-        cum = p_plus + (n_minus * p + n_plus * q) * th_m + const_minus
-        plus = u < p_plus
-        minus = (~plus) & (u < cum)
+        np.less(u, a, out=plus)
+        np.less(u, cum, out=below)
+        # cum >= a always (both added terms are >= 0 and float addition is
+        # monotone), so plus implies below and below - plus is the minus step
         n_plus += plus
-        n_minus += minus
-        if is_snap[m + 1]:
-            s_rows[row] = n_plus - n_minus
-            z_rows[row] = n_plus + n_minus
-            row += 1
-    return s_rows, z_rows
+        n_minus += below
+        n_minus -= plus
+        if m == next_snap:
+            yield n_plus - n_minus, n_plus + n_minus
+            next_snap = next(pending, None)
+            if next_snap is None:
+                return
+        _thresholds(n_plus, n_minus, p, q, theta / m, const_plus, const_minus,
+                    a, cum, tmp)
 
 
 def _reservoir_sample(values, k, stream: RngStream):
@@ -192,12 +214,21 @@ def _reservoir_sample(values, k, stream: RngStream):
 
 
 def _chunk_job(task):
-    """Worker entry point (module-level so it pickles for process pools)."""
-    params, n_steps, snaps, master_seed, lo, hi, keep_raw = task
-    s_rows, z_rows = _simulate_chunk(params, n_steps, snaps, master_seed, lo, hi)
-    accs_s = [MomentAccumulator.from_values(r) for r in s_rows]
-    accs_z = [MomentAccumulator.from_values(r) for r in z_rows]
-    return accs_s, accs_z, (s_rows if keep_raw else None)
+    """Worker entry point (module-level so it pickles for process pools).
+
+    Simulates the consecutive blocks of [lo, hi) together and returns, per
+    snapshot, one accumulator per block (in block order) for S and for Z,
+    plus the raw S rows when keep_raw is set.
+    """
+    params, n_steps, snaps, master_seed, lo, hi, block, keep_raw = task
+    starts = range(0, hi - lo, block)
+    accs_s, accs_z, raw = [], [], []
+    for s, z in _simulate_chunk(params, n_steps, snaps, master_seed, lo, hi):
+        accs_s.append([MomentAccumulator.from_values(s[i:i + block]) for i in starts])
+        accs_z.append([MomentAccumulator.from_values(z[i:i + block]) for i in starts])
+        if keep_raw:
+            raw.append(s)
+    return accs_s, accs_z, raw
 
 
 def run_ensemble(params: ModelParams, n_steps: int, n_traj: int,
@@ -206,15 +237,19 @@ def run_ensemble(params: ModelParams, n_steps: int, n_traj: int,
                  chunk_size: int = CHUNK_SIZE_DEFAULT) -> EnsembleResult:
     """Simulate n_traj seeded trajectories, accumulating at snapshot times.
 
-    With reservoir_k > 0 a reservoir of raw S values (per snapshot) is kept;
-    the reservoir's own randomness comes from stream index n_traj so that it
-    never perturbs the trajectories. workers > 1 fans chunks out to a
-    process pool; chunks are pure functions of the trajectory indices in
-    them and are folded in index order, so the result is identical for any
-    worker count.
+    Trajectories are accumulated in blocks of chunk_size, folded in block
+    order. With reservoir_k > 0 a reservoir of raw S values (per snapshot)
+    is kept; the reservoir's own randomness comes from stream index n_traj
+    so that it never perturbs the trajectories. workers > 1 fans runs of
+    consecutive blocks out to a process pool; the result is identical for
+    any worker count.
     """
     if n_steps < 1 or n_traj < 1:
         raise InvalidState("n_steps and n_traj must be >= 1")
+    if workers < 1:
+        raise InvalidState(f"workers must be >= 1, got {workers}")
+    if chunk_size < 1:
+        raise InvalidState(f"chunk_size must be >= 1, got {chunk_size}")
     if snapshots is None or len(snapshots) == 0:
         snaps = dyadic_snapshots(n_steps)
     else:
@@ -223,30 +258,38 @@ def run_ensemble(params: ModelParams, n_steps: int, n_traj: int,
         raise InvalidState("snapshots must lie in [1, n_steps]")
     keep_raw = reservoir_k > 0
 
+    # a task walks up to LANES_MAX lanes of whole blocks at once, with at
+    # least min(workers, n_blocks) tasks so that every worker gets one
+    n_blocks = -(-n_traj // chunk_size)
+    per_task = max(1, min(LANES_MAX // chunk_size, n_blocks // workers))
+    width = per_task * chunk_size
     tasks = [
-        (params, n_steps, snaps, master_seed, lo, min(lo + chunk_size, n_traj),
-         keep_raw)
-        for lo in range(0, n_traj, chunk_size)
+        (params, n_steps, snaps, master_seed, lo, min(lo + width, n_traj),
+         chunk_size, keep_raw)
+        for lo in range(0, n_traj, width)
     ]
     if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk_results = list(pool.map(_chunk_job, tasks))
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+            results = list(pool.map(_chunk_job, tasks))
     else:
-        chunk_results = [_chunk_job(t) for t in tasks]
+        results = [_chunk_job(t) for t in tasks]
 
-    # fold in chunk-index order: bit-identical for any worker count
+    # fold in block-index order: bit-identical for any worker count or width
     acc_s = [MomentAccumulator() for _ in snaps]
     acc_z = [MomentAccumulator() for _ in snaps]
-    for accs_s, accs_z, _raw in chunk_results:
-        acc_s = [a.merge(b) for a, b in zip(acc_s, accs_s)]
-        acc_z = [a.merge(b) for a, b in zip(acc_z, accs_z)]
+    for accs_s, accs_z, _raw in results:
+        for i in range(len(snaps)):
+            for acc in accs_s[i]:
+                acc_s[i] = acc_s[i].merge(acc)
+            for acc in accs_z[i]:
+                acc_z[i] = acc_z[i].merge(acc)
 
     sample_s = None
     if keep_raw:
         stream = RngStream(master_seed, n_traj)
         sample_s = []
         for i in range(len(snaps)):
-            raw = np.concatenate([cr[2][i] for cr in chunk_results])
+            raw = np.concatenate([res[2][i] for res in results])
             sample_s.append(_reservoir_sample(raw, reservoir_k, stream))
 
     return EnsembleResult(

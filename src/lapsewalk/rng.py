@@ -100,7 +100,8 @@ class Xoshiro256Batch:
     """Vectorized xoshiro256**: one independent lane per stream index.
 
     Lane j steps exactly the same sequence as
-    ``RngStream(master_seed, stream_indices[j])``.
+    ``RngStream(master_seed, stream_indices[j])``. The state words advance
+    in place, through two scratch words allocated once per instance.
     """
 
     _C5 = np.uint64(5)
@@ -120,6 +121,8 @@ class Xoshiro256Batch:
         dead = (self.s0 | self.s1 | self.s2 | self.s3) == 0
         if dead.any():
             self.s0[dead] = np.uint64(GOLDEN)
+        self._r = np.empty_like(self.s0)
+        self._t = np.empty_like(self.s0)
 
     @staticmethod
     def _mix(z):
@@ -131,18 +134,32 @@ class Xoshiro256Batch:
         z ^= z >> np.uint64(31)
         return z
 
-    def next_uint64(self):
-        r = self.s1 * self._C5
-        r = ((r << np.uint64(7)) | (r >> np.uint64(57))) * self._C9
-        t = self.s1 << np.uint64(17)
-        self.s2 ^= self.s0
-        self.s3 ^= self.s1
-        self.s1 ^= self.s2
-        self.s0 ^= self.s3
-        self.s2 ^= t
-        self.s3 = (self.s3 << np.uint64(45)) | (self.s3 >> np.uint64(19))
+    def _step(self):
+        """Advance every lane once; the output word is left in self._r."""
+        s0, s1, s2, s3, r, t = self.s0, self.s1, self.s2, self.s3, self._r, self._t
+        np.multiply(s1, self._C5, out=r)
+        np.left_shift(r, np.uint64(7), out=t)
+        r >>= np.uint64(57)
+        r |= t
+        r *= self._C9
+        np.left_shift(s1, np.uint64(17), out=t)
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        np.left_shift(s3, np.uint64(45), out=t)
+        s3 >>= np.uint64(19)
+        s3 |= t
         return r
 
+    def next_uint64(self):
+        return self._step().copy()
+
     def uniforms(self):
-        """One deviate per lane, as float64 in [0, 1)."""
-        return (self.next_uint64() >> np.uint64(11)).astype(np.float64) * _U53
+        """One deviate per lane, as a new float64 array in [0, 1)."""
+        r = self._step()
+        r >>= np.uint64(11)
+        u = r.astype(np.float64)
+        u *= _U53
+        return u

@@ -115,6 +115,16 @@ def test_experiment_wrong_regime_exit_2(capsys):
     assert "alpha" in err
 
 
+def test_experiment_zero_workers_exit_2(capsys, tmp_path):
+    out = tmp_path / "lln.json"
+    code, _, err = run_cli(capsys, "experiment", "lln", "-n", "100", "-t", "50",
+                           "--seed", "1", "--workers", "0", "-o", str(out))
+    assert code == 2
+    assert err.startswith("lapsewalk: error:") and "workers" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_experiment_csv_and_plot(tmp_path):
     rep = tmp_path / "r.json"
     csv = tmp_path / "r.csv"

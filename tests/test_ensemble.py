@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import lapsewalk as lw
+from lapsewalk import ensemble
 from lapsewalk.ensemble import MomentAccumulator
 
 PARAMS = lw.ModelParams(0.6, 0.2, 0.2, 0.5)
@@ -87,6 +88,30 @@ def test_ensemble_deterministic_and_worker_invariant():
     assert lw.ensembles_identical(runs[0], runs[2])
     again = lw.run_ensemble(PARAMS, 256, 3000, workers=2, **kw)
     assert lw.ensembles_identical(runs[0], again)
+
+
+def test_ensemble_invariant_across_pool_layouts(monkeypatch):
+    # 12 blocks of 256 (the last one ragged), so the pool is entered and
+    # workers = 1, 2, 3, 16 split them into 1, 2, 3 and 12 tasks
+    kw = dict(snapshots=[1, 64, 200], master_seed=99, reservoir_k=3000,
+              chunk_size=256)
+    ref = lw.run_ensemble(PARAMS, 256, 3000, workers=1, **kw)
+    assert all(acc.count == 3000 for acc in ref.acc_s)
+    for w in (2, 3, 16):
+        assert lw.ensembles_identical(ref, lw.run_ensemble(PARAMS, 256, 3000,
+                                                           workers=w, **kw))
+    # the lane width of a task is a speed constant, not part of the output
+    for lanes in (1, 768, 1280):  # 1 block a task, 3 a task, 5 + 5 + 2
+        monkeypatch.setattr(ensemble, "LANES_MAX", lanes)
+        assert lw.ensembles_identical(ref, lw.run_ensemble(PARAMS, 256, 3000,
+                                                           workers=1, **kw))
+
+
+@pytest.mark.parametrize("kw", [dict(workers=0), dict(workers=-2),
+                                dict(chunk_size=0), dict(chunk_size=-1)])
+def test_ensemble_rejects_bad_workers_and_chunk_size(kw):
+    with pytest.raises(lw.InvalidState):
+        lw.run_ensemble(PARAMS, 10, 10, master_seed=1, **kw)
 
 
 def test_ensemble_counts_and_snapshot_validation():

@@ -64,6 +64,15 @@ def test_batch_matches_scalar_lanes():
         assert np.array_equal(cols[:, lane], expect)
 
 
+def test_batch_uint64_matches_scalar_and_is_fresh():
+    idx = np.array([3, 2 ** 63 + 5], dtype=np.uint64)
+    batch = lw.Xoshiro256Batch(42, idx)
+    words = [batch.next_uint64() for _ in range(16)]
+    for lane, stream_index in enumerate(idx.tolist()):
+        st = lw.RngStream(42, int(stream_index)).state
+        assert [int(w[lane]) for w in words] == [st.next_uint64() for _ in range(16)]
+
+
 def test_batch_uniform_moments():
     batch = lw.Xoshiro256Batch(7, np.arange(4096, dtype=np.uint64))
     us = np.concatenate([batch.uniforms() for _ in range(100)])
