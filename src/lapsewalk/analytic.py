@@ -28,6 +28,8 @@ from .model import (
 )
 
 _CHUNK = 1 << 19
+# sub-block width of the v_limit series scans: speed only, never the bits
+_SERIES_BLOCK = 1 << 15
 
 
 def _check_rate(rate, name="alpha"):
@@ -125,34 +127,61 @@ def v_limit_superdiffusive(alpha: float, tol: float = 1e-12,
     decays like k^(-2*alpha) and is not negligible near alpha = 1/2, is then
     added via an Euler-Maclaurin estimate so the returned value is accurate
     to roughly the size of the last term rather than the tail.
+
+    The chunk schedule fixes the bits: chunks of 2^16 terms doubling up to
+    2^22, each computing term * cumprod(r) and total + cumsum(terms) from
+    its own start. A chunk is scanned in sub-blocks of `_SERIES_BLOCK` terms
+    in four preallocated buffers, carrying both scans across sub-block
+    edges; the sub-block width sets speed and memory only.
     """
     if not (0.5 < alpha <= 1.0):
         raise OutOfDomain(f"series converges only for alpha in (1/2, 1], got {alpha!r}")
-    if tol <= 0.0:
-        raise OutOfDomain("tol must be positive")
+    if not (0.0 < tol < math.inf):
+        raise OutOfDomain(f"tol must be positive and finite, got {tol!r}")
+    block = _SERIES_BLOCK
+    ks = np.arange(1.0, block + 1.0)  # indices k of the next sub-block
+    prods = np.empty(block)
+    terms = np.empty(block)
+    partials = np.empty(block)
     total = 1.0  # k = 0 term
     term = 1.0
     k = 0
     chunk = 1 << 16
     while k < max_terms:
-        ks = np.arange(k + 1, k + 1 + chunk, dtype=np.float64)
-        terms = term * np.cumprod((ks / (ks + alpha)) ** 2)
-        partials = total + np.cumsum(terms)
-        done = (terms < tol * partials) & (ks > 10)
-        if done.any():
-            stop = int(np.argmax(done))
-            total = float(partials[stop])
-            term = float(terms[stop])
-            k = int(ks[stop])
-            break
-        total = float(partials[-1])
-        term = float(terms[-1])
-        k = int(ks[-1])
+        prod, cum = 1.0, 0.0  # both scans restart at each chunk
+        for lo in range(0, chunk, block):
+            b = min(block, chunk - lo)
+            kb, pb, tb, sb = ks[:b], prods[:b], terms[:b], partials[:b]
+            np.add(kb, alpha, out=pb)
+            np.divide(kb, pb, out=pb)
+            np.multiply(pb, pb, out=pb)
+            pb[0] *= prod
+            np.multiply.accumulate(pb, out=pb)
+            prod = pb[-1]
+            np.multiply(pb, term, out=tb)
+            np.copyto(sb, tb)
+            sb[0] += cum
+            np.add.accumulate(sb, out=sb)
+            cum = sb[-1]
+            np.add(sb, total, out=sb)
+            # along a chunk the terms fall and the partial sums rise, so
+            # the stop test holds somewhere in a sub-block iff at its end
+            if tb[-1] < tol * sb[-1] and kb[-1] > 10:
+                stop = int(np.argmax((tb < tol * sb) & (kb > 10)))
+                return _series_with_tail(alpha, int(kb[stop]),
+                                         float(tb[stop]), float(sb[stop]))
+            ks += b
+        total = float(sb[-1])
+        term = float(tb[-1])
+        k += chunk
         chunk = min(chunk * 2, 1 << 22)
-    else:
-        raise TooSlowConvergence(
-            f"no convergence after {max_terms} terms (alpha = {alpha!r})"
-        )
+    raise TooSlowConvergence(
+        f"no convergence after {max_terms} terms (alpha = {alpha!r})"
+    )
+
+
+def _series_with_tail(alpha, k, term, total):
+    """Partial sum through t_k plus the omitted tail sum_{j>k} t_j."""
     # tail from the first omitted index m: sum_{j>=m} t_j with
     # t_j ~ C (j+s)^(-2a), s = (1+alpha)/2 (midpoint shift of the gamma ratio)
     m = k + 1

@@ -34,10 +34,6 @@ def emit_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def parse_json(text: str):
-    return json.loads(text)
-
-
 def base_report(command: str, **sections) -> dict:
     out = {"schema_version": SCHEMA_VERSION, "command": command}
     out.update(sections)

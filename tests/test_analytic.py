@@ -112,6 +112,19 @@ def test_v_limit_domain():
     for bad in (0.5, 0.3, 1.01):
         with pytest.raises(lw.OutOfDomain):
             lw.v_limit_superdiffusive(bad, 1e-10)
+    for bad_tol in (0.0, -1e-10, math.nan, math.inf):
+        with pytest.raises(lw.OutOfDomain):
+            lw.v_limit_superdiffusive(0.75, bad_tol)
+
+
+@pytest.mark.parametrize("alpha", [0.6, 0.75, 0.9, 1.0])
+def test_v_limit_matches_hypergeometric(alpha):
+    # v_inf = 3F2(1, 1, 1; alpha+1, alpha+1; 1), evaluated by mpmath
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        want = float(mpmath.hyp3f2(1, 1, 1, alpha + 1, alpha + 1, 1))
+    got = lw.v_limit_superdiffusive(alpha, 1e-10)
+    assert abs(got - want) / want <= 1e-9
 
 
 def test_sum_inv_a_closed_hand_values():

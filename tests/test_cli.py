@@ -1,7 +1,9 @@
 import json
 
+from lapsewalk import experiments
 from lapsewalk.cli import main
-from lapsewalk.report import emit_json, parse_json
+from lapsewalk.errors import TooSlowConvergence
+from lapsewalk.report import emit_json
 
 
 def run_cli(capsys, *argv):
@@ -125,6 +127,23 @@ def test_experiment_zero_workers_exit_2(capsys, tmp_path):
     assert not out.exists()
 
 
+def test_experiment_superdiffusive_series_fails_before_sampling(capsys,
+                                                                  monkeypatch):
+    def series_fails(alpha, tol):
+        raise TooSlowConvergence(f"no convergence (alpha = {alpha!r})")
+
+    def sampled(*args, **kwargs):
+        raise AssertionError("trajectories simulated before v_limit failed")
+
+    monkeypatch.setattr(experiments, "v_limit_superdiffusive", series_fails)
+    monkeypatch.setattr(experiments, "estimate_w", sampled)
+    code, _, err = run_cli(capsys, "experiment", "superdiffusive", "-p", "0.9",
+                           "-q", "0", "-r", "0.1", "--theta", "0.8",
+                           "-n", "100", "-t", "50", "--seed", "1")
+    assert code == 2
+    assert "no convergence" in err
+
+
 def test_experiment_csv_and_plot(tmp_path):
     rep = tmp_path / "r.json"
     csv = tmp_path / "r.csv"
@@ -158,7 +177,7 @@ def test_config_file_precedence(tmp_path, capsys):
 
 def test_json_roundtrip():
     obj = {"schema_version": "1", "x": 0.1 + 0.2, "nested": {"k": [1, 2.5]}}
-    assert parse_json(emit_json(obj)) == obj
+    assert json.loads(emit_json(obj)) == obj
 
 
 def test_regime_scan_cli(tmp_path):

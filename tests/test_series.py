@@ -1,0 +1,88 @@
+"""Property test: the sub-blocked v_limit series keeps the bits of the chunked one.
+
+`reference_v_limit` is the loop that `v_limit_superdiffusive` replaced, kept
+here as the oracle: it scans each chunk with whole-chunk temporaries. The
+chunk schedule fixes the bits, so any sub-block width must reproduce them,
+including stops that land before, on or after a sub-block edge, stops whose
+raw test already holds within the first 10 terms, and the failure message.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import lapsewalk.analytic as analytic
+from lapsewalk.errors import TooSlowConvergence
+
+
+def reference_v_limit(alpha, tol, max_terms):
+    total = 1.0
+    term = 1.0
+    k = 0
+    chunk = 1 << 16
+    while k < max_terms:
+        ks = np.arange(k + 1, k + 1 + chunk, dtype=np.float64)
+        terms = term * np.cumprod((ks / (ks + alpha)) ** 2)
+        partials = total + np.cumsum(terms)
+        done = (terms < tol * partials) & (ks > 10)
+        if done.any():
+            stop = int(np.argmax(done))
+            total = float(partials[stop])
+            term = float(terms[stop])
+            k = int(ks[stop])
+            break
+        total = float(partials[-1])
+        term = float(terms[-1])
+        k = int(ks[-1])
+        chunk = min(chunk * 2, 1 << 22)
+    else:
+        raise TooSlowConvergence(
+            f"no convergence after {max_terms} terms (alpha = {alpha!r})"
+        )
+    m = k + 1
+    t_m = term * ((m / (m + alpha)) ** 2)
+    ms = m + (1.0 + alpha) / 2.0
+    tail = t_m * (ms / (2.0 * alpha - 1.0) + 0.5 + alpha / (6.0 * ms))
+    return total + tail
+
+
+def outcome(f, *args):
+    try:
+        return "value", f(*args).hex()
+    except TooSlowConvergence as e:
+        return "raised", str(e)
+
+
+@st.composite
+def series_case(draw):
+    block = draw(st.sampled_from([1, 7, 4096]))
+    alpha = draw(st.floats(0.5, 1.0, exclude_min=True))
+    # a one-term sub-block costs a Python iteration per term, so block 1
+    # keeps to tolerances at which the series stops within ~1e4 terms
+    log_tol = draw(st.floats(-5.0 if block == 1 else -9.0, -2.0))
+    return block, alpha, 10.0 ** log_tol
+
+
+# max_terms = 2^17 runs at most two chunks (65536 and 131072 terms): a series
+# that has not stopped by then raises, one that has returns its value
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=series_case())
+@example(case=(1, 1.0, 1e-2))  # the raw test holds from k = 8, the stop is 11
+@example(case=(7, 1.0, 1e-2))
+@example(case=(4096, 1.0, 1e-2))
+def test_series_matches_reference_bits(case):
+    block, alpha, tol = case
+    max_terms = 1 << 17
+    want = outcome(reference_v_limit, alpha, tol, max_terms)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analytic, "_SERIES_BLOCK", block)
+        got = outcome(analytic.v_limit_superdiffusive, alpha, tol, max_terms)
+    assert got == want
+
+
+@pytest.mark.parametrize("alpha, tol", [(0.75, 1e-10), (0.9, 1e-10),
+                                        (1.0, 1e-12)])
+def test_series_matches_reference_bits_over_many_chunks(alpha, tol):
+    got = analytic.v_limit_superdiffusive(alpha, tol)
+    assert got.hex() == reference_v_limit(alpha, tol, 10 ** 8).hex()
