@@ -23,7 +23,9 @@ E[X|counts] = (alpha/n) S + omega and E[X^2|counts] = (gamma/n) Z + tau:
 (the variance line propagates the centered second moment, which avoids the
 n^2 cancellation of the raw recursion; the cross recursion uses X^3 = X).
 All four are validated against the DP in the test suite before anything
-else relies on them.
+else relies on them. They run together in carried blocks of transitions,
+so a `MomentTable` costs five float64 arrays of n_max + 1 (the four above
+and `mean_s2`) plus O(block) scratch.
 """
 
 from dataclasses import dataclass
@@ -35,6 +37,7 @@ from .model import ModelParams, derive_constants
 
 DP_CAP_DEFAULT = 400
 PATH_CAP = 14
+_MOMENT_BLOCK = 1 << 15  # transitions per carried block; speed only
 
 
 @dataclass(frozen=True)
@@ -69,40 +72,60 @@ class MomentTable:
         )
 
 
-def _solve_linear_recursion(coeff_table, x1, forcing):
-    """x_{n+1} = c_n x_n + f_n  ->  x_n = C_n (x_1 + sum_{l<n} f_l / C_{l+1})."""
-    terms = forcing / coeff_table[1:]
-    prefix = np.concatenate(([0.0], np.cumsum(terms)))
-    return coeff_table * (x1 + prefix)
+def _carry_block(rate, k, forcing, x1, carry, out):
+    """x_{n+1} = (1 + rate/n) x_n + f_n over one block of transitions n = k.
+
+    Writes x_{n+1} = G_{n+1} (x_1 + P_{n+1}) into `out`, where G is the
+    product of the factors and P the prefix sum of f_l / G_{l+1}, and returns
+    the carry (G, P) at the block's end. The carry is folded into the first
+    element of each scan, which is the step a whole-array scan takes there,
+    so the block width does not change the bits. `forcing` is overwritten.
+    """
+    growth, prefix = carry
+    fac = 1.0 + rate / k
+    fac[0] *= growth
+    np.multiply.accumulate(fac, out=fac)
+    forcing /= fac
+    forcing[0] += prefix
+    np.add.accumulate(forcing, out=forcing)
+    np.multiply(fac, x1 + forcing, out=out)
+    return fac[-1], forcing[-1]
 
 
 def exact_moments(params: ModelParams, n_max: int) -> MomentTable:
-    """Forward moment recursions for n = 1..n_max, vectorized."""
+    """Forward moment recursions for n = 1..n_max, in carried blocks."""
     if n_max < 1:
         raise CapExceeded("n_max must be >= 1")
     c = derive_constants(params)
     al, om, ga, ta = c.alpha, c.omega, c.gamma, c.tau
+    try:
+        table = np.empty((4, n_max + 1))  # mean_s, mean_z, var_s, mean_sz
+    except MemoryError:
+        raise CapExceeded(f"n_max = {n_max} needs a {32 * (n_max + 1)}-byte "
+                          "moment table, more than can be allocated") from None
+    table[:, 0] = np.nan
+    x1 = (c.beta, c.psi, c.psi - c.beta ** 2, c.beta)  # E[S_1 Z_1] = E[X_1^3]
+    table[:, 1] = np.add(x1, 0.0)  # G_1 (x_1 + P_1) with G_1 = 1, P_1 = 0
+    rates = (al, ga, 2.0 * al, al + ga)
+    carries = [(1.0, -0.0)] * 4  # -0.0 + f == f for every f, even f = -0.0
 
-    k = np.arange(1, n_max, dtype=np.float64)  # transition n -> n+1 at n = k
-    growth_a = np.concatenate(([1.0], np.cumprod(1.0 + al / k)))
-    growth_b = np.concatenate(([1.0], np.cumprod(1.0 + ga / k)))
-    growth_a2 = np.concatenate(([1.0], np.cumprod(1.0 + 2.0 * al / k)))
-    growth_ab = np.concatenate(([1.0], np.cumprod(1.0 + (al + ga) / k)))
-
-    mean_s = _solve_linear_recursion(growth_a, c.beta, np.full(max(n_max - 1, 0), om))
-    mean_z = _solve_linear_recursion(growth_b, c.psi, np.full(max(n_max - 1, 0), ta))
-
-    var1 = c.psi - c.beta ** 2  # Var X_1
-    h = (ga / k) * mean_z[:-1] + ta - ((al / k) * mean_s[:-1] + om) ** 2
-    var_s = _solve_linear_recursion(growth_a2, var1, h)
-
-    g = (ta + al / k) * mean_s[:-1] + om * mean_z[:-1] + om
-    mean_sz = _solve_linear_recursion(growth_ab, c.beta, g)  # E[S_1 Z_1] = E[X_1^3]
-
-    def pad(arr):
-        return np.concatenate(([np.nan], arr))
-
-    return MomentTable(n_max, pad(mean_s), pad(mean_z), pad(var_s), pad(mean_sz))
+    block = min(_MOMENT_BLOCK, max(n_max - 1, 1))
+    ks = np.arange(1.0, block + 1.0)  # transitions n -> n+1 of the next block
+    for lo in range(1, n_max, block):
+        k = ks[:min(block, n_max - lo)]
+        hi = lo + k.size
+        ms, mz = table[0, lo:hi], table[1, lo:hi]  # E S_k, E Z_k
+        for row in range(4):
+            if row < 2:
+                forcing = np.full(k.size, (om, ta)[row])
+            elif row == 2:  # reads E S_k and E Z_k, which rows 0 and 1 wrote
+                forcing = (ga / k) * mz + ta - ((al / k) * ms + om) ** 2
+            else:
+                forcing = (ta + al / k) * ms + om * mz + om
+            carries[row] = _carry_block(rates[row], k, forcing, x1[row],
+                                        carries[row], table[row, lo + 1:hi + 1])
+        ks += k.size
+    return MomentTable(n_max, *table)
 
 
 @dataclass(frozen=True)
@@ -115,41 +138,12 @@ class ExactDistribution:
     def total_mass(self) -> float:
         return float(sum(self.mass.values()))
 
-    def marginal_s(self):
-        """(sorted s values, probabilities) after summing out z."""
-        agg = {}
-        for (s, _z), w in self.mass.items():
-            agg[s] = agg.get(s, 0.0) + w
-        svals = np.array(sorted(agg), dtype=np.float64)
-        probs = np.array([agg[int(s)] for s in svals])
-        return svals, probs
 
-    def moments(self) -> ExactMoments:
-        ms = mz = ms2 = msz = 0.0
-        for (s, z), w in self.mass.items():
-            ms += w * s
-            mz += w * z
-            ms2 += w * s * s
-            msz += w * s * z
-        return ExactMoments(self.n, ms, mz, ms2, ms2 - ms * ms, msz)
+def _dp_slices(params: ModelParams, n: int, cap: int):
+    """Yield (m, tri) for m = 1..n, tri[z, j] = P(Z_m = z, n_plus = j).
 
-
-def _triangle_to_dist(n, tri):
-    total = float(tri.sum())
-    if abs(total - 1.0) > 1e-10:
-        raise AssertionError(f"probability mass drifted to {total!r}")
-    mass = {}
-    zs, js = np.nonzero(tri)
-    for z, j in zip(zs.tolist(), js.tolist()):
-        mass[(2 * j - z, z)] = float(tri[z, j])
-    return ExactDistribution(n=n, mass=mass)
-
-
-def distribution_dp(params: ModelParams, n: int, cap: int = DP_CAP_DEFAULT) -> ExactDistribution:
-    """Exact joint law of (S_n, Z_n) by DP over (z, n_plus) triangles.
-
-    States are indexed (z, j) with j = n_plus = (s + z) / 2, so each time
-    slice is a dense triangle and every transition is a shifted array add.
+    The pair (S_m, Z_m) is Markov, and with j = n_plus = (s + z) / 2 each
+    time slice is a dense triangle and every transition is a shifted array add.
     """
     if n < 1:
         raise CapExceeded("n must be >= 1")
@@ -162,6 +156,7 @@ def distribution_dp(params: ModelParams, n: int, cap: int = DP_CAP_DEFAULT) -> E
     tri[1, 1] = p
     tri[1, 0] = q
     tri[0, 0] = r
+    yield 1, tri
     for m in range(1, n):
         zs = np.arange(m + 1, dtype=np.float64)[:, None]
         js = np.arange(m + 1, dtype=np.float64)[None, :]
@@ -173,7 +168,26 @@ def distribution_dp(params: ModelParams, n: int, cap: int = DP_CAP_DEFAULT) -> E
         nxt[1:, :-1] += tri * p_minus
         nxt[:-1, :-1] += tri * p_zero
         tri = nxt
-    return _triangle_to_dist(n, tri)
+        yield m + 1, tri
+
+
+def _final_slice(params: ModelParams, n: int, cap: int):
+    """The DP triangle at step n, checked to hold unit mass."""
+    for _, tri in _dp_slices(params, n, cap):
+        pass
+    total = float(tri.sum())
+    if abs(total - 1.0) > 1e-10:
+        raise AssertionError(f"probability mass drifted to {total!r}")
+    return tri
+
+
+def distribution_dp(params: ModelParams, n: int, cap: int = DP_CAP_DEFAULT) -> ExactDistribution:
+    """Exact joint law of (S_n, Z_n) by DP over (z, n_plus) triangles."""
+    tri = _final_slice(params, n, cap)
+    zs, js = np.nonzero(tri)
+    return ExactDistribution(n=n, mass={
+        (2 * j - z, z): float(tri[z, j]) for z, j in zip(zs.tolist(), js.tolist())
+    })
 
 
 def dp_moment_scan(params: ModelParams, n_max: int,
@@ -183,40 +197,16 @@ def dp_moment_scan(params: ModelParams, n_max: int,
     Returns a list of ExactMoments; the independent cross-check for the
     O(n) moment recursions.
     """
-    if n_max < 1:
-        raise CapExceeded("n_max must be >= 1")
-    if n_max > cap:
-        raise CapExceeded(f"n_max = {n_max} above the DP cap {cap}")
-    p, q, r, theta = params.p, params.q, params.r, params.theta
-    pq = p + q
-
-    def moments_of(tri, m):
-        zs = np.arange(tri.shape[0], dtype=np.float64)[:, None]
-        js = np.arange(tri.shape[1], dtype=np.float64)[None, :]
+    out = []
+    for m, tri in _dp_slices(params, n_max, cap):
+        zs = np.arange(m + 1, dtype=np.float64)[:, None]
+        js = np.arange(m + 1, dtype=np.float64)[None, :]
         s = 2.0 * js - zs
         ms = float((tri * s).sum())
         mz = float((tri * zs).sum())
         ms2 = float((tri * s * s).sum())
         msz = float((tri * s * zs).sum())
-        return ExactMoments(m, ms, mz, ms2, ms2 - ms * ms, msz)
-
-    tri = np.zeros((2, 2))
-    tri[1, 1] = p
-    tri[1, 0] = q
-    tri[0, 0] = r
-    out = [moments_of(tri, 1)]
-    for m in range(1, n_max):
-        zs = np.arange(m + 1, dtype=np.float64)[:, None]
-        js = np.arange(m + 1, dtype=np.float64)[None, :]
-        p_plus = (theta / m) * (js * p + (zs - js) * q) + (1.0 - theta) * p
-        p_minus = (theta / m) * ((zs - js) * p + js * q) + (1.0 - theta) * q
-        p_zero = (theta * pq / m) * (m - zs) + r
-        nxt = np.zeros((m + 2, m + 2))
-        nxt[1:, 1:] += tri * p_plus
-        nxt[1:, :-1] += tri * p_minus
-        nxt[:-1, :-1] += tri * p_zero
-        tri = nxt
-        out.append(moments_of(tri, m + 1))
+        out.append(ExactMoments(m, ms, mz, ms2, ms2 - ms * ms, msz))
     return out
 
 
@@ -275,8 +265,15 @@ class DiscreteCdf:
 def standardized_exact_cdf(params: ModelParams, n: int,
                            cap: int = DP_CAP_DEFAULT) -> DiscreteCdf:
     """Exact CDF of (S_n - E S_n) / sqrt(Var S_n) on its finite support."""
-    dist = distribution_dp(params, n, cap=cap)
-    svals, probs = dist.marginal_s()
+    tri = _final_slice(params, n, cap)
+    zs, js = np.nonzero(tri)
+    # P(S_n = s) in bin s + n; bincount adds a bin's cells in the row-major
+    # order of nonzero, i.e. by increasing z, which fixes the bits
+    bins = 2 * js - zs + n
+    sums = np.bincount(bins, weights=tri[zs, js])
+    reached = np.unique(bins)
+    svals = (reached - n).astype(np.float64)
+    probs = sums[reached]
     mean = float(np.dot(svals, probs))
     var = float(np.dot(svals * svals, probs)) - mean * mean
     if var <= 1e-14:

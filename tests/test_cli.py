@@ -72,6 +72,14 @@ def test_exact_csv_and_cap(capsys, tmp_path):
     assert "cap" in err.lower()
 
 
+def test_exact_oversized_n_exit_2(capsys):
+    # a 32 TB table, which the allocator refuses at once
+    code, _, err = run_cli(capsys, "exact", "-n", str(10 ** 12))
+    assert code == 2
+    assert err.startswith("lapsewalk: error:")
+    assert "1000000000000" in err
+
+
 def test_exact_distribution_json(capsys):
     code, out, _ = run_cli(capsys, "exact", "-n", "3", "--distribution",
                            "--format", "json")

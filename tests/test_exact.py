@@ -127,6 +127,28 @@ def test_standardized_cdf_normalization():
     assert abs(cdf.cdf[-1] - 1.0) <= 1e-10
 
 
+def dict_route_cdf(params, n):
+    """The standardized CDF summed through an (s, z) dict, as it used to be."""
+    agg = {}
+    for (s, _z), w in lw.distribution_dp(params, n).mass.items():
+        agg[s] = agg.get(s, 0.0) + w
+    svals = np.array(sorted(agg), dtype=np.float64)
+    probs = np.array([agg[int(s)] for s in svals])
+    mean = float(np.dot(svals, probs))
+    var = float(np.dot(svals * svals, probs)) - mean * mean
+    return (svals - mean) / np.sqrt(var), probs, np.cumsum(probs)
+
+
+@pytest.mark.parametrize("params", GRID)
+def test_standardized_cdf_matches_dict_route_bits(params):
+    for n in (1, 2, 37, 200):
+        got = lw.standardized_exact_cdf(params, n)
+        for arr, want in zip((got.points, got.probs, got.cdf),
+                             dict_route_cdf(params, n)):
+            assert arr.dtype == want.dtype
+            assert arr.tobytes() == want.tobytes()
+
+
 def test_standardized_cdf_degenerate():
     with pytest.raises(lw.DegenerateVariance):
         lw.standardized_exact_cdf(lw.ModelParams(0.0, 0.0, 1.0, 0.5), 50)
