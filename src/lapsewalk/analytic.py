@@ -17,7 +17,6 @@ from .errors import (
     Degenerate,
     DomainTooSmall,
     OutOfDomain,
-    TooSlowConvergence,
     WrongRegime,
 )
 from .model import (
@@ -30,6 +29,12 @@ from .model import (
 _CHUNK = 1 << 19
 # sub-block width of the v_limit series scans: speed only, never the bits
 _SERIES_BLOCK = 1 << 15
+# Thomae series: terms summed, and Richardson levels over K = 2^13..2^16
+_THOMAE_TERMS = 1 << 16
+_THOMAE_LEVELS = 3
+# covers the rounding of the scan's own terms and partial sums in the skip
+# test of v_limit_superdiffusive
+_SKIP_MARGIN = 1.001
 
 
 def _check_rate(rate, name="alpha"):
@@ -119,25 +124,70 @@ def sum_inv_a_closed(alpha: float, n: int, a_n: float) -> float:
 
 def v_limit_superdiffusive(alpha: float, tol: float = 1e-12,
                            max_terms: int = 10 ** 8) -> float:
-    """Limit of v_n for alpha in (1/2, 1], by term-wise summation.
+    """Limit v_inf = 3F2(1, 1, 1; alpha+1, alpha+1; 1) of v_n, alpha in (1/2, 1].
 
-    Terms t_k = (Gamma(k+1) Gamma(alpha+1) / Gamma(k+alpha+1))^2 follow
-    t_0 = 1, t_k = t_{k-1} (k/(k+alpha))^2. Summation stops once the current
-    term drops below tol * partial_sum (and k > 10); the omitted tail, which
-    decays like k^(-2*alpha) and is not negligible near alpha = 1/2, is then
-    added via an Euler-Maclaurin estimate so the returned value is accurate
-    to roughly the size of the last term rather than the tail.
+    Two routes give the value. The direct route sums the terms
+    t_k = (Gamma(k+1) Gamma(alpha+1) / Gamma(k+alpha+1))^2, which follow
+    t_0 = 1, t_k = t_{k-1} (k/(k+alpha))^2, until the current term drops
+    below tol * partial_sum (and k > 10), then adds an Euler-Maclaurin
+    estimate of the omitted tail. The terms decay like k^(-2 alpha), so near
+    alpha = 1/2 this stop cannot be reached within `max_terms` terms.
 
-    The chunk schedule fixes the bits: chunks of 2^16 terms doubling up to
-    2^22, each computing term * cumprod(r) and total + cumsum(terms) from
-    its own start. A chunk is scanned in sub-blocks of `_SERIES_BLOCK` terms
-    in four preallocated buffers, carrying both scans across sub-block
-    edges; the sub-block width sets speed and memory only.
+    The Thomae route (`_v_limit_thomae`) sums a transformed series whose
+    terms decay like k^(-2) for every alpha, to ~1e-13 relative. It serves
+    wherever the direct route cannot finish. If the last term the scan would
+    reach, t_K, is provably at least tol times the partial sum through t_K
+    (with a margin for rounding), the scan is skipped. If the scan runs and
+    still does not stop, the Thomae value replaces the failure. Where the
+    direct route stops it keeps its value bit for bit: report digests pin
+    those bits (`predict` at alpha = 0.6, `experiment superdiffusive`), so
+    the direct route stays until they are re-recorded. The pole of v_inf at
+    alpha = 1/2 lies in the Thomae prefactor Gamma(2 alpha - 1), and
+    v_inf ~ (pi/4) / (2 alpha - 1) as alpha -> 1/2+, which matches the
+    (pi/4) log n clock at alpha = 1/2.
+
+    The direct route's chunk schedule fixes its bits: chunks of 2^16 terms
+    doubling up to 2^22, each computing term * cumprod(r) and
+    total + cumsum(terms) from its own start. A chunk is scanned in
+    sub-blocks of `_SERIES_BLOCK` terms in four preallocated buffers,
+    carrying both scans across sub-block edges; the sub-block width sets
+    speed and memory only.
     """
     if not (0.5 < alpha <= 1.0):
         raise OutOfDomain(f"series converges only for alpha in (1/2, 1], got {alpha!r}")
     if not (0.0 < tol < math.inf):
         raise OutOfDomain(f"tol must be positive and finite, got {tol!r}")
+    v_inf = _v_limit_thomae(alpha)
+    # the scan stops at the first k > 10 with t_k < tol * partial_k; t_k
+    # falls and partial_k rises, so it cannot stop by the last index K it
+    # reaches if t_K >= tol * partial_K. Wendel's inequality gives
+    # t_j >= g2 (j+1)^(-2 alpha): a lower bound on t_K, and one on the tail
+    # past K, v_inf - partial_K >= g2 (K+2)^(1-2 alpha) / (2 alpha - 1).
+    # v_inf gets 1e-9 relative headroom for the error of the Thomae sum.
+    reach = _scan_reach(max_terms)
+    span = 2.0 * alpha - 1.0
+    g2 = math.gamma(alpha + 1.0) ** 2
+    t_min = g2 * (reach + 1.0) ** (-2.0 * alpha)
+    partial_max = v_inf * (1.0 + 1e-9) - g2 * (reach + 2.0) ** -span / span
+    if t_min >= _SKIP_MARGIN * tol * partial_max:
+        return v_inf
+    direct = _v_limit_direct(alpha, tol, max_terms)
+    return v_inf if direct is None else direct
+
+
+def _scan_reach(max_terms):
+    """Index of the last term the direct scan sums before it gives up."""
+    k, chunk = 0, 1 << 16
+    while k < max_terms and chunk < 1 << 22:
+        k += chunk
+        chunk *= 2
+    if k < max_terms:
+        k += -(-(max_terms - k) // chunk) * chunk
+    return k
+
+
+def _v_limit_direct(alpha, tol, max_terms):
+    """The direct scan: the value, or None if it does not stop in max_terms."""
     block = _SERIES_BLOCK
     ks = np.arange(1.0, block + 1.0)  # indices k of the next sub-block
     prods = np.empty(block)
@@ -175,9 +225,7 @@ def v_limit_superdiffusive(alpha: float, tol: float = 1e-12,
         term = float(tb[-1])
         k += chunk
         chunk = min(chunk * 2, 1 << 22)
-    raise TooSlowConvergence(
-        f"no convergence after {max_terms} terms (alpha = {alpha!r})"
-    )
+    return None
 
 
 def _series_with_tail(alpha, k, term, total):
@@ -189,6 +237,35 @@ def _series_with_tail(alpha, k, term, total):
     ms = m + (1.0 + alpha) / 2.0
     tail = t_m * (ms / (2.0 * alpha - 1.0) + 0.5 + alpha / (6.0 * ms))
     return total + tail
+
+
+def _v_limit_thomae(alpha):
+    """v_inf by Thomae's relation for 3F2 at 1 (s = 2 alpha - 1):
+
+        3F2(1, 1, 1; a+1, a+1; 1)
+          = Gamma(a+1)^2 Gamma(s) / Gamma(2a)^2 * 3F2(a, a, s; 2a, 2a; 1)
+
+    The new series has term ratio ((a+k)/(2a+k))^2 (s+k)/(1+k) and terms
+    that decay like k^(-2). Its tail is a power series in 1/K, so the
+    partial sums at K = 2^13..2^16 are extrapolated by Richardson in 1/K.
+    """
+    s = 2.0 * alpha - 1.0
+    k = np.arange(1.0, _THOMAE_TERMS)
+    u = (alpha - 1.0 + k) / (s + k)
+    u *= u
+    u *= (s - 1.0 + k) / k
+    np.multiply.accumulate(u, out=u)  # u[k-1] is the k-th term; term 0 is 1
+    sums, total, lo = [], 1.0, 0
+    for shift in range(_THOMAE_LEVELS, -1, -1):
+        hi = (_THOMAE_TERMS >> shift) - 1  # partial sum of terms k < K
+        total += float(u[lo:hi].sum())
+        sums.append(total)
+        lo = hi
+    for level in range(1, _THOMAE_LEVELS + 1):
+        f = float(1 << level)  # removes the 1/K^level term
+        sums = [(f * b - a) / (f - 1.0) for a, b in zip(sums, sums[1:])]
+    return (math.gamma(alpha + 1.0) ** 2 * math.gamma(s)
+            / math.gamma(2.0 * alpha) ** 2 * sums[0])
 
 
 def _constants(params_or_constants) -> DerivedConstants:

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import experiments
 from .analytic import regime_prediction, v_limit_superdiffusive
-from .errors import Degenerate, LapsewalkError
-from .exact import DP_CAP_DEFAULT, distribution_dp, exact_moments
+from .errors import Degenerate, InvalidState, LapsewalkError
+from .exact import DP_CAP_DEFAULT, distribution_columns, exact_moments
 from .model import ModelParams, Regime, derive_constants
 from .report import base_report, csv_lines, emit_json, fmt_float
 from .stats import normal_cdf
@@ -74,10 +74,23 @@ def _params_from(resolved) -> ModelParams:
                        resolved["theta"])
 
 
+def _parse_list(text, typ, flag):
+    """Comma-separated values of one type; a bad token names its flag."""
+    out = []
+    for tok in text.split(","):
+        if tok.strip():
+            try:
+                out.append(typ(tok))
+            except ValueError:
+                raise InvalidState(f"--{flag}: {tok.strip()!r} is not "
+                                   f"a valid {typ.__name__}") from None
+    return out
+
+
 def _parse_snapshots(text):
     if text is None or text == "dyadic":
         return None
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+    return _parse_list(text, int, "snapshots")
 
 
 def _write_text(path, text):
@@ -213,6 +226,14 @@ def cmd_simulate(resolved, output, fmt):
     return 0
 
 
+# one (s, z, probability) cell of the joint law, as emit_json would write the
+# dict {"s": s, "z": z, "probability": w} in a report's results.distribution
+# list, and as csv_lines would write the row [s, z, w]
+_LAW_JSON_ROW = ('      {{\n        "probability": {2!r},\n        "s": {0},\n'
+                 '        "z": {1}\n      }}')
+_LAW_CSV_ROW = "{0},{1},{2:.17g}\r\n"
+
+
 def cmd_exact(resolved, output, fmt, with_distribution):
     params = _params_from(resolved)
     n = resolved["steps"]
@@ -241,22 +262,24 @@ def cmd_exact(resolved, output, fmt, with_distribution):
         results={"moments": rows},
     )
     if with_distribution:
-        dist = distribution_dp(params, n, cap=resolved["dp_cap"])
-        rep["results"]["distribution"] = [
-            {"s": s, "z": z, "probability": w}
-            for (s, z), w in sorted(dist.mass.items())
-        ]
+        law = [col.tolist() for col in
+               distribution_columns(params, n, cap=resolved["dp_cap"])]
+        rep["results"]["distribution"] = []  # JSON rows are spliced in here
     if fmt == "json":
-        _write_text(output, emit_json(rep))
+        text = emit_json(rep)
+        if with_distribution:
+            rows_text = ",\n".join(map(_LAW_JSON_ROW.format, *law))
+            text = text.replace('"distribution": []',
+                                f'"distribution": [\n{rows_text}\n    ]', 1)
+        _write_text(output, text)
     else:
         header = ["n", "mean_s", "var_s", "mean_z", "mean_sz",
                   "predicted_scale", "var_over_scale"]
         lines = _emit_csv_text(header, [[row[h] if row[h] is not None else ""
                                          for h in header] for row in rows])
         if with_distribution:
-            lines += _emit_csv_text(["s", "z", "probability"],
-                                    [[d["s"], d["z"], d["probability"]]
-                                     for d in rep["results"]["distribution"]])
+            lines += "s,z,probability\r\n" + "".join(
+                map(_LAW_CSV_ROW.format, *law))
         _write_text(output, lines)
     return 0
 
@@ -330,7 +353,7 @@ def cmd_experiment(args, resolved, output):
             workers=workers, horizon_factor=resolved["horizon_factor"],
             gate=resolved["gate"])
     elif kind == "regime-scan":
-        alphas = [float(tok) for tok in resolved["alphas"].split(",") if tok.strip()]
+        alphas = _parse_list(resolved["alphas"], float, "alphas")
         rep = experiments.regime_scan_experiment(
             resolved["p"], resolved["q"], resolved["r"], alphas,
             n_max=resolved["n_max"])

@@ -181,13 +181,22 @@ def _final_slice(params: ModelParams, n: int, cap: int):
     return tri
 
 
-def distribution_dp(params: ModelParams, n: int, cap: int = DP_CAP_DEFAULT) -> ExactDistribution:
-    """Exact joint law of (S_n, Z_n) by DP over (z, n_plus) triangles."""
+def distribution_columns(params: ModelParams, n: int,
+                         cap: int = DP_CAP_DEFAULT):
+    """The reachable cells of the joint law of (S_n, Z_n) as three arrays
+    (s, z, probability), sorted by (s, z)."""
     tri = _final_slice(params, n, cap)
     zs, js = np.nonzero(tri)
-    return ExactDistribution(n=n, mass={
-        (2 * j - z, z): float(tri[z, j]) for z, j in zip(zs.tolist(), js.tolist())
-    })
+    ss = 2 * js - zs
+    order = np.lexsort((zs, ss))
+    return ss[order], zs[order], tri[zs, js][order]
+
+
+def distribution_dp(params: ModelParams, n: int, cap: int = DP_CAP_DEFAULT) -> ExactDistribution:
+    """Exact joint law of (S_n, Z_n) by DP over (z, n_plus) triangles."""
+    ss, zs, probs = distribution_columns(params, n, cap)
+    return ExactDistribution(n=n, mass=dict(zip(
+        zip(ss.tolist(), zs.tolist()), probs.tolist())))
 
 
 def dp_moment_scan(params: ModelParams, n_max: int,

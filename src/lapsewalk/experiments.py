@@ -239,7 +239,7 @@ def superdiffusive_experiment(params, n_steps, n_traj, master_seed,
     if c.regime is not Regime.SUPERDIFFUSIVE:
         raise WrongRegime(f"superdiffusive experiment needs alpha > 1/2, got {c.alpha!r}")
     _require_nondegenerate(params)
-    # before the Monte Carlo work: the series can fail near alpha = 1/2
+    # before the Monte Carlo work, so a bad alpha fails before any sampling
     v_inf = v_limit_superdiffusive(c.alpha, 1e-10)
     pred = regime_prediction(params)
     n_far = horizon_factor * n_steps

@@ -290,14 +290,17 @@ def test_criterion_11_worker_determinism(lln_ensemble, clt_ensemble,
     clt4 = lw.run_ensemble(P_DIFF, 10 ** 4, 10 ** 5, snapshots=[10 ** 4],
                            master_seed=SEED, reservoir_k=10 ** 5, workers=4)
     w4 = lw.estimate_w(P_SUPER, 10 ** 5, 10 ** 4, master_seed=SEED, workers=4)
-    lil4 = lw.lil_diagnostic(P_IID, 10 ** 6, 200, master_seed=SEED, workers=4)
+    # 200 trajectories are fewer than one default 4096-trajectory block, so
+    # blocks of 100 are what put two tasks through a two-process pool
+    lil2 = lw.lil_diagnostic(P_IID, 10 ** 6, 200, master_seed=SEED, workers=2,
+                             chunk_size=100)
     checks = {
         "lln": lw.ensembles_identical(lln_ensemble, lln4),
         "clt": lw.ensembles_identical(clt_ensemble, clt4),
         "w": (w_estimate.mean_w == w4.mean_w
               and w_estimate.var_w == w4.var_w
               and np.array_equal(w_estimate.sample, w4.sample)),
-        "lil": np.array_equal(lil_result.running_max, lil4.running_max),
+        "lil": np.array_equal(lil_result.running_max, lil2.running_max),
     }
     ok = all(checks.values())
     report(11, "worker-count determinism", ok, f"({checks})")

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lapsewalk as lw
+import lapsewalk.analytic as analytic
 
 
 def a_exact(alpha, n):
@@ -117,14 +120,37 @@ def test_v_limit_domain():
             lw.v_limit_superdiffusive(0.75, bad_tol)
 
 
-@pytest.mark.parametrize("alpha", [0.6, 0.75, 0.9, 1.0])
-def test_v_limit_matches_hypergeometric(alpha):
-    # v_inf = 3F2(1, 1, 1; alpha+1, alpha+1; 1), evaluated by mpmath
+def hyp3f2_v_limit(alpha):
+    """v_inf = 3F2(1, 1, 1; alpha+1, alpha+1; 1) by mpmath at 30 digits."""
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(30):
-        want = float(mpmath.hyp3f2(1, 1, 1, alpha + 1, alpha + 1, 1))
+        a1 = mpmath.mpf(alpha) + 1  # exact: a float alpha + 1 would round
+        return float(mpmath.hyp3f2(1, 1, 1, a1, a1, 1))
+
+
+@pytest.mark.parametrize("alpha", [0.505, 0.55, 0.6, 0.75, 0.9, 1.0])
+def test_v_limit_matches_hypergeometric(alpha):
+    # the direct scan stops from 0.6 up, with an error set by tol; at 0.505
+    # and 0.55 it cannot stop and the value comes from the Thomae series
+    rel = 1e-13 if alpha < 0.56 else 1e-9
+    want = hyp3f2_v_limit(alpha)
     got = lw.v_limit_superdiffusive(alpha, 1e-10)
-    assert abs(got - want) / want <= 1e-9
+    assert abs(got - want) / want <= rel
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(alpha=st.floats(0.501, 1.0))
+def test_v_limit_thomae_matches_hypergeometric(alpha):
+    want = hyp3f2_v_limit(alpha)
+    assert abs(analytic._v_limit_thomae(alpha) - want) / want <= 1e-13
+
+
+def test_v_limit_pole_at_one_half():
+    # v_inf ~ (pi/4) / (2 alpha - 1) as alpha -> 1/2+
+    for alpha in (0.50005, 0.5000005, 0.500000005):
+        span = 2.0 * alpha - 1.0  # exact
+        v = lw.v_limit_superdiffusive(alpha, 1e-10)
+        assert abs(v * span / (math.pi / 4.0) - 1.0) <= 2.0 * span
 
 
 def test_sum_inv_a_closed_hand_values():

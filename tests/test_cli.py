@@ -1,9 +1,14 @@
+import hashlib
 import json
+
+import pytest
 
 from lapsewalk import experiments
 from lapsewalk.cli import main
 from lapsewalk.errors import TooSlowConvergence
-from lapsewalk.report import emit_json
+from lapsewalk.exact import distribution_dp
+from lapsewalk.model import ModelParams
+from lapsewalk.report import csv_lines, emit_json
 
 
 def run_cli(capsys, *argv):
@@ -29,6 +34,43 @@ def test_predict_json_superdiffusive(capsys):
     assert rep["schema_version"] == "1"
     assert rep["derived"]["regime"] == "superdiffusive"
     assert rep["predictions"]["v_limit"] > 1.0
+
+
+def super_flags(alpha):
+    """p = 0.9, q = 0, r = 0.1 and theta solved from alpha = (p - q) theta."""
+    return ["-p", "0.9", "-q", "0", "-r", "0.1", "--theta", repr(alpha / 0.9)]
+
+
+def test_predict_json_bytes_pinned(tmp_path):
+    # the direct v_limit route keeps its bits: this digest is the one the
+    # benchmark's bench/golden.json records for the same invocation
+    out = tmp_path / "predict.json"
+    assert main(["predict", *super_flags(0.6), "--format", "json",
+                 "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "c52aa4b80dfd2eb2a21562fc74449c820c7428a28e8d552ae6301417ace2a020")
+
+
+def test_predict_near_transition(capsys):
+    mpmath = pytest.importorskip("mpmath")
+    code, out, _ = run_cli(capsys, "predict", *super_flags(0.505),
+                           "--format", "json")
+    assert code == 0
+    rep = json.loads(out)
+    alpha = rep["derived"]["alpha"]
+    with mpmath.workdps(30):
+        a1 = mpmath.mpf(alpha) + 1
+        want = float(mpmath.hyp3f2(1, 1, 1, a1, a1, 1))
+    assert abs(rep["predictions"]["v_limit"] - want) / want <= 1e-13
+
+
+def test_experiment_superdiffusive_near_transition(tmp_path):
+    out = tmp_path / "sd.json"
+    code = main(["experiment", "superdiffusive", *super_flags(0.55),
+                 "-n", "64", "-t", "200", "--seed", "3", "-o", str(out)])
+    assert code in (0, 1)  # gates may fail at this size; the run completes
+    rep = json.loads(out.read_text())
+    assert rep["results"]["v_limit"] > 1.0
 
 
 def test_predict_simplex_violation_exit_2(capsys):
@@ -91,6 +133,34 @@ def test_exact_distribution_json(capsys):
     assert (3, 3) in masses
 
 
+# two points of the GRID in test_exact.py
+LAW_POINTS = [ModelParams(0.5, 0.5, 0.0, 0.3), ModelParams(0.3, 0.3, 0.4, 0.7)]
+
+
+@pytest.mark.parametrize("params", LAW_POINTS)
+@pytest.mark.parametrize("n", [1, 2, 37, 400])
+def test_exact_distribution_matches_dict_route_bytes(tmp_path, params, n):
+    """The row-formatted law has the bytes of the list of dicts it replaced."""
+    flags = ["exact", "-p", repr(params.p), "-q", repr(params.q),
+             "-r", repr(params.r), "--theta", repr(params.theta), "-n", str(n)]
+    cells = sorted(distribution_dp(params, n).mass.items())
+    for fmt in ("json", "csv"):
+        base, law = tmp_path / f"base.{fmt}", tmp_path / f"law.{fmt}"
+        assert main([*flags, "--format", fmt, "-o", str(base)]) == 0
+        assert main([*flags, "--distribution", "--format", fmt,
+                     "-o", str(law)]) == 0
+        if fmt == "json":
+            rep = json.loads(base.read_text())
+            rep["results"]["distribution"] = [
+                {"s": s, "z": z, "probability": w} for (s, z), w in cells]
+            want = emit_json(rep)
+        else:
+            want = base.read_bytes().decode() + "\r\n".join(csv_lines(
+                ["s", "z", "probability"],
+                [[s, z, w] for (s, z), w in cells])) + "\r\n"
+        assert law.read_bytes() == want.encode()
+
+
 def test_experiment_lln_report(tmp_path):
     out = tmp_path / "lln.json"
     code = main(["experiment", "lln", "-n", "1000", "-t", "400", "--seed",
@@ -150,6 +220,20 @@ def test_experiment_superdiffusive_series_fails_before_sampling(capsys,
                            "-n", "100", "-t", "50", "--seed", "1")
     assert code == 2
     assert "no convergence" in err
+
+
+def test_malformed_alphas_exit_2(capsys):
+    code, _, err = run_cli(capsys, "experiment", "regime-scan",
+                           "--alphas", "0.1,abc", "--n-max", "1024")
+    assert code == 2
+    assert err == "lapsewalk: error: --alphas: 'abc' is not a valid float\n"
+
+
+def test_malformed_snapshots_exit_2(capsys):
+    code, _, err = run_cli(capsys, "simulate", "-n", "10", "-t", "5",
+                           "--snapshots", "1,x")
+    assert code == 2
+    assert err == "lapsewalk: error: --snapshots: 'x' is not a valid int\n"
 
 
 def test_experiment_csv_and_plot(tmp_path):

@@ -1,12 +1,15 @@
-"""Property test: the sub-blocked v_limit series keeps the bits of the chunked one.
+"""Property test: v_limit keeps the bits of the chunked series where it stops.
 
-`reference_v_limit` is the loop that `v_limit_superdiffusive` replaced, kept
-here as the oracle: it scans each chunk with whole-chunk temporaries. The
-chunk schedule fixes the bits, so any sub-block width must reproduce them,
-including stops that land before, on or after a sub-block edge, stops whose
-raw test already holds within the first 10 terms, and the failure message.
+`reference_v_limit` is the chunked loop of the direct route, kept here as
+the oracle: it scans each chunk with whole-chunk temporaries. The chunk
+schedule fixes the bits, so any sub-block width must reproduce them,
+including stops that land before, on or after a sub-block edge and stops
+whose raw test already holds within the first 10 terms. Where the reference
+raises, `v_limit_superdiffusive` returns the Thomae value instead, whether
+it skips the scan or falls back after it; that value must match mpmath.
 """
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -47,11 +50,22 @@ def reference_v_limit(alpha, tol, max_terms):
     return total + tail
 
 
-def outcome(f, *args):
+def reference_outcome(alpha, tol, max_terms):
     try:
-        return "value", f(*args).hex()
-    except TooSlowConvergence as e:
-        return "raised", str(e)
+        return reference_v_limit(alpha, tol, max_terms).hex()
+    except TooSlowConvergence:
+        return None
+
+
+def check_against_reference(got, alpha, tol, max_terms):
+    want = reference_outcome(alpha, tol, max_terms)
+    if want is not None:
+        assert got.hex() == want
+    else:
+        with mpmath.workdps(30):
+            a1 = mpmath.mpf(alpha) + 1
+            exact = float(mpmath.hyp3f2(1, 1, 1, a1, a1, 1))
+        assert abs(got - exact) / exact <= 1e-13
 
 
 @st.composite
@@ -65,20 +79,45 @@ def series_case(draw):
 
 
 # max_terms = 2^17 runs at most two chunks (65536 and 131072 terms): a series
-# that has not stopped by then raises, one that has returns its value
+# that has not stopped by then takes the Thomae route, one that has returns
+# its value. At alpha = 0.6 the scan is skipped for tol below ~8.0293e-8 and
+# cannot stop for tol below ~8.0374e-8; in between it runs and falls back.
+SKIP, FALLBACK, STOP = 8.0e-8, 8.033e-8, 8.04e-8
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(case=series_case())
 @example(case=(1, 1.0, 1e-2))  # the raw test holds from k = 8, the stop is 11
 @example(case=(7, 1.0, 1e-2))
 @example(case=(4096, 1.0, 1e-2))
+@example(case=(4096, 0.6, SKIP))
+@example(case=(4096, 0.6, FALLBACK))
+@example(case=(7, 0.6, FALLBACK))
+@example(case=(4096, 0.6, STOP))
 def test_series_matches_reference_bits(case):
     block, alpha, tol = case
     max_terms = 1 << 17
-    want = outcome(reference_v_limit, alpha, tol, max_terms)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(analytic, "_SERIES_BLOCK", block)
-        got = outcome(analytic.v_limit_superdiffusive, alpha, tol, max_terms)
-    assert got == want
+        got = analytic.v_limit_superdiffusive(alpha, tol, max_terms)
+    check_against_reference(got, alpha, tol, max_terms)
+
+
+@pytest.mark.parametrize("tol, scans", [(SKIP, []), (FALLBACK, [None]),
+                                        (STOP, ["value"])])
+def test_skip_and_fallback_routes(monkeypatch, tol, scans):
+    direct = analytic._v_limit_direct
+    seen = []
+
+    def spy(*args):
+        out = direct(*args)
+        seen.append(None if out is None else "value")
+        return out
+
+    monkeypatch.setattr(analytic, "_v_limit_direct", spy)
+    got = analytic.v_limit_superdiffusive(0.6, tol, 1 << 17)
+    assert seen == scans
+    check_against_reference(got, 0.6, tol, 1 << 17)
 
 
 @pytest.mark.parametrize("alpha, tol", [(0.75, 1e-10), (0.9, 1e-10),
