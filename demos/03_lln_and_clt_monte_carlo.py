@@ -29,7 +29,7 @@ print("bit-identical under a different worker count:",
 print()
 print("== central limit theorem at n = 5000 ==")
 ens = lw.run_ensemble(params, 5000, 20000, snapshots=[5000],
-                      master_seed=7, reservoir_k=20000, workers=2)
+                      master_seed=7, keep_raw=True, workers=2)
 tab = lw.exact_moments(params, 5000)
 sample = (ens.sample_s[0] - tab.mean_s[5000]) / math.sqrt(tab.var_s[5000])
 ks = lw.ks_test_normal(sample)
@@ -41,9 +41,9 @@ print(f"theorem scale phi n/(1-2a) = {pred.variance_scale(5000):.1f}, "
 print()
 print("== martingale view: Var(M_n) tracks phi v_n ==")
 ens = lw.run_ensemble(params, 4096, 8000, master_seed=99, workers=2)
-lw.martingale_track(params, ens)
+acc_m = lw.martingale_track(params, ens)
 c = lw.derive_constants(params)
 v = lw.v_sequence(c.alpha, 4096)
 for i, m in enumerate(ens.snapshots):
-    ratio = ens.acc_m[i].variance / (c.phi * v.value(m))
+    ratio = acc_m[i].variance / (c.phi * v.value(m))
     print(f"  n = {m:5d}: Var(M_n) / (phi v_n) = {ratio:.4f}")

@@ -7,7 +7,9 @@ checks with PASS/FAIL gates).
 Exit codes: 0 success / all gates pass, 1 an experiment gate failed,
 2 usage or domain error. Flags beat the config file, which beats defaults;
 the config file is plain `key = value` lines with `#` comments, keys named
-like the long options (p, q, r, theta, steps, trajectories, seed, ...).
+like the long options of any subcommand (p, q, r, theta, steps,
+trajectories, seed, ...). An unknown key or a value that does not parse is
+a usage error naming the file and the line.
 """
 
 import argparse
@@ -25,9 +27,6 @@ from .report import base_report, csv_lines, emit_json, fmt_float
 from .stats import normal_cdf
 from .svg import line_plot
 
-EXPERIMENT_KINDS = ("lln", "clt", "critical", "superdiffusive",
-                    "regime-scan", "lil-diagnostic")
-
 # key -> (default, type); config-file values are parsed with the type
 OPTION_TABLE = {
     "p": (0.6, float), "q": (0.2, float), "r": (0.2, float),
@@ -41,6 +40,7 @@ OPTION_TABLE = {
 
 
 def _parse_config_file(path):
+    """key -> (value, "path:line"); a key no subcommand takes is refused."""
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -50,7 +50,10 @@ def _parse_config_file(path):
             if "=" not in line:
                 raise LapsewalkError(f"{path}:{lineno}: expected key = value")
             key, value = (part.strip() for part in line.split("=", 1))
-            out[key.replace("-", "_")] = value
+            key = key.replace("-", "_")
+            if key not in OPTION_TABLE:
+                raise InvalidState(f"{path}:{lineno}: unknown key {key!r}")
+            out[key] = (value, f"{path}:{lineno}")
     return out
 
 
@@ -63,7 +66,12 @@ def _resolve(args):
         if flag is not None:
             resolved[key] = flag
         elif key in config:
-            resolved[key] = typ(config[key])
+            value, where = config[key]
+            try:
+                resolved[key] = typ(value)
+            except ValueError:
+                raise InvalidState(f"{where}: {key} = {value!r} is not a valid "
+                                   f"{typ.__name__}") from None
         else:
             resolved[key] = default
     return resolved
@@ -103,6 +111,12 @@ def _write_text(path, text):
 
 def _emit_csv_text(header, rows):
     return "\r\n".join(csv_lines(header, rows)) + "\r\n"
+
+
+def _dict_rows_csv(rows):
+    """CSV of a list of dicts that share their keys, in the first one's order."""
+    header = list(rows[0])
+    return _emit_csv_text(header, [[row[h] for h in header] for row in rows])
 
 
 def _add_param_flags(sp):
@@ -146,7 +160,7 @@ def build_parser():
     sp.add_argument("--format", choices=("csv", "json"), default=None)
 
     sp = sub.add_parser("experiment", help="limit-theorem checks with PASS/FAIL gates")
-    sp.add_argument("kind", choices=EXPERIMENT_KINDS)
+    sp.add_argument("kind", choices=EXPERIMENTS)
     _add_param_flags(sp)
     sp.add_argument("-n", "--steps", type=int, default=None)
     sp.add_argument("-t", "--trajectories", type=int, default=None)
@@ -161,7 +175,8 @@ def build_parser():
                     help="comma list of alpha values for regime-scan")
     sp.add_argument("--n-max", dest="n_max", type=int, default=None,
                     help="horizon for regime-scan / lil-diagnostic")
-    sp.add_argument("--csv", default=None, help="also write a per-snapshot CSV table")
+    sp.add_argument("--csv", default=None,
+                    help="also write the per-row CSV table (lln, regime-scan)")
     sp.add_argument("--plot", default=None, help="also write an SVG plot")
     return ap
 
@@ -180,11 +195,7 @@ def cmd_predict(resolved, output, fmt):
     else:
         vn_asymptote = "v_n converges"
     report = base_report(
-        "predict",
-        params={"p": params.p, "q": params.q, "r": params.r, "theta": params.theta},
-        derived={"alpha": c.alpha, "omega": c.omega, "tau": c.tau,
-                 "gamma": c.gamma, "phi": c.phi, "beta": c.beta,
-                 "psi": c.psi, "regime": c.regime.value},
+        "predict", **experiments.model_sections(params),
         predictions={
             "lln_limit": pred.lln_limit,
             "z_lln_limit": pred.z_lln_limit,
@@ -219,10 +230,7 @@ def cmd_simulate(resolved, output, fmt):
     if fmt == "json":
         _write_text(output, emit_json(rep))
     else:
-        rows = rep["results"]["snapshots"]
-        header = list(rows[0].keys())
-        _write_text(output, _emit_csv_text(header, [[row[h] for h in header]
-                                                    for row in rows]))
+        _write_text(output, _dict_rows_csv(rep["results"]["snapshots"]))
     return 0
 
 
@@ -257,7 +265,7 @@ def cmd_exact(resolved, output, fmt, with_distribution):
         })
     rep = base_report(
         "exact",
-        params={"p": params.p, "q": params.q, "r": params.r, "theta": params.theta},
+        params=experiments.model_sections(params)["params"],
         config={"n": n},
         results={"moments": rows},
     )
@@ -284,101 +292,105 @@ def cmd_exact(resolved, output, fmt, with_distribution):
     return 0
 
 
-def _experiment_plot(kind, rep):
-    res = rep["results"]
-    if kind == "lln":
-        rows = res["snapshots"]
-        ns = [row["n"] for row in rows]
-        means = [row["mean_s"] / row["n"] for row in rows]
-        pred = [res["predicted"]] * len(ns)
-        return line_plot([(ns, means, "ensemble mean S_n/n"), (ns, pred, "limit")],
-                         title="Law of large numbers", xlabel="n (log)",
-                         ylabel="S_n / n", logx=True)
-    if kind in ("clt", "critical") and "ecdf_x" in res:
-        xs = res["ecdf_x"]
-        return line_plot(
-            [(xs, res["ecdf_f"], "standardized ECDF"),
-             (xs, [normal_cdf(x) for x in xs], "normal CDF")],
-            title="CDF overlay", xlabel="standardized S_n", ylabel="F(x)")
-    if kind == "superdiffusive" and res.get("slope") is not None:
-        ns = res["slope_ns"]
-        return line_plot(
-            [(ns, res["slope_vars"], "exact Var(S_n)"),
-             (ns, [math.exp(res["slope_intercept"]) * n ** res["slope"] for n in ns],
-              f"fit slope {res['slope']:.3f}")],
-            title="Superdiffusive variance scaling", xlabel="n",
-            ylabel="Var(S_n)", logx=True, logy=True)
-    if kind == "regime-scan":
-        rows = res["scan"]
-        alphas = [row["alpha"] for row in rows]
-        return line_plot(
-            [(alphas, [row["slope"] for row in rows], "fitted exponent"),
-             (alphas, [row["reference_slope"] for row in rows], "theory")],
-            title="Variance-scaling exponent vs alpha", xlabel="alpha",
-            ylabel="exponent")
-    if kind == "lil-diagnostic":
-        ns = res["snapshots"]
-        med = res["median_running_max"]
-        return line_plot([(ns, med, "median running max")],
-                         title="Iterated-logarithm diagnostic",
-                         xlabel="n (log)", ylabel="statistic", logx=True)
-    return None
+def _plot_lln(res):
+    rows = res["snapshots"]
+    ns = [row["n"] for row in rows]
+    means = [row["mean_s"] / row["n"] for row in rows]
+    pred = [res["predicted"]] * len(ns)
+    return line_plot([(ns, means, "ensemble mean S_n/n"), (ns, pred, "limit")],
+                     title="Law of large numbers", xlabel="n (log)",
+                     ylabel="S_n / n", logx=True)
+
+
+def _plot_ecdf(res):
+    if "ecdf_x" not in res:
+        return None
+    xs = res["ecdf_x"]
+    return line_plot(
+        [(xs, res["ecdf_f"], "standardized ECDF"),
+         (xs, [normal_cdf(x) for x in xs], "normal CDF")],
+        title="CDF overlay", xlabel="standardized S_n", ylabel="F(x)")
+
+
+def _plot_superdiffusive(res):
+    if res.get("slope") is None:
+        return None
+    ns = res["slope_ns"]
+    return line_plot(
+        [(ns, res["slope_vars"], "exact Var(S_n)"),
+         (ns, [math.exp(res["slope_intercept"]) * n ** res["slope"] for n in ns],
+          f"fit slope {res['slope']:.3f}")],
+        title="Superdiffusive variance scaling", xlabel="n",
+        ylabel="Var(S_n)", logx=True, logy=True)
+
+
+def _plot_scan(res):
+    rows = res["scan"]
+    alphas = [row["alpha"] for row in rows]
+    return line_plot(
+        [(alphas, [row["slope"] for row in rows], "fitted exponent"),
+         (alphas, [row["reference_slope"] for row in rows], "theory")],
+        title="Variance-scaling exponent vs alpha", xlabel="alpha",
+        ylabel="exponent")
+
+
+def _plot_lil(res):
+    return line_plot([(res["snapshots"], res["median_running_max"],
+                       "median running max")],
+                     title="Iterated-logarithm diagnostic",
+                     xlabel="n (log)", ylabel="statistic", logx=True)
+
+
+def _mc_args(o):
+    """params, n_steps, n_traj, master_seed, workers: every Monte Carlo
+    driver's leading arguments."""
+    return _params_from(o), o["steps"], o["trajectories"], o["seed"], o["workers"]
+
+
+# kind -> (run, plot, key of the results list --csv writes, or None).
+# run(resolved) looks its driver up on the experiments module when it is
+# called, so a driver replaced there (a test double, a tracing wrapper) runs.
+EXPERIMENTS = {
+    "lln": (lambda o: experiments.lln_experiment(
+                *_mc_args(o), snapshots=_parse_snapshots(o["snapshots"])),
+            _plot_lln, "snapshots"),
+    "clt": (lambda o: experiments.clt_experiment(
+                *_mc_args(o), gate=o["gate"], dp_cap=o["dp_cap"]),
+            _plot_ecdf, None),
+    "critical": (lambda o: experiments.critical_experiment(
+                     *_mc_args(o), gate=o["gate"], dp_cap=o["dp_cap"]),
+                 _plot_ecdf, None),
+    "superdiffusive": (lambda o: experiments.superdiffusive_experiment(
+                           *_mc_args(o), horizon_factor=o["horizon_factor"],
+                           gate=o["gate"]),
+                       _plot_superdiffusive, None),
+    "regime-scan": (lambda o: experiments.regime_scan_experiment(
+                        o["p"], o["q"], o["r"],
+                        _parse_list(o["alphas"], float, "alphas"), n_max=o["n_max"]),
+                    _plot_scan, "scan"),
+    "lil-diagnostic": (lambda o: experiments.lil_experiment(
+                           _params_from(o), o["n_max"], o["trajectories"],
+                           o["seed"], workers=o["workers"]),
+                       _plot_lil, None),
+}
 
 
 def cmd_experiment(args, resolved, output):
-    params_needed = args.kind != "regime-scan"
-    params = _params_from(resolved) if params_needed else None
-    kind = args.kind
-    seed = resolved["seed"]
-    workers = resolved["workers"]
-    if kind == "lln":
-        snaps = _parse_snapshots(resolved["snapshots"])
-        rep = experiments.lln_experiment(params, resolved["steps"],
-                                         resolved["trajectories"], seed,
-                                         workers=workers, snapshots=snaps)
-    elif kind == "clt":
-        rep = experiments.clt_experiment(params, resolved["steps"],
-                                         resolved["trajectories"], seed,
-                                         workers=workers, gate=resolved["gate"],
-                                         dp_cap=resolved["dp_cap"])
-    elif kind == "critical":
-        rep = experiments.critical_experiment(params, resolved["steps"],
-                                              resolved["trajectories"], seed,
-                                              workers=workers,
-                                              gate=resolved["gate"],
-                                              dp_cap=resolved["dp_cap"])
-    elif kind == "superdiffusive":
-        rep = experiments.superdiffusive_experiment(
-            params, resolved["steps"], resolved["trajectories"], seed,
-            workers=workers, horizon_factor=resolved["horizon_factor"],
-            gate=resolved["gate"])
-    elif kind == "regime-scan":
-        alphas = _parse_list(resolved["alphas"], float, "alphas")
-        rep = experiments.regime_scan_experiment(
-            resolved["p"], resolved["q"], resolved["r"], alphas,
-            n_max=resolved["n_max"])
-    else:
-        rep = experiments.lil_experiment(params, resolved["n_max"],
-                                         resolved["trajectories"], seed,
-                                         workers=workers)
+    run, plot, csv_key = EXPERIMENTS[args.kind]
+    if args.csv and csv_key is None:
+        raise InvalidState(f"--csv: experiment {args.kind} has no per-row table")
+    rep = run(resolved)
     rep = base_report("experiment", **{k: v for k, v in rep.items() if k != "kind"},
-                      kind=kind)
+                      kind=args.kind)
     _write_text(output, emit_json(rep))
 
-    if args.csv:
-        rows = rep["results"].get("snapshots") or rep["results"].get("scan")
-        if rows:
-            header = list(rows[0].keys())
-            _write_text(args.csv, _emit_csv_text(
-                header, [[row[h] for h in header] for row in rows]))
+    if args.csv and rep["results"][csv_key]:
+        _write_text(args.csv, _dict_rows_csv(rep["results"][csv_key]))
     if args.plot:
-        svg = _experiment_plot(kind, rep)
+        svg = plot(rep["results"])
         if svg:
             _write_text(args.plot, svg)
-
-    if rep["pass"] is False:
-        return 1
-    return 0
+    return 1 if rep["pass"] is False else 0
 
 
 def main(argv=None) -> int:

@@ -3,7 +3,7 @@
 Trajectory i always draws from RNG stream i. Trajectories are accumulated
 in blocks of chunk_size, one accumulator per block and snapshot, folded in
 block order, so an ensemble result is a pure function of (params, n_steps,
-n_traj, master_seed, snapshots, reservoir_k, chunk_size). The block size
+n_traj, master_seed, snapshots, keep_raw, chunk_size). The block size
 fixes the last-ulp bits of the folded moments; the lane width a task
 simulates at once (whole blocks, up to LANES_MAX lanes) and the worker
 count can only change wall time, never a bit of the output. Tasks run the
@@ -20,7 +20,7 @@ import numpy as np
 from .analytic import expected_s, growth_values, lil_envelope
 from .errors import Degenerate, DomainTooSmall, InvalidState, WrongRegime
 from .model import ModelParams, Regime, derive_constants
-from .rng import RngStream, Xoshiro256Batch
+from .rng import Xoshiro256Batch
 
 CHUNK_SIZE_DEFAULT = 4096
 # widest lockstep walk one task runs; a speed constant, not part of the output
@@ -44,19 +44,15 @@ def dyadic_snapshots(n_max: int):
 
 @dataclass
 class MomentAccumulator:
-    """Streaming count/mean and central moment sums up to fourth order.
+    """Streaming count, mean, min, max and m2, the sum of (x - mean)^2.
 
-    m2..m4 are the power sums of (x - mean); merging uses the parallel
-    update formulas (Chan et al. / Pebay), which need m3 even if only m4 is
-    reported, so m3 is carried too. Merging is associative up to float
-    roundoff and exactly reproducible for a fixed merge order.
+    Merging uses the parallel update of Chan et al.; it is associative up to
+    float roundoff and exactly reproducible for a fixed merge order.
     """
 
     count: int = 0
     mean: float = 0.0
     m2: float = 0.0
-    m3: float = 0.0
-    m4: float = 0.0
     min: float = float("inf")
     max: float = float("-inf")
 
@@ -67,13 +63,10 @@ class MomentAccumulator:
             return cls()
         mean = float(x.mean())
         d = x - mean
-        d2 = d * d
         return cls(
             count=int(x.size),
             mean=mean,
-            m2=float(d2.sum()),
-            m3=float((d2 * d).sum()),
-            m4=float((d2 * d2).sum()),
+            m2=float((d * d).sum()),
             min=float(x.min()),
             max=float(x.max()),
         )
@@ -89,19 +82,8 @@ class MomentAccumulator:
         d_n = delta / n
         mean = self.mean + d_n * nb
         m2 = self.m2 + other.m2 + delta * d_n * na * nb
-        m3 = (
-            self.m3 + other.m3
-            + delta * d_n * d_n * na * nb * (na - nb)
-            + 3.0 * d_n * (na * other.m2 - nb * self.m2)
-        )
-        m4 = (
-            self.m4 + other.m4
-            + delta * d_n ** 3 * na * nb * (na * na - na * nb + nb * nb)
-            + 6.0 * d_n * d_n * (na * na * other.m2 + nb * nb * self.m2)
-            + 4.0 * d_n * (na * other.m3 - nb * self.m3)
-        )
         return MomentAccumulator(
-            count=n, mean=mean, m2=m2, m3=m3, m4=m4,
+            count=n, mean=mean, m2=m2,
             min=min(self.min, other.min), max=max(self.max, other.max),
         )
 
@@ -112,8 +94,6 @@ class MomentAccumulator:
             count=self.count,
             mean=(self.mean - center) / scale,
             m2=self.m2 / scale ** 2,
-            m3=self.m3 / scale ** 3,
-            m4=self.m4 / scale ** 4,
             min=(self.min - center) / scale,
             max=(self.max - center) / scale,
         )
@@ -136,9 +116,7 @@ class EnsembleResult:
     snapshots: list
     acc_s: list
     acc_z: list
-    reservoir_k: int = 0
-    sample_s: list = None   # reservoir of raw S values per snapshot
-    acc_m: list = None      # filled by martingale_track
+    sample_s: list = None   # raw S rows per snapshot, in trajectory order
 
 
 def _thresholds(n_plus, n_minus, p, q, th_m, const_plus, const_minus,
@@ -200,19 +178,6 @@ def _simulate_chunk(params: ModelParams, n_steps, snaps, master_seed, lo, hi):
                     a, cum, tmp)
 
 
-def _reservoir_sample(values, k, stream: RngStream):
-    """Algorithm R over values in index order; full copy when k >= len."""
-    n = values.size
-    if k >= n:
-        return values.copy()
-    res = values[:k].copy()
-    for i in range(k, n):
-        j = int(stream.uniform() * (i + 1))
-        if j < k:
-            res[j] = values[i]
-    return res
-
-
 def _chunk_job(task):
     """Worker entry point (module-level so it pickles for process pools).
 
@@ -232,17 +197,15 @@ def _chunk_job(task):
 
 
 def run_ensemble(params: ModelParams, n_steps: int, n_traj: int,
-                 snapshots=None, master_seed: int = 0, reservoir_k: int = 0,
+                 snapshots=None, master_seed: int = 0, keep_raw: bool = False,
                  workers: int = 1,
                  chunk_size: int = CHUNK_SIZE_DEFAULT) -> EnsembleResult:
     """Simulate n_traj seeded trajectories, accumulating at snapshot times.
 
     Trajectories are accumulated in blocks of chunk_size, folded in block
-    order. With reservoir_k > 0 a reservoir of raw S values (per snapshot)
-    is kept; the reservoir's own randomness comes from stream index n_traj
-    so that it never perturbs the trajectories. workers > 1 fans runs of
-    consecutive blocks out to a process pool; the result is identical for
-    any worker count.
+    order. keep_raw also keeps the raw S row of every snapshot, indexed by
+    trajectory, as sample_s. workers > 1 fans runs of consecutive blocks out
+    to a process pool; the result is identical for any worker count.
     """
     if n_steps < 1 or n_traj < 1:
         raise InvalidState("n_steps and n_traj must be >= 1")
@@ -256,7 +219,6 @@ def run_ensemble(params: ModelParams, n_steps: int, n_traj: int,
         snaps = sorted(set(int(m) for m in snapshots))
     if snaps[0] < 1 or snaps[-1] > n_steps:
         raise InvalidState("snapshots must lie in [1, n_steps]")
-    keep_raw = reservoir_k > 0
 
     # a task walks up to LANES_MAX lanes of whole blocks at once, with at
     # least min(workers, n_blocks) tasks so that every worker gets one
@@ -286,17 +248,13 @@ def run_ensemble(params: ModelParams, n_steps: int, n_traj: int,
 
     sample_s = None
     if keep_raw:
-        stream = RngStream(master_seed, n_traj)
-        sample_s = []
-        for i in range(len(snaps)):
-            raw = np.concatenate([res[2][i] for res in results])
-            sample_s.append(_reservoir_sample(raw, reservoir_k, stream))
+        sample_s = [np.concatenate([res[2][i] for res in results])
+                    for i in range(len(snaps))]
 
     return EnsembleResult(
         params=params, n_steps=n_steps, n_traj=n_traj,
         master_seed=master_seed, snapshots=snaps,
-        acc_s=acc_s, acc_z=acc_z,
-        reservoir_k=reservoir_k, sample_s=sample_s,
+        acc_s=acc_s, acc_z=acc_z, sample_s=sample_s,
     )
 
 
@@ -318,18 +276,16 @@ def martingale_track(params: ModelParams, ensemble: EnsembleResult):
     """Accumulators of M_n = (S_n - E S_n)/a_n at every snapshot.
 
     M is an affine map of S per snapshot, so the statistics follow exactly
-    from acc_s without raw trajectories. Cached on ensemble.acc_m.
+    from acc_s without raw trajectories.
     """
     c = derive_constants(params)
     snaps = np.asarray(ensemble.snapshots, dtype=np.int64)
     means = np.atleast_1d(expected_s(params, snaps))
     norms = np.atleast_1d(growth_values(c.alpha, snaps))
-    acc_m = [
+    return [
         acc.standardized(float(means[i]), float(norms[i]))
         for i, acc in enumerate(ensemble.acc_s)
     ]
-    ensemble.acc_m = acc_m
-    return acc_m
 
 
 @dataclass
@@ -351,7 +307,7 @@ def estimate_w(params: ModelParams, n_steps: int, n_traj: int,
     if c.regime is not Regime.SUPERDIFFUSIVE:
         raise WrongRegime(f"W exists only for alpha > 1/2; regime is {c.regime.value}")
     ens = run_ensemble(params, n_steps, n_traj, snapshots=[n_steps],
-                       master_seed=master_seed, reservoir_k=n_traj,
+                       master_seed=master_seed, keep_raw=True,
                        workers=workers, chunk_size=chunk_size)
     raw = ens.sample_s[0]
     mean_s = float(expected_s(params, n_steps))
@@ -401,7 +357,7 @@ def residual_clt_sample(params: ModelParams, n_steps: int, n_traj: int,
         raise InvalidState(f"horizon_factor must be >= {HORIZON_FACTOR_MIN}")
     n_far = horizon_factor * n_steps
     ens = run_ensemble(params, n_far, n_traj, snapshots=[n_steps, n_far],
-                       master_seed=master_seed, reservoir_k=n_traj,
+                       master_seed=master_seed, keep_raw=True,
                        workers=workers, chunk_size=chunk_size)
     s_near, s_far = ens.sample_s
     ns = np.array([n_steps, n_far], dtype=np.int64)
@@ -448,7 +404,7 @@ def lil_diagnostic(params: ModelParams, n_max: int, n_traj: int,
     if not snaps:
         raise DomainTooSmall(f"no dyadic snapshot up to {n_max} has a valid envelope")
     ens = run_ensemble(params, n_max, n_traj, snapshots=snaps,
-                       master_seed=master_seed, reservoir_k=n_traj,
+                       master_seed=master_seed, keep_raw=True,
                        workers=workers, chunk_size=chunk_size)
     snaps_arr = np.asarray(snaps, dtype=np.int64)
     means = np.atleast_1d(expected_s(params, snaps_arr))

@@ -5,6 +5,7 @@ directly.
 """
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 
@@ -29,18 +30,24 @@ from .model import ModelParams, Regime, derive_constants
 from .stats import fit_loglog, ks_distance_cdf, ks_test_normal
 
 SIGMA_GATE = 4.0
+EXACT_KS_GATE = 0.03               # clt: KS distance of the exact law
+CRITICAL_VAR_BAND = (0.85, 1.1)    # critical: Var(S_n) / (phi n log n)
+W_VAR_TOL = 0.05                   # superdiffusive: floor of the Var(W) bound
+SLOPE_TOL = 0.05                   # superdiffusive: Var(S_n) exponent vs 2 alpha
+SCAN_SLOPE_TOL = 0.12              # regime-scan: fitted exponent vs theory
 
 
-def _params_dict(params: ModelParams) -> dict:
-    return {"p": params.p, "q": params.q, "r": params.r, "theta": params.theta}
-
-
-def _derived_dict(params: ModelParams) -> dict:
+def model_sections(params: ModelParams) -> dict:
+    """The "params" and "derived" sections of a report on one model point."""
     c = derive_constants(params)
-    return {
-        "alpha": c.alpha, "omega": c.omega, "tau": c.tau, "gamma": c.gamma,
-        "phi": c.phi, "beta": c.beta, "psi": c.psi, "regime": c.regime.value,
-    }
+    derived = asdict(c)
+    derived["regime"] = c.regime.value
+    return {"params": asdict(params), "derived": derived}
+
+
+def _report(kind, params, results, **config):
+    return {"kind": kind, **model_sections(params), "config": config,
+            "results": results}
 
 
 def _gate(name, value, bound, ok):
@@ -97,26 +104,19 @@ def lln_experiment(params, n_steps, n_traj, master_seed, workers=1,
     dev_z = abs(acc_z.mean / n - pred.z_lln_limit)
     gap_s = abs(exact_s - pred.lln_limit)
     gap_z = abs(exact_z - pred.z_lln_limit)
-    report = {
-        "kind": "lln",
-        "params": _params_dict(params),
-        "derived": _derived_dict(params),
-        "config": {"n_steps": n_steps, "n_traj": n_traj,
-                   "master_seed": master_seed, "workers": workers},
-        "results": {
-            "predicted": pred.lln_limit,
-            "z_predicted": pred.z_lln_limit,
-            "mean_s_over_n": acc_s.mean / n,
-            "mean_z_over_n": acc_z.mean / n,
-            "stderr_s_over_n": se_s,
-            "stderr_z_over_n": se_z,
-            "exact_mean_s_over_n": exact_s,
-            "exact_mean_z_over_n": exact_z,
-            "centering_gap_s": gap_s,
-            "centering_gap_z": gap_z,
-            "snapshots": _snapshot_stats(ens),
-        },
-    }
+    report = _report("lln", params, {
+        "predicted": pred.lln_limit,
+        "z_predicted": pred.z_lln_limit,
+        "mean_s_over_n": acc_s.mean / n,
+        "mean_z_over_n": acc_z.mean / n,
+        "stderr_s_over_n": se_s,
+        "stderr_z_over_n": se_z,
+        "exact_mean_s_over_n": exact_s,
+        "exact_mean_z_over_n": exact_z,
+        "centering_gap_s": gap_s,
+        "centering_gap_z": gap_z,
+        "snapshots": _snapshot_stats(ens),
+    }, n_steps=n_steps, n_traj=n_traj, master_seed=master_seed, workers=workers)
     gates = [
         _gate("lln_s_sampler", abs(acc_s.mean / n - exact_s),
               f"<= {SIGMA_GATE} stderr = {SIGMA_GATE * se_s!r}",
@@ -136,7 +136,7 @@ def lln_experiment(params, n_steps, n_traj, master_seed, workers=1,
 
 def _clt_core(params, n_steps, n_traj, master_seed, workers, gate,
               exact_gate, dp_cap, kind):
-    """Shared CLT machinery: exact-CDF KS (when feasible) + MC reservoir KS.
+    """Shared CLT machinery: exact-CDF KS (when feasible) + Monte Carlo KS.
 
     The Monte Carlo sample is standardized by the exact mean and variance
     from the moment recursions; the theorem's asymptotic scale is reported
@@ -162,7 +162,7 @@ def _clt_core(params, n_steps, n_traj, master_seed, workers, gate,
                            d_exact < exact_gate))
     if n_traj > 0:
         ens = run_ensemble(params, n_steps, n_traj, snapshots=[n_steps],
-                           master_seed=master_seed, reservoir_k=n_traj,
+                           master_seed=master_seed, keep_raw=True,
                            workers=workers)
         sample = (ens.sample_s[0] - mean_n) / math.sqrt(var_n)
         ks = ks_test_normal(sample)
@@ -177,32 +177,24 @@ def _clt_core(params, n_steps, n_traj, master_seed, workers, gate,
         results["ecdf_x"] = [float(v) for v in np.quantile(sample, qs)]
         results["ecdf_f"] = [float(v) for v in qs]
         gates.append(_gate("mc_ks", ks.d_stat, f"< {gate}", ks.d_stat < gate))
-    report = {
-        "kind": kind,
-        "params": _params_dict(params),
-        "derived": _derived_dict(params),
-        "config": {"n_steps": n_steps, "n_traj": n_traj,
-                   "master_seed": master_seed, "workers": workers},
-        "results": results,
-    }
+    report = _report(kind, params, results, n_steps=n_steps, n_traj=n_traj,
+                     master_seed=master_seed, workers=workers)
     return report, gates
 
 
 def clt_experiment(params, n_steps, n_traj, master_seed, workers=1,
-                   gate=None, exact_gate=0.03,
-                   dp_cap=DP_CAP_DEFAULT) -> dict:
+                   gate=None, dp_cap=DP_CAP_DEFAULT) -> dict:
     """Diffusive CLT: standardized S_n against N(0,1)."""
     c = derive_constants(params)
     if c.regime is not Regime.DIFFUSIVE:
         raise WrongRegime(f"clt experiment needs alpha < 1/2, regime is {c.regime.value}")
     report, gates = _clt_core(params, n_steps, n_traj, master_seed, workers,
-                              gate, exact_gate, dp_cap, "clt")
+                              gate, EXACT_KS_GATE, dp_cap, "clt")
     return _finish(report, gates)
 
 
 def critical_experiment(params, n_steps, n_traj, master_seed, workers=1,
-                        gate=None, var_band=(0.85, 1.1),
-                        dp_cap=DP_CAP_DEFAULT) -> dict:
+                        gate=None, dp_cap=DP_CAP_DEFAULT) -> dict:
     """Critical regime: Var(S_n)/(phi n log n) band plus the CLT check.
 
     At alpha = 1/2 the standardized law approaches normal only at rate
@@ -217,16 +209,14 @@ def critical_experiment(params, n_steps, n_traj, master_seed, workers=1,
     report, gates = _clt_core(params, n_steps, n_traj, master_seed, workers,
                               gate, None, dp_cap, "critical")
     ratio = report["results"]["var_ratio"]
-    lo, hi = var_band
+    lo, hi = CRITICAL_VAR_BAND
     gates.insert(0, _gate("variance_law", ratio, f"in [{lo}, {hi}]",
                           lo <= ratio <= hi))
     return _finish(report, gates)
 
 
 def superdiffusive_experiment(params, n_steps, n_traj, master_seed,
-                              workers=1, horizon_factor=16, gate=None,
-                              w_var_tol=0.05, slope_tol=0.05,
-                              n_boot=1000) -> dict:
+                              workers=1, horizon_factor=16, gate=None) -> dict:
     """Superdiffusive regime: W estimate, variance scaling, residual CLT.
 
     Residuals use the per-trajectory proxy W_hat taken at the far horizon;
@@ -251,7 +241,7 @@ def superdiffusive_experiment(params, n_steps, n_traj, master_seed,
 
     west = estimate_w(params, n_steps, n_traj, master_seed=master_seed,
                       workers=workers)
-    ci_lo, ci_hi = bootstrap_variance_ci(west.sample, n_boot=n_boot)
+    ci_lo, ci_hi = bootstrap_variance_ci(west.sample)
     var_rel = abs(west.var_w - var_m_n) / var_m_n
     # the sample variance itself fluctuates with relative stderr
     # sqrt((kurtosis - (n-3)/(n-1)) / n); widen the tolerance to 4 of those
@@ -260,7 +250,7 @@ def superdiffusive_experiment(params, n_steps, n_traj, master_seed,
     kurt = n_traj * float(((w - w.mean()) ** 4).sum()) / float(
         ((w - w.mean()) ** 2).sum()) ** 2
     var_se_rel = math.sqrt(max(kurt - (n_traj - 3) / (n_traj - 1), 0.0) / n_traj)
-    var_bound = max(w_var_tol, SIGMA_GATE * var_se_rel)
+    var_bound = max(W_VAR_TOL, SIGMA_GATE * var_se_rel)
 
     residuals = residual_clt_sample(params, n_steps, n_traj,
                                     master_seed=master_seed,
@@ -281,8 +271,8 @@ def superdiffusive_experiment(params, n_steps, n_traj, master_seed,
         vars_at_ns = table.var_s[np.array(ns)]
         fit = fit_loglog(np.array(ns), vars_at_ns)
         slope_gate = _gate("variance_slope", fit.slope,
-                           f"within {slope_tol} of {2 * c.alpha!r}",
-                           abs(fit.slope - 2.0 * c.alpha) <= slope_tol)
+                           f"within {SLOPE_TOL} of {2 * c.alpha!r}",
+                           abs(fit.slope - 2.0 * c.alpha) <= SLOPE_TOL)
         slope_results = {"slope": fit.slope, "slope_stderr": fit.stderr_slope,
                          "slope_intercept": fit.intercept,
                          "slope_r2": fit.r2, "slope_ns": ns,
@@ -290,31 +280,24 @@ def superdiffusive_experiment(params, n_steps, n_traj, master_seed,
     else:
         slope_results = {"slope": None, "slope_ns": ns}
 
-    report = {
-        "kind": "superdiffusive",
-        "params": _params_dict(params),
-        "derived": _derived_dict(params),
-        "config": {"n_steps": n_steps, "n_traj": n_traj,
-                   "master_seed": master_seed, "workers": workers,
-                   "horizon_factor": horizon_factor},
-        "results": {
-            "mean_w": west.mean_w, "stderr_w": west.stderr,
-            "var_w": west.var_w,
-            "var_w_ci99": [ci_lo, ci_hi],
-            "exact_var_m": var_m_n,
-            "exact_var_m_far": var_m_far,
-            "v_limit": v_inf,
-            # diagnostic: the asymptotic clock bound phi v_inf overshoots
-            # Var(W) by the early-step transient, so only for orientation
-            "phi_v_limit": c.phi * v_inf,
-            "residual_ks_raw": ks_raw.d_stat,
-            "residual_ks_rescaled": ks_rescaled.d_stat,
-            "residual_gate": gate,
-            "theorem_residual_scale": theorem_scale,
-            "exact_residual_sd": exact_resid_sd,
-            **slope_results,
-        },
-    }
+    report = _report("superdiffusive", params, {
+        "mean_w": west.mean_w, "stderr_w": west.stderr,
+        "var_w": west.var_w,
+        "var_w_ci99": [ci_lo, ci_hi],
+        "exact_var_m": var_m_n,
+        "exact_var_m_far": var_m_far,
+        "v_limit": v_inf,
+        # diagnostic: the asymptotic clock bound phi v_inf overshoots
+        # Var(W) by the early-step transient, so only for orientation
+        "phi_v_limit": c.phi * v_inf,
+        "residual_ks_raw": ks_raw.d_stat,
+        "residual_ks_rescaled": ks_rescaled.d_stat,
+        "residual_gate": gate,
+        "theorem_residual_scale": theorem_scale,
+        "exact_residual_sd": exact_resid_sd,
+        **slope_results,
+    }, n_steps=n_steps, n_traj=n_traj, master_seed=master_seed, workers=workers,
+        horizon_factor=horizon_factor)
     gates = [
         _gate("w_mean", abs(west.mean_w),
               f"<= {SIGMA_GATE} stderr = {SIGMA_GATE * west.stderr!r}",
@@ -329,8 +312,7 @@ def superdiffusive_experiment(params, n_steps, n_traj, master_seed,
     return _finish(report, gates)
 
 
-def regime_scan_experiment(p, q, r, alphas, n_max=2 ** 20,
-                           slope_tol=0.12) -> dict:
+def regime_scan_experiment(p, q, r, alphas, n_max=2 ** 20) -> dict:
     """Deterministic sweep: fitted Var(S_n) exponent per alpha vs theory.
 
     theta is solved from alpha = (p - q) theta for the fixed (p, q, r); the
@@ -355,14 +337,14 @@ def regime_scan_experiment(p, q, r, alphas, n_max=2 ** 20,
             ref = 1.0
         else:
             ref = 2.0 * c.alpha
-        ok = abs(fit.slope - ref) <= slope_tol
+        ok = abs(fit.slope - ref) <= SCAN_SLOPE_TOL
         rows.append({
             "alpha": c.alpha, "theta": theta, "regime": c.regime.value,
             "phi": c.phi, "slope": fit.slope, "reference_slope": ref,
             "r2": fit.r2,
         })
         gates.append(_gate(f"slope_alpha_{alpha:g}", fit.slope,
-                           f"within {slope_tol} of {ref!r}", ok))
+                           f"within {SCAN_SLOPE_TOL} of {ref!r}", ok))
     report = {
         "kind": "regime-scan",
         "params": {"p": p, "q": q, "r": r, "theta": None},
@@ -377,43 +359,29 @@ def lil_experiment(params, n_max, n_traj, master_seed, workers=1) -> dict:
     diag = lil_diagnostic(params, n_max, n_traj, master_seed=master_seed,
                           workers=workers)
     med = diag.median_trace()
-    report = {
-        "kind": "lil-diagnostic",
-        "params": _params_dict(params),
-        "derived": _derived_dict(params),
-        "config": {"n_max": n_max, "n_traj": n_traj,
-                   "master_seed": master_seed, "workers": workers},
-        "results": {
-            "snapshots": [int(n) for n in diag.snapshots],
-            "envelopes": [float(e) for e in diag.envelopes],
-            "median_running_max": [float(m) for m in med],
-            "final_median": float(med[-1]),
-            "final_quantiles": {
-                "q10": float(np.quantile(diag.final_stats, 0.10)),
-                "q50": float(np.quantile(diag.final_stats, 0.50)),
-                "q90": float(np.quantile(diag.final_stats, 0.90)),
-            },
+    report = _report("lil-diagnostic", params, {
+        "snapshots": [int(n) for n in diag.snapshots],
+        "envelopes": [float(e) for e in diag.envelopes],
+        "median_running_max": [float(m) for m in med],
+        "final_median": float(med[-1]),
+        "final_quantiles": {
+            "q10": float(np.quantile(diag.final_stats, 0.10)),
+            "q50": float(np.quantile(diag.final_stats, 0.50)),
+            "q90": float(np.quantile(diag.final_stats, 0.90)),
         },
-    }
+    }, n_max=n_max, n_traj=n_traj, master_seed=master_seed, workers=workers)
     return _finish(report, [])
 
 
 def simulate_report(params, n_steps, n_traj, master_seed, snapshots=None,
-                    workers=1, with_martingale=True) -> dict:
+                    workers=1) -> dict:
     """Plain ensemble summary (the `simulate` command's payload)."""
     ens = run_ensemble(params, n_steps, n_traj, snapshots=snapshots,
                        master_seed=master_seed, workers=workers)
     rows = _snapshot_stats(ens)
-    c = derive_constants(params)
-    if with_martingale and c.alpha >= 0.0:
+    if derive_constants(params).alpha >= 0.0:
         for row, acc in zip(rows, martingale_track(params, ens)):
             row["mean_m"] = acc.mean
             row["var_m"] = acc.variance
-    return {
-        "kind": "simulate",
-        "params": _params_dict(params),
-        "derived": _derived_dict(params),
-        "config": {"n_steps": n_steps, "n_traj": n_traj,
-                   "master_seed": master_seed, "workers": workers},
-        "results": {"snapshots": rows},
-    }
+    return _report("simulate", params, {"snapshots": rows}, n_steps=n_steps,
+                   n_traj=n_traj, master_seed=master_seed, workers=workers)

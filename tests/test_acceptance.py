@@ -63,7 +63,7 @@ def lln_ensemble():
 @pytest.fixture(scope="module")
 def clt_ensemble():
     return lw.run_ensemble(P_DIFF, 10 ** 4, 10 ** 5, snapshots=[10 ** 4],
-                           master_seed=SEED, reservoir_k=10 ** 5, workers=1)
+                           master_seed=SEED, keep_raw=True, workers=1)
 
 
 @pytest.fixture(scope="module")
@@ -288,7 +288,7 @@ def test_criterion_11_worker_determinism(lln_ensemble, clt_ensemble,
     lln4 = lw.run_ensemble(P_DIFF, 10 ** 5, 10 ** 4, snapshots=[10 ** 5],
                            master_seed=SEED, workers=4)
     clt4 = lw.run_ensemble(P_DIFF, 10 ** 4, 10 ** 5, snapshots=[10 ** 4],
-                           master_seed=SEED, reservoir_k=10 ** 5, workers=4)
+                           master_seed=SEED, keep_raw=True, workers=4)
     w4 = lw.estimate_w(P_SUPER, 10 ** 5, 10 ** 4, master_seed=SEED, workers=4)
     # 200 trajectories are fewer than one default 4096-trajectory block, so
     # blocks of 100 are what put two tasks through a two-process pool

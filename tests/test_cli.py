@@ -249,6 +249,68 @@ def test_experiment_csv_and_plot(tmp_path):
     assert "<svg" in text and "polyline" in text
 
 
+def test_experiment_driver_looked_up_when_called(monkeypatch, tmp_path):
+    # a driver replaced on the experiments module (as tracing does) must run
+    calls = []
+    real = experiments.lln_experiment
+
+    def spy(*args, **kwargs):
+        calls.append(args[1:4])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "lln_experiment", spy)
+    assert main(["experiment", "lln", "-n", "512", "-t", "200", "--seed", "2",
+                 "-o", str(tmp_path / "r.json")]) == 0
+    assert calls == [(512, 200, 2)]
+
+
+@pytest.mark.parametrize("kind, driver, flags", [
+    ("lil-diagnostic", "lil_experiment", ["--n-max", "64"]),
+    ("clt", "clt_experiment", ["-n", "64"]),
+])
+def test_experiment_csv_without_table_exit_2(capsys, monkeypatch, tmp_path,
+                                              kind, driver, flags):
+    def sampled(*args, **kwargs):
+        raise AssertionError("experiment ran before --csv was refused")
+
+    monkeypatch.setattr(experiments, driver, sampled)
+    out, csv = tmp_path / "r.json", tmp_path / "r.csv"
+    code, _, err = run_cli(capsys, "experiment", kind, *flags, "-t", "10",
+                           "-o", str(out), "--csv", str(csv))
+    assert code == 2
+    assert err == (f"lapsewalk: error: --csv: experiment {kind} has no "
+                   "per-row table\n")
+    assert not out.exists() and not csv.exists()
+
+
+def test_config_bad_value_names_file_key_and_value(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 3\nsteps = abc\n")
+    code, _, err = run_cli(capsys, "simulate", "--config", str(cfg), "-t", "5")
+    assert code == 2
+    assert err == (f"lapsewalk: error: {cfg}:2: steps = 'abc' is not a "
+                   "valid int\n")
+
+
+def test_config_unknown_key_names_file_and_line(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# shared by every subcommand\nsteps = 10\n"
+                   "trajectoris = 10\n")
+    code, _, err = run_cli(capsys, "simulate", "--config", str(cfg))
+    assert code == 2
+    assert err == f"lapsewalk: error: {cfg}:3: unknown key 'trajectoris'\n"
+
+
+def test_config_keys_of_other_subcommands_accepted(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("alphas = 0.2,0.75\nn-max = 1024\nhorizon_factor = 32\n"
+                   "steps = 100\ntrajectories = 7\n")
+    code, out, _ = run_cli(capsys, "predict", "--config", str(cfg),
+                           "--format", "json")
+    assert code == 0
+    assert json.loads(out)["derived"]["regime"] == "diffusive"
+
+
 def test_config_file_precedence(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
