@@ -16,8 +16,6 @@ import argparse
 import math
 import sys
 
-import numpy as np
-
 from . import experiments
 from .analytic import regime_prediction, v_limit_superdiffusive
 from .errors import Degenerate, InvalidState, LapsewalkError
@@ -37,6 +35,9 @@ OPTION_TABLE = {
     "format": (None, str), "snapshots": (None, str), "gate": (None, float),
     "alphas": ("0.1,0.25,0.5,0.75", str),
 }
+# subcommand -> its --format choices; experiment takes none and ignores the key
+FORMATS = {"predict": ("text", "json"), "simulate": ("csv", "json"),
+           "exact": ("csv", "json")}
 
 
 def _parse_config_file(path):
@@ -72,6 +73,10 @@ def _resolve(args):
             except ValueError:
                 raise InvalidState(f"{where}: {key} = {value!r} is not a valid "
                                    f"{typ.__name__}") from None
+            allowed = FORMATS.get(args.command) if key == "format" else None
+            if allowed and value not in allowed:
+                raise InvalidState(f"{where}: format = {value!r} is not one of "
+                                   f"{', '.join(allowed)} for {args.command}")
         else:
             resolved[key] = default
     return resolved
@@ -139,7 +144,7 @@ def build_parser():
 
     sp = sub.add_parser("predict", help="derived constants, regime, limit predictions")
     _add_param_flags(sp)
-    sp.add_argument("--format", choices=("text", "json"), default=None)
+    sp.add_argument("--format", choices=FORMATS["predict"], default=None)
 
     sp = sub.add_parser("simulate", help="seeded ensemble summary at snapshot times")
     _add_param_flags(sp)
@@ -149,7 +154,7 @@ def build_parser():
     sp.add_argument("--snapshots", default=None,
                     help="comma-separated times, or 'dyadic' (default)")
     sp.add_argument("--workers", type=int, default=None)
-    sp.add_argument("--format", choices=("csv", "json"), default=None)
+    sp.add_argument("--format", choices=FORMATS["simulate"], default=None)
 
     sp = sub.add_parser("exact", help="exact moments (and optionally the full law)")
     _add_param_flags(sp)
@@ -157,7 +162,7 @@ def build_parser():
     sp.add_argument("--distribution", action="store_true",
                     help="emit the full (s, z) mass table at n (DP, capped)")
     sp.add_argument("--dp-cap", dest="dp_cap", type=int, default=None)
-    sp.add_argument("--format", choices=("csv", "json"), default=None)
+    sp.add_argument("--format", choices=FORMATS["exact"], default=None)
 
     sp = sub.add_parser("experiment", help="limit-theorem checks with PASS/FAIL gates")
     sp.add_argument("kind", choices=EXPERIMENTS)
@@ -246,22 +251,18 @@ def cmd_exact(resolved, output, fmt, with_distribution):
     params = _params_from(resolved)
     n = resolved["steps"]
     pred = regime_prediction(params)
-    table = exact_moments(params, n)
-    ns = [int(m) for m in np.unique(np.concatenate(
-        [np.array([1, n]), np.array([2 ** k for k in range(4, 25) if 2 ** k < n])]
-    ))]
+    ns = [1, n, *(2 ** k for k in range(4, 25) if 2 ** k < n)]
     rows = []
-    for m in ns:
-        scale = pred.variance_scale(m) if m > 1 else None
-        var = float(table.var_s[m])
+    for row in exact_moments(params, n, ns=ns):
+        scale = pred.variance_scale(row.n) if row.n > 1 else None
         rows.append({
-            "n": m,
-            "mean_s": float(table.mean_s[m]),
-            "var_s": var,
-            "mean_z": float(table.mean_z[m]),
-            "mean_sz": float(table.mean_sz[m]),
+            "n": row.n,
+            "mean_s": row.mean_s,
+            "var_s": row.var_s,
+            "mean_z": row.mean_z,
+            "mean_sz": row.mean_sz,
             "predicted_scale": scale,
-            "var_over_scale": (var / scale if scale else None),
+            "var_over_scale": (row.var_s / scale if scale else None),
         })
     rep = base_report(
         "exact",
@@ -303,8 +304,6 @@ def _plot_lln(res):
 
 
 def _plot_ecdf(res):
-    if "ecdf_x" not in res:
-        return None
     xs = res["ecdf_x"]
     return line_plot(
         [(xs, res["ecdf_f"], "standardized ECDF"),
@@ -313,8 +312,6 @@ def _plot_ecdf(res):
 
 
 def _plot_superdiffusive(res):
-    if res.get("slope") is None:
-        return None
     ns = res["slope_ns"]
     return line_plot(
         [(ns, res["slope_vars"], "exact Var(S_n)"),
@@ -375,10 +372,26 @@ EXPERIMENTS = {
 }
 
 
+def _nothing_to_plot(kind, o):
+    """Why experiment `kind` would have nothing to draw, or None."""
+    if kind in ("clt", "critical") and o["trajectories"] <= 0:
+        return f"no Monte Carlo ECDF at trajectories = {o['trajectories']}"
+    if kind == "superdiffusive":
+        n_far = o["horizon_factor"] * o["steps"]
+        if len(experiments.slope_fit_ns(n_far)) < experiments.SLOPE_FIT_MIN:
+            return (f"fewer than {experiments.SLOPE_FIT_MIN} dyadic n in "
+                    f"[1024, horizon_factor * n = {n_far}] for the slope fit")
+    return None
+
+
 def cmd_experiment(args, resolved, output):
     run, plot, csv_key = EXPERIMENTS[args.kind]
     if args.csv and csv_key is None:
         raise InvalidState(f"--csv: experiment {args.kind} has no per-row table")
+    why = args.plot and _nothing_to_plot(args.kind, resolved)
+    if why:
+        raise InvalidState(f"--plot: experiment {args.kind} has nothing to draw: "
+                           f"{why}")
     rep = run(resolved)
     rep = base_report("experiment", **{k: v for k, v in rep.items() if k != "kind"},
                       kind=args.kind)
@@ -387,9 +400,7 @@ def cmd_experiment(args, resolved, output):
     if args.csv and rep["results"][csv_key]:
         _write_text(args.csv, _dict_rows_csv(rep["results"][csv_key]))
     if args.plot:
-        svg = plot(rep["results"])
-        if svg:
-            _write_text(args.plot, svg)
+        _write_text(args.plot, plot(rep["results"]))
     return 1 if rep["pass"] is False else 0
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analytic import expected_s, growth_values, lil_envelope
-from .errors import Degenerate, DomainTooSmall, InvalidState, WrongRegime
+from .errors import CapExceeded, Degenerate, DomainTooSmall, InvalidState, WrongRegime
 from .model import ModelParams, Regime, derive_constants
 from .rng import Xoshiro256Batch
 
@@ -26,6 +26,8 @@ CHUNK_SIZE_DEFAULT = 4096
 # widest lockstep walk one task runs; a speed constant, not part of the output
 LANES_MAX = 16384
 HORIZON_FACTOR_MIN = 16
+# the kernel counts steps in float64, exact only up to 2**53
+STEPS_CAP = 2 ** 53
 
 
 def dyadic_snapshots(n_max: int):
@@ -209,6 +211,9 @@ def run_ensemble(params: ModelParams, n_steps: int, n_traj: int,
     """
     if n_steps < 1 or n_traj < 1:
         raise InvalidState("n_steps and n_traj must be >= 1")
+    if n_steps > STEPS_CAP:
+        raise CapExceeded(f"n_steps = {n_steps} above the step cap {STEPS_CAP} "
+                          "(float64 step counts)")
     if workers < 1:
         raise InvalidState(f"workers must be >= 1, got {workers}")
     if chunk_size < 1:

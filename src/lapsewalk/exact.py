@@ -23,20 +23,26 @@ E[X|counts] = (alpha/n) S + omega and E[X^2|counts] = (gamma/n) Z + tau:
 (the variance line propagates the centered second moment, which avoids the
 n^2 cancellation of the raw recursion; the cross recursion uses X^3 = X).
 All four are validated against the DP in the test suite before anything
-else relies on them. They run together in carried blocks of transitions,
-so a `MomentTable` costs five float64 arrays of n_max + 1 (the four above
-and `mean_s2`) plus O(block) scratch.
+else relies on them. They run together in carried blocks of transitions
+through one `(4, block + 1)` buffer. `exact_moments(params, n_max)` copies
+every block into a `MomentTable` of five float64 arrays of n_max + 1 (the
+four above and `mean_s2`); tests, demos and the benchmark's oracle check
+read that. `exact_moments(params, n_max, ns=...)` keeps only the rows at
+`ns`, in O(block) memory, with the same bits; every package caller (the
+`exact` command, the CLT, superdiffusive and regime-scan experiments) reads
+its rows that way. Both refuse n_max above `MOMENT_CAP`.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceeded, DegenerateVariance
+from .errors import CapExceeded, DegenerateVariance, InvalidState
 from .model import ModelParams, derive_constants
 
 DP_CAP_DEFAULT = 400
 PATH_CAP = 14
+MOMENT_CAP = 2 ** 32  # O(n) moment recursion: ~16 Mterms/s, so ~4.5 min
 _MOMENT_BLOCK = 1 << 15  # transitions per carried block; speed only
 
 
@@ -92,40 +98,86 @@ def _carry_block(rate, k, forcing, x1, carry, out):
     return fac[-1], forcing[-1]
 
 
-def exact_moments(params: ModelParams, n_max: int) -> MomentTable:
-    """Forward moment recursions for n = 1..n_max, in carried blocks."""
-    if n_max < 1:
-        raise CapExceeded("n_max must be >= 1")
+def _moment_blocks(params: ModelParams, n_max: int):
+    """Yield (n0, cols) for n = 1..n_max, where cols[:, j] holds E S, E Z,
+    Var S and E SZ at n = n0 + j.
+
+    Every cols is a view of one (4, block + 1) buffer, valid until the next
+    step: column 0 carries x_lo from the previous block, and the block's
+    transitions k = lo..hi-1 write x_{lo+1}..x_hi into columns 1..hi-lo.
+    """
     c = derive_constants(params)
     al, om, ga, ta = c.alpha, c.omega, c.gamma, c.tau
+    block = min(_MOMENT_BLOCK, max(n_max - 1, 1))
+    buf = np.empty((4, block + 1))
+    x1 = (c.beta, c.psi, c.psi - c.beta ** 2, c.beta)  # E[S_1 Z_1] = E[X_1^3]
+    buf[:, 0] = np.add(x1, 0.0)  # G_1 (x_1 + P_1) with G_1 = 1, P_1 = 0
+    yield 1, buf[:, :1]
+    rates = (al, ga, 2.0 * al, al + ga)
+    carries = [(1.0, -0.0)] * 4  # -0.0 + f == f for every f, even f = -0.0
+
+    ks = np.arange(1.0, block + 1.0)  # transitions n -> n+1 of the next block
+    for lo in range(1, n_max, block):
+        w = min(block, n_max - lo)
+        k = ks[:w]
+        ms, mz = buf[0, :w], buf[1, :w]  # E S_k, E Z_k
+        for row in range(4):
+            if row < 2:
+                forcing = np.full(w, (om, ta)[row])
+            elif row == 2:  # reads E S_k and E Z_k, which rows 0 and 1 wrote
+                forcing = (ga / k) * mz + ta - ((al / k) * ms + om) ** 2
+            else:
+                forcing = (ta + al / k) * ms + om * mz + om
+            carries[row] = _carry_block(rates[row], k, forcing, x1[row],
+                                        carries[row], buf[row, 1:w + 1])
+        yield lo + 1, buf[:, 1:w + 1]
+        buf[:, 0] = buf[:, w]
+        ks += w
+
+
+def exact_moments(params: ModelParams, n_max: int, ns=None):
+    """Forward moment recursions for n = 1..n_max, in carried blocks.
+
+    Without `ns`, returns the whole `MomentTable`. With `ns`, returns a list
+    of `ExactMoments` at the sorted distinct n of `ns` (each in 1..n_max),
+    the same bits as the table's rows, in O(block) memory.
+    """
+    if n_max > MOMENT_CAP:
+        raise CapExceeded(f"n_max = {n_max} above the moment cap {MOMENT_CAP} "
+                          "(O(n) cost)")
+    if n_max < 1:
+        raise CapExceeded("n_max must be >= 1")
+    if ns is not None:
+        return _moment_rows(params, n_max, ns)
     try:
         table = np.empty((4, n_max + 1))  # mean_s, mean_z, var_s, mean_sz
     except MemoryError:
         raise CapExceeded(f"n_max = {n_max} needs a {32 * (n_max + 1)}-byte "
                           "moment table, more than can be allocated") from None
     table[:, 0] = np.nan
-    x1 = (c.beta, c.psi, c.psi - c.beta ** 2, c.beta)  # E[S_1 Z_1] = E[X_1^3]
-    table[:, 1] = np.add(x1, 0.0)  # G_1 (x_1 + P_1) with G_1 = 1, P_1 = 0
-    rates = (al, ga, 2.0 * al, al + ga)
-    carries = [(1.0, -0.0)] * 4  # -0.0 + f == f for every f, even f = -0.0
-
-    block = min(_MOMENT_BLOCK, max(n_max - 1, 1))
-    ks = np.arange(1.0, block + 1.0)  # transitions n -> n+1 of the next block
-    for lo in range(1, n_max, block):
-        k = ks[:min(block, n_max - lo)]
-        hi = lo + k.size
-        ms, mz = table[0, lo:hi], table[1, lo:hi]  # E S_k, E Z_k
-        for row in range(4):
-            if row < 2:
-                forcing = np.full(k.size, (om, ta)[row])
-            elif row == 2:  # reads E S_k and E Z_k, which rows 0 and 1 wrote
-                forcing = (ga / k) * mz + ta - ((al / k) * ms + om) ** 2
-            else:
-                forcing = (ta + al / k) * ms + om * mz + om
-            carries[row] = _carry_block(rates[row], k, forcing, x1[row],
-                                        carries[row], table[row, lo + 1:hi + 1])
-        ks += k.size
+    for n0, cols in _moment_blocks(params, n_max):
+        table[:, n0:n0 + cols.shape[1]] = cols
     return MomentTable(n_max, *table)
+
+
+def _moment_rows(params, n_max, ns):
+    want = np.unique(np.asarray(ns, dtype=np.int64))
+    if want.size and (want[0] < 1 or want[-1] > n_max):
+        raise InvalidState(f"moment rows must lie in [1, {n_max}], "
+                           f"got {want[0]}..{want[-1]}")
+    rows = np.empty((4, want.size))
+    done = 0
+    for n0, cols in _moment_blocks(params, n_max):
+        upto = int(np.searchsorted(want, n0 + cols.shape[1]))
+        rows[:, done:upto] = cols[:, want[done:upto] - n0]
+        done = upto
+        if done == want.size:  # no later block holds a wanted row
+            break
+    mean_s, mean_z, var_s, mean_sz = rows
+    mean_s2 = var_s + mean_s ** 2  # as MomentTable forms it
+    return [ExactMoments(*vals) for vals in zip(
+        want.tolist(), mean_s.tolist(), mean_z.tolist(), mean_s2.tolist(),
+        var_s.tolist(), mean_sz.tolist())]
 
 
 @dataclass(frozen=True)

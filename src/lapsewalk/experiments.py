@@ -35,6 +35,13 @@ CRITICAL_VAR_BAND = (0.85, 1.1)    # critical: Var(S_n) / (phi n log n)
 W_VAR_TOL = 0.05                   # superdiffusive: floor of the Var(W) bound
 SLOPE_TOL = 0.05                   # superdiffusive: Var(S_n) exponent vs 2 alpha
 SCAN_SLOPE_TOL = 0.12              # regime-scan: fitted exponent vs theory
+SLOPE_FIT_MIN = 4                  # superdiffusive: fewest dyadic n to fit
+
+
+def slope_fit_ns(n_far):
+    """The dyadic n at which the superdiffusive experiment fits Var(S_n)'s
+    exponent; fewer than SLOPE_FIT_MIN of them means no fit."""
+    return [2 ** k for k in range(10, 21) if 2 ** k <= n_far]
 
 
 def model_sections(params: ModelParams) -> dict:
@@ -144,9 +151,8 @@ def _clt_core(params, n_steps, n_traj, master_seed, workers, gate,
     """
     _require_nondegenerate(params)
     pred = regime_prediction(params)
-    table = exact_moments(params, n_steps)
-    mean_n = float(table.mean_s[n_steps])
-    var_n = float(table.var_s[n_steps])
+    (row,) = exact_moments(params, n_steps, ns=[n_steps])
+    mean_n, var_n = row.mean_s, row.var_s
     results = {
         "exact_mean": mean_n,
         "exact_var": var_n,
@@ -234,10 +240,12 @@ def superdiffusive_experiment(params, n_steps, n_traj, master_seed,
     pred = regime_prediction(params)
     n_far = horizon_factor * n_steps
 
-    table = exact_moments(params, n_far)
+    ns = slope_fit_ns(n_far)
+    var_s = {row.n: row.var_s
+             for row in exact_moments(params, n_far, ns=[n_steps, n_far, *ns])}
     norm = growth_values(c.alpha, np.array([n_steps, n_far], dtype=np.int64))
-    var_m_n = float(table.var_s[n_steps]) / norm[0] ** 2
-    var_m_far = float(table.var_s[n_far]) / norm[1] ** 2
+    var_m_n = var_s[n_steps] / norm[0] ** 2
+    var_m_far = var_s[n_far] / norm[1] ** 2
 
     west = estimate_w(params, n_steps, n_traj, master_seed=master_seed,
                       workers=workers)
@@ -266,9 +274,8 @@ def superdiffusive_experiment(params, n_steps, n_traj, master_seed,
 
     # exact Var(S_n) scaling over dyadic n (skip if horizon too short)
     slope_gate = None
-    ns = [2 ** k for k in range(10, 21) if 2 ** k <= n_far]
-    if len(ns) >= 4:
-        vars_at_ns = table.var_s[np.array(ns)]
+    if len(ns) >= SLOPE_FIT_MIN:
+        vars_at_ns = np.array([var_s[n] for n in ns])
         fit = fit_loglog(np.array(ns), vars_at_ns)
         slope_gate = _gate("variance_slope", fit.slope,
                            f"within {SLOPE_TOL} of {2 * c.alpha!r}",
@@ -328,8 +335,8 @@ def regime_scan_experiment(p, q, r, alphas, n_max=2 ** 20) -> dict:
         theta = alpha / (p - q)
         params = ModelParams(p, q, r, theta)
         c = derive_constants(params)
-        table = exact_moments(params, int(ns[-1]))
-        fit = fit_loglog(ns, table.var_s[ns])
+        moments = exact_moments(params, int(ns[-1]), ns=ns)
+        fit = fit_loglog(ns, np.array([row.var_s for row in moments]))
         if c.regime is Regime.CRITICAL:
             lo, hi = float(ns[0]), float(ns[-1])
             ref = math.log((hi * math.log(hi)) / (lo * math.log(lo))) / math.log(hi / lo)

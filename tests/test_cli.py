@@ -115,7 +115,7 @@ def test_exact_csv_and_cap(capsys, tmp_path):
 
 
 def test_exact_oversized_n_exit_2(capsys):
-    # a 32 TB table, which the allocator refuses at once
+    # above exact.MOMENT_CAP, so refused before any work
     code, _, err = run_cli(capsys, "exact", "-n", str(10 ** 12))
     assert code == 2
     assert err.startswith("lapsewalk: error:")
@@ -281,6 +281,84 @@ def test_experiment_csv_without_table_exit_2(capsys, monkeypatch, tmp_path,
     assert err == (f"lapsewalk: error: --csv: experiment {kind} has no "
                    "per-row table\n")
     assert not out.exists() and not csv.exists()
+
+
+@pytest.mark.parametrize("kind, driver, flags, why", [
+    ("clt", "clt_experiment", ["-n", "100", "-t", "0"],
+     "no Monte Carlo ECDF at trajectories = 0"),
+    ("critical", "critical_experiment",
+     ["-p", "0.9", "-q", "0", "-r", "0.1", "--theta", repr(0.5 / 0.9),
+      "-n", "100", "-t", "0"],
+     "no Monte Carlo ECDF at trajectories = 0"),
+    ("superdiffusive", "superdiffusive_experiment",
+     ["-p", "0.9", "-q", "0", "-r", "0.1", "--theta", repr(0.75 / 0.9),
+      "-n", "32", "-t", "10"],
+     "fewer than 4 dyadic n in [1024, horizon_factor * n = 512] for the "
+     "slope fit"),
+])
+def test_experiment_plot_with_nothing_to_draw_exit_2(capsys, monkeypatch,
+                                                     tmp_path, kind, driver,
+                                                     flags, why):
+    def sampled(*args, **kwargs):
+        raise AssertionError("experiment ran before --plot was refused")
+
+    monkeypatch.setattr(experiments, driver, sampled)
+    out, svg = tmp_path / "r.json", tmp_path / "r.svg"
+    code, _, err = run_cli(capsys, "experiment", kind, *flags,
+                           "-o", str(out), "--plot", str(svg))
+    assert code == 2
+    assert err == (f"lapsewalk: error: --plot: experiment {kind} has nothing "
+                   f"to draw: {why}\n")
+    assert not out.exists() and not svg.exists()
+
+
+def test_experiment_superdiffusive_plot_at_four_dyadic_points(tmp_path):
+    # 16 * 256 = 4096 reaches 1024, 2048 and 4096 only: refused; 16 * 512
+    # adds 8192, the fourth point, and the plot is written
+    args = ["experiment", "superdiffusive", "-p", "0.9", "-q", "0", "-r", "0.1",
+            "--theta", repr(0.75 / 0.9), "-t", "50", "-o", str(tmp_path / "r.json")]
+    svg = tmp_path / "r.svg"
+    assert main([*args, "-n", "256", "--plot", str(svg)]) == 2
+    assert not svg.exists()
+    assert main([*args, "-n", "512", "--plot", str(svg)]) in (0, 1)
+    assert "polyline" in svg.read_text()
+
+
+def test_simulate_oversized_n_exit_2(capsys):
+    # above ensemble.STEPS_CAP = 2**53, so refused before any step is walked
+    code, out, err = run_cli(capsys, "simulate", "-n", str(10 ** 20), "-t", "1")
+    assert code == 2
+    assert out == ""
+    assert err == ("lapsewalk: error: n_steps = 100000000000000000000 above "
+                   "the step cap 9007199254740992 (float64 step counts)\n")
+
+
+@pytest.mark.parametrize("command, allowed", [("predict", "text, json"),
+                                              ("simulate", "csv, json")])
+def test_config_format_outside_choices_exit_2(tmp_path, capsys, command,
+                                              allowed):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("steps = 10\nformat = xml\n")
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, command, "--config", str(cfg), "-o", str(out))
+    assert code == 2
+    assert err == (f"lapsewalk: error: {cfg}:2: format = 'xml' is not one of "
+                   f"{allowed} for {command}\n")
+    assert not out.exists()
+
+
+def test_config_format_read_when_valid_and_ignored_by_experiment(tmp_path,
+                                                                 capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("format = json\n")
+    code, out, _ = run_cli(capsys, "predict", "--config", str(cfg))
+    assert code == 0
+    assert json.loads(out)["command"] == "predict"
+    cfg.write_text("format = text\n")  # experiment has no --format to check
+    code, out, _ = run_cli(capsys, "experiment", "lln", "--config", str(cfg),
+                           "-n", "64", "-t", "10")
+    assert code == 0
+    assert json.loads(out)["kind"] == "lln"
 
 
 def test_config_bad_value_names_file_key_and_value(tmp_path, capsys):

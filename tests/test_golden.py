@@ -49,6 +49,24 @@ CASES = {
         {"output": "2c5d3a99c9a91ab6a533983921be17b03f0b510b2685f658b4057c5b951cd524",
          "csv": "09f3581202d073c44d8b33ac4e188d068ef79ac9399b4a20d77f840e812d5827",
          "plot": "a766411b9a0ffe7e018465182f9bdf21802d6643a45ff67a8138c6af0b501f89"}),
+    # 65536 runs the recursion over two 32768-transition blocks
+    "regime-scan-two-blocks": (
+        ["experiment", "regime-scan", "-p", "0.9", "-q", "0.05", "-r", "0.05",
+         "--alphas", "0.2,0.5,0.75", "--n-max", "65536"],
+        ("csv", "plot"),
+        {"output": "aeade17308f6918526e6954323c9c720b3df351eb983495694886d98a696aebc",
+         "csv": "a181dc0dbc73e7bd830cb2b51ca6f3fa9caf1e4f3223f3a880f91343f3a2022f",
+         "plot": "329890160b785921bfa4074314bbe089e6a473e91f3ca6c8dc55357c2491dabe"}),
+    # 100000 rows cross three block edges of the moment recursion
+    "exact-csv": (
+        ["exact", "-n", "100000"], (),
+        {"output": "3045c57954fd26459b095071adac30991cf427b99a6e4887064c06b17d9f27b6"}),
+    "exact-json": (
+        ["exact", "-n", "100000", "--format", "json"], (),
+        {"output": "e8a3c1bd0f151a02012ca8918d43f891e65cedd567cade285690c67153fa28b8"}),
+    "exact-distribution-json": (
+        ["exact", "-n", "40", "--distribution", "--format", "json"], (),
+        {"output": "cd494659d6323dc433c76ff397c366f5a099e834e98333bc517a8cc7b537d2dc"}),
     "lil-diagnostic": (
         ["experiment", "lil-diagnostic", "--theta", "0", "--n-max", "2048",
          "-t", "100", "--seed", "9"],

@@ -6,6 +6,8 @@ here as the oracle: it builds each growth table with one whole-array
 running product and prefix into a block's first element, which is what a
 sequential scan does there, so any block width must reproduce every byte,
 including tables that end one transition before, on or after a block edge.
+The rows mode (`ns=`) runs the same blocks and must return the table's
+bytes at every requested n, in memory that does not grow with n_max.
 """
 
 import tracemalloc
@@ -16,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lapsewalk.exact as exact
+from lapsewalk.errors import CapExceeded, InvalidState
 from lapsewalk.model import ModelParams, derive_constants
 
 FIELDS = ("mean_s", "mean_z", "var_s", "mean_sz", "mean_s2")
@@ -120,3 +123,73 @@ def test_moments_peak_memory_is_five_arrays():
     finally:
         tracemalloc.stop()
     assert peak <= 5.5 * 8 * n_max
+
+
+def _bytes(x):
+    return np.float64(x).tobytes()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=moment_case(), data=st.data())
+@example(case=(7, 16, ModelParams(0.3, 0.3, 0.4, 0.0)), data=None)  # p = q, theta = 0
+@example(case=(7, 8, ModelParams(0.0, 0.0, 1.0, 0.5)), data=None)   # r = 1
+def test_moment_rows_match_table_bytes(case, data):
+    block, n_max, params = case
+    ns = [n for n in (1, 2, block, block + 1, n_max) if n <= n_max]
+    if data is not None:  # any order, with repeats
+        ns = data.draw(st.permutations(ns + ns[:1]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact, "_MOMENT_BLOCK", block)
+        table = exact.exact_moments(params, n_max)
+        rows = exact.exact_moments(params, n_max, ns=ns)
+    assert [row.n for row in rows] == sorted(set(ns))
+    for row in rows:
+        want = table.row(row.n)
+        for name in FIELDS:
+            assert _bytes(getattr(row, name)) == _bytes(getattr(want, name)), \
+                (row.n, name)
+
+
+def test_moment_rows_match_table_bytes_at_default_block():
+    n_max = (1 << 16) + 3
+    block = exact._MOMENT_BLOCK
+    ns = [1, 2, block, block + 1, 2 * block + 1, n_max]
+    params = ModelParams(0.9, 0.05, 0.05, 0.6)
+    table = exact.exact_moments(params, n_max)
+    for row in exact.exact_moments(params, n_max, ns=ns):
+        want = table.row(row.n)
+        for name in FIELDS:
+            assert _bytes(getattr(row, name)) == _bytes(getattr(want, name))
+
+
+@pytest.mark.parametrize("n_max", [1 << 17, 1 << 20])
+def test_moment_rows_peak_memory_is_a_few_blocks(n_max):
+    params = ModelParams(0.6, 0.2, 0.2, 0.5)
+    block = exact._MOMENT_BLOCK
+    ns = [1, 2, block, block + 1, n_max]
+    exact.exact_moments(params, 64, ns=[64])
+    tracemalloc.start()
+    try:
+        exact.exact_moments(params, n_max, ns=ns)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 8 * block
+
+
+def test_moment_rows_outside_range_refused():
+    params = ModelParams(0.6, 0.2, 0.2, 0.5)
+    for ns in ([0, 5], [5, 11]):
+        with pytest.raises(InvalidState, match=r"\[1, 10\]"):
+            exact.exact_moments(params, 10, ns=ns)
+
+
+def test_moment_cap_refused_first_in_both_modes(monkeypatch):
+    params = ModelParams(0.6, 0.2, 0.2, 0.5)
+    monkeypatch.setattr(exact, "MOMENT_CAP", 100)
+    assert exact.exact_moments(params, 100).n_max == 100
+    assert exact.exact_moments(params, 100, ns=[100])[0].n == 100
+    for ns in (None, [1], [101]):
+        with pytest.raises(CapExceeded,
+                           match=r"^n_max = 101 above the moment cap 100 "):
+            exact.exact_moments(params, 101, ns=ns)
