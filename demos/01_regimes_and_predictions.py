@@ -26,7 +26,7 @@ for theta in (0.0, 0.2, 0.4, 0.5 / (P - Q), 0.7, 0.85, 0.95):
     c = lw.derive_constants(params)
     pred = lw.regime_prediction(params)
     if c.regime is lw.Regime.SUPERDIFFUSIVE:
-        vn = f"-> {lw.v_limit_superdiffusive(c.alpha, 1e-10):.5f}"
+        vn = f"-> {lw.v_limit_superdiffusive(c.alpha):.5f}"
     elif c.regime is lw.Regime.CRITICAL:
         vn = "~ (pi/4) log n"
     else:

@@ -44,7 +44,6 @@ from .errors import (
     NonPositive,
     OutOfDomain,
     SampleTooSmall,
-    TooSlowConvergence,
     WrongRegime,
 )
 from .exact import (

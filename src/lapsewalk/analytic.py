@@ -29,6 +29,12 @@ from .model import (
 _CHUNK = 1 << 19
 # sub-block width of the v_limit series scans: speed only, never the bits
 _SERIES_BLOCK = 1 << 15
+# the direct v_limit scan stops once a term is below _SCAN_TOL times the
+# partial sum; it gives up after _SCAN_TERMS terms, the end of the first
+# chunk (2^16 doubling to 2^22) at or past 1e8 terms. It must be a chunk
+# end: the skip test takes it as the last index the scan reaches
+_SCAN_TOL = 1e-10
+_SCAN_TERMS = 24 * (1 << 22) - (1 << 16)
 # Thomae series: terms summed, and Richardson levels over K = 2^13..2^16
 _THOMAE_TERMS = 1 << 16
 _THOMAE_LEVELS = 3
@@ -122,26 +128,27 @@ def sum_inv_a_closed(alpha: float, n: int, a_n: float) -> float:
     return n / ((1.0 - alpha) * a_n) + 1.0 / (alpha - 1.0)
 
 
-def v_limit_superdiffusive(alpha: float, tol: float = 1e-12,
-                           max_terms: int = 10 ** 8) -> float:
+def v_limit_superdiffusive(alpha: float) -> float:
     """Limit v_inf = 3F2(1, 1, 1; alpha+1, alpha+1; 1) of v_n, alpha in (1/2, 1].
 
     Two routes give the value. The direct route sums the terms
     t_k = (Gamma(k+1) Gamma(alpha+1) / Gamma(k+alpha+1))^2, which follow
     t_0 = 1, t_k = t_{k-1} (k/(k+alpha))^2, until the current term drops
-    below tol * partial_sum (and k > 10), then adds an Euler-Maclaurin
-    estimate of the omitted tail. The terms decay like k^(-2 alpha), so near
-    alpha = 1/2 this stop cannot be reached within `max_terms` terms.
+    below `_SCAN_TOL` times the partial sum (and k > 10), then adds an
+    Euler-Maclaurin estimate of the omitted tail. The terms decay like
+    k^(-2 alpha), so near alpha = 1/2 this stop cannot be reached within
+    the `_SCAN_TERMS` terms the scan sums before it gives up.
 
     The Thomae route (`_v_limit_thomae`) sums a transformed series whose
     terms decay like k^(-2) for every alpha, to ~1e-13 relative. It serves
-    wherever the direct route cannot finish. If the last term the scan would
-    reach, t_K, is provably at least tol times the partial sum through t_K
-    (with a margin for rounding), the scan is skipped. If the scan runs and
-    still does not stop, the Thomae value replaces the failure. Where the
-    direct route stops it keeps its value bit for bit: report digests pin
-    those bits (`predict` at alpha = 0.6, `experiment superdiffusive`), so
-    the direct route stays until they are re-recorded. The pole of v_inf at
+    wherever the direct route cannot finish. If the last term the scan
+    would reach, t_K with K = `_SCAN_TERMS`, is provably at least
+    `_SCAN_TOL` times the partial sum through t_K (with a margin for
+    rounding), the scan is skipped. If the scan runs and still does not
+    stop, the Thomae value replaces the failure. Where the direct route
+    stops it keeps its value bit for bit: report digests pin those bits
+    (`predict` at alpha = 0.6, `experiment superdiffusive`), so the direct
+    route stays until they are re-recorded. The pole of v_inf at
     alpha = 1/2 lies in the Thomae prefactor Gamma(2 alpha - 1), and
     v_inf ~ (pi/4) / (2 alpha - 1) as alpha -> 1/2+, which matches the
     (pi/4) log n clock at alpha = 1/2.
@@ -155,39 +162,25 @@ def v_limit_superdiffusive(alpha: float, tol: float = 1e-12,
     """
     if not (0.5 < alpha <= 1.0):
         raise OutOfDomain(f"series converges only for alpha in (1/2, 1], got {alpha!r}")
-    if not (0.0 < tol < math.inf):
-        raise OutOfDomain(f"tol must be positive and finite, got {tol!r}")
     v_inf = _v_limit_thomae(alpha)
-    # the scan stops at the first k > 10 with t_k < tol * partial_k; t_k
+    # the scan stops at the first k > 10 with t_k < _SCAN_TOL * partial_k; t_k
     # falls and partial_k rises, so it cannot stop by the last index K it
-    # reaches if t_K >= tol * partial_K. Wendel's inequality gives
+    # reaches if t_K >= _SCAN_TOL * partial_K. Wendel's inequality gives
     # t_j >= g2 (j+1)^(-2 alpha): a lower bound on t_K, and one on the tail
     # past K, v_inf - partial_K >= g2 (K+2)^(1-2 alpha) / (2 alpha - 1).
     # v_inf gets 1e-9 relative headroom for the error of the Thomae sum.
-    reach = _scan_reach(max_terms)
     span = 2.0 * alpha - 1.0
     g2 = math.gamma(alpha + 1.0) ** 2
-    t_min = g2 * (reach + 1.0) ** (-2.0 * alpha)
-    partial_max = v_inf * (1.0 + 1e-9) - g2 * (reach + 2.0) ** -span / span
-    if t_min >= _SKIP_MARGIN * tol * partial_max:
+    t_min = g2 * (_SCAN_TERMS + 1.0) ** (-2.0 * alpha)
+    partial_max = v_inf * (1.0 + 1e-9) - g2 * (_SCAN_TERMS + 2.0) ** -span / span
+    if t_min >= _SKIP_MARGIN * _SCAN_TOL * partial_max:
         return v_inf
-    direct = _v_limit_direct(alpha, tol, max_terms)
+    direct = _v_limit_direct(alpha)
     return v_inf if direct is None else direct
 
 
-def _scan_reach(max_terms):
-    """Index of the last term the direct scan sums before it gives up."""
-    k, chunk = 0, 1 << 16
-    while k < max_terms and chunk < 1 << 22:
-        k += chunk
-        chunk *= 2
-    if k < max_terms:
-        k += -(-(max_terms - k) // chunk) * chunk
-    return k
-
-
-def _v_limit_direct(alpha, tol, max_terms):
-    """The direct scan: the value, or None if it does not stop in max_terms."""
+def _v_limit_direct(alpha):
+    """The direct scan: the value, or None if it does not stop in _SCAN_TERMS."""
     block = _SERIES_BLOCK
     ks = np.arange(1.0, block + 1.0)  # indices k of the next sub-block
     prods = np.empty(block)
@@ -197,7 +190,7 @@ def _v_limit_direct(alpha, tol, max_terms):
     term = 1.0
     k = 0
     chunk = 1 << 16
-    while k < max_terms:
+    while k < _SCAN_TERMS:
         prod, cum = 1.0, 0.0  # both scans restart at each chunk
         for lo in range(0, chunk, block):
             b = min(block, chunk - lo)
@@ -216,8 +209,8 @@ def _v_limit_direct(alpha, tol, max_terms):
             np.add(sb, total, out=sb)
             # along a chunk the terms fall and the partial sums rise, so
             # the stop test holds somewhere in a sub-block iff at its end
-            if tb[-1] < tol * sb[-1] and kb[-1] > 10:
-                stop = int(np.argmax((tb < tol * sb) & (kb > 10)))
+            if tb[-1] < _SCAN_TOL * sb[-1] and kb[-1] > 10:
+                stop = int(np.argmax((tb < _SCAN_TOL * sb) & (kb > 10)))
                 return _series_with_tail(alpha, int(kb[stop]),
                                          float(tb[stop]), float(sb[stop]))
             ks += b

@@ -210,7 +210,7 @@ def cmd_predict(resolved, output, fmt):
         },
     )
     if c.regime is Regime.SUPERDIFFUSIVE:
-        report["predictions"]["v_limit"] = v_limit_superdiffusive(c.alpha, 1e-10)
+        report["predictions"]["v_limit"] = v_limit_superdiffusive(c.alpha)
         report["predictions"]["residual_scale"] = pred.residual_scale(10 ** 6)
     if fmt == "json":
         _write_text(output, emit_json(report))

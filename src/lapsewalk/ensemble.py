@@ -303,6 +303,13 @@ class WEstimate:
     stderr: float
     sample: np.ndarray = field(repr=False, default=None)
 
+    @classmethod
+    def from_sample(cls, w: np.ndarray) -> "WEstimate":
+        """Estimate from a sample of M_n, one value per trajectory."""
+        var_w = float(w.var(ddof=1))
+        return cls(n_used=w.size, mean_w=float(w.mean()), var_w=var_w,
+                   stderr=(var_w / w.size) ** 0.5, sample=w)
+
 
 def estimate_w(params: ModelParams, n_steps: int, n_traj: int,
                master_seed: int = 0, workers: int = 1,
@@ -314,18 +321,8 @@ def estimate_w(params: ModelParams, n_steps: int, n_traj: int,
     ens = run_ensemble(params, n_steps, n_traj, snapshots=[n_steps],
                        master_seed=master_seed, keep_raw=True,
                        workers=workers, chunk_size=chunk_size)
-    raw = ens.sample_s[0]
-    mean_s = float(expected_s(params, n_steps))
-    a_n = growth_values(c.alpha, n_steps)
-    w = (raw - mean_s) / a_n
-    var_w = float(w.var(ddof=1))
-    return WEstimate(
-        n_used=n_traj,
-        mean_w=float(w.mean()),
-        var_w=var_w,
-        stderr=(var_w / n_traj) ** 0.5,
-        sample=w,
-    )
+    w = (ens.sample_s[0] - expected_s(params, n_steps)) / growth_values(c.alpha, n_steps)
+    return WEstimate.from_sample(w)
 
 
 def bootstrap_variance_ci(sample, n_boot: int = 1000, level: float = 0.99,
@@ -345,13 +342,16 @@ def residual_clt_sample(params: ModelParams, n_steps: int, n_traj: int,
                         master_seed: int = 0,
                         horizon_factor: int = HORIZON_FACTOR_MIN,
                         workers: int = 1,
-                        chunk_size: int = CHUNK_SIZE_DEFAULT) -> np.ndarray:
-    """Standardized residuals (S_n - E S_n - W_hat a_n)/sqrt(phi n/(2a-1)).
+                        chunk_size: int = CHUNK_SIZE_DEFAULT):
+    """(w, residuals) from one walk to the far horizon n_far.
 
-    W_hat is the per-trajectory martingale value at the far horizon
-    n_far = horizon_factor * n_steps. horizon_factor < 16 is refused: at
-    n_far = n_steps the residuals are identically zero, and small factors
-    leave most of the limit variable unresolved.
+    w is M_n = (S_n - E S_n)/a_n per trajectory at n = n_steps, the sample
+    `estimate_w` draws at the same seed. The residuals are the standardized
+    (S_n - E S_n - W_hat a_n)/sqrt(phi n/(2a-1)), with W_hat the
+    per-trajectory martingale value at n_far = horizon_factor * n_steps.
+    horizon_factor < 16 is refused before any walk: at n_far = n_steps the
+    residuals are identically zero, and small factors leave most of the
+    limit variable unresolved.
     """
     c = derive_constants(params)
     if c.regime is not Regime.SUPERDIFFUSIVE:
@@ -370,7 +370,8 @@ def residual_clt_sample(params: ModelParams, n_steps: int, n_traj: int,
     norms = growth_values(c.alpha, ns)
     w_hat = (s_far - means[1]) / norms[1]
     scale = (c.phi * n_steps / (2.0 * c.alpha - 1.0)) ** 0.5
-    return (s_near - means[0] - w_hat * norms[0]) / scale
+    return ((s_near - means[0]) / norms[0],
+            (s_near - means[0] - w_hat * norms[0]) / scale)
 
 
 @dataclass

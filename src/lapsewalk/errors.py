@@ -37,10 +37,6 @@ class DomainTooSmall(LapsewalkError):
     """Horizon too small for the iterated-logarithm envelope."""
 
 
-class TooSlowConvergence(LapsewalkError):
-    """Series summation hit the term cap before the stopping rule."""
-
-
 class SampleTooSmall(LapsewalkError):
     """Statistical test needs a larger sample."""
 

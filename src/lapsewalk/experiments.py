@@ -17,14 +17,14 @@ from .analytic import (
     v_limit_superdiffusive,
 )
 from .ensemble import (
+    WEstimate,
     bootstrap_variance_ci,
-    estimate_w,
     lil_diagnostic,
     martingale_track,
     residual_clt_sample,
     run_ensemble,
 )
-from .errors import Degenerate, WrongRegime
+from .errors import Degenerate, InvalidState, WrongRegime
 from .exact import DP_CAP_DEFAULT, exact_moments, standardized_exact_cdf
 from .model import ModelParams, Regime, derive_constants
 from .stats import fit_loglog, ks_distance_cdf, ks_test_normal
@@ -225,18 +225,20 @@ def superdiffusive_experiment(params, n_steps, n_traj, master_seed,
                               workers=1, horizon_factor=16, gate=None) -> dict:
     """Superdiffusive regime: W estimate, variance scaling, residual CLT.
 
-    Residuals use the per-trajectory proxy W_hat taken at the far horizon;
-    the KS gate is applied after rescaling by the exact residual deviation
-    a_n sqrt(Var M_far - Var M_n) from the moment recursions, which removes
-    the variance the proxy cannot see (the theorem's own scale
-    sqrt(phi n / (2 alpha - 1)) is reported unrescaled as well).
+    One walk to the far horizon gives both samples: M_n per trajectory for
+    the W estimate, and the residuals around the per-trajectory proxy W_hat
+    taken at the far horizon. The KS gate is applied after rescaling by the
+    exact residual deviation a_n sqrt(Var M_far - Var M_n) from the moment
+    recursions, which removes the variance the proxy cannot see (the
+    theorem's own scale sqrt(phi n / (2 alpha - 1)) is reported unrescaled
+    as well).
     """
     c = derive_constants(params)
     if c.regime is not Regime.SUPERDIFFUSIVE:
         raise WrongRegime(f"superdiffusive experiment needs alpha > 1/2, got {c.alpha!r}")
     _require_nondegenerate(params)
     # before the Monte Carlo work, so a bad alpha fails before any sampling
-    v_inf = v_limit_superdiffusive(c.alpha, 1e-10)
+    v_inf = v_limit_superdiffusive(c.alpha)
     pred = regime_prediction(params)
     n_far = horizon_factor * n_steps
 
@@ -247,23 +249,21 @@ def superdiffusive_experiment(params, n_steps, n_traj, master_seed,
     var_m_n = var_s[n_steps] / norm[0] ** 2
     var_m_far = var_s[n_far] / norm[1] ** 2
 
-    west = estimate_w(params, n_steps, n_traj, master_seed=master_seed,
-                      workers=workers)
-    ci_lo, ci_hi = bootstrap_variance_ci(west.sample)
+    w, residuals = residual_clt_sample(params, n_steps, n_traj,
+                                       master_seed=master_seed,
+                                       horizon_factor=horizon_factor,
+                                       workers=workers)
+    west = WEstimate.from_sample(w)
+    ci_lo, ci_hi = bootstrap_variance_ci(w)
     var_rel = abs(west.var_w - var_m_n) / var_m_n
     # the sample variance itself fluctuates with relative stderr
     # sqrt((kurtosis - (n-3)/(n-1)) / n); widen the tolerance to 4 of those
     # when n_traj is small so the gate stays a ~4 sigma statement
-    w = west.sample
     kurt = n_traj * float(((w - w.mean()) ** 4).sum()) / float(
         ((w - w.mean()) ** 2).sum()) ** 2
     var_se_rel = math.sqrt(max(kurt - (n_traj - 3) / (n_traj - 1), 0.0) / n_traj)
     var_bound = max(W_VAR_TOL, SIGMA_GATE * var_se_rel)
 
-    residuals = residual_clt_sample(params, n_steps, n_traj,
-                                    master_seed=master_seed,
-                                    horizon_factor=horizon_factor,
-                                    workers=workers)
     ks_raw = ks_test_normal(residuals)
     theorem_scale = math.sqrt(pred.residual_scale(n_steps))
     exact_resid_sd = float(norm[0]) * math.sqrt(var_m_far - var_m_n)
@@ -327,8 +327,14 @@ def regime_scan_experiment(p, q, r, alphas, n_max=2 ** 20) -> dict:
     contribution over the fitted window.
     """
     ModelParams(p, q, r, 0.0)  # validates the simplex up front
+    if p == q:
+        raise InvalidState("regime-scan solves theta = alpha / (p - q), but at "
+                           "p = q alpha is 0 for every theta")
     ns = np.array([2 ** k for k in range(10, 25) if 2 ** k <= n_max],
                   dtype=np.int64)
+    if ns.size == 0:
+        raise InvalidState(f"--n-max = {n_max} is below 1024, the smallest n "
+                           "the regime scan fits")
     rows = []
     gates = []
     for alpha in alphas:

@@ -266,7 +266,7 @@ def test_criterion_09b_vn_critical_window():
 
 
 def test_criterion_09c_vn_superdiffusive_series():
-    got = lw.v_limit_superdiffusive(1.0, 1e-12)
+    got = lw.v_limit_superdiffusive(1.0)
     dev = abs(got - math.pi ** 2 / 6.0)
     ok = dev <= 1e-8
     report("9c", "v_n limit series at alpha=1", ok, f"(abs dev {dev:.2e})")

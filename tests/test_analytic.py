@@ -83,7 +83,7 @@ def test_v_sequence_alpha_zero_counts():
 def test_v_sequence_increasing_and_bounded_superdiffusive():
     t = lw.v_sequence(0.75, 20000)
     assert np.all(np.diff(t.values[1:]) > 0)
-    limit = lw.v_limit_superdiffusive(0.75, 1e-10)
+    limit = lw.v_limit_superdiffusive(0.75)
     assert t.value(20000) < limit
 
 
@@ -96,17 +96,17 @@ def test_v_sequence_diffusive_growth_constant():
 
 
 def test_v_limit_alpha_one_is_basel_sum():
-    got = lw.v_limit_superdiffusive(1.0, 1e-12)
+    got = lw.v_limit_superdiffusive(1.0)
     assert abs(got - math.pi ** 2 / 6.0) <= 1e-8
 
 
 def test_v_limit_positive_and_above_one():
-    v = lw.v_limit_superdiffusive(0.75, 1e-12)
+    v = lw.v_limit_superdiffusive(0.75)
     assert v > 1.0  # first term alone is 1, everything is positive
 
 
 def test_v_limit_matches_partial_sums():
-    v_inf = lw.v_limit_superdiffusive(0.75, 1e-12)
+    v_inf = lw.v_limit_superdiffusive(0.75)
     t = lw.v_sequence(0.75, 10 ** 6)
     assert abs(t.value(10 ** 6) - v_inf) / v_inf <= 1e-3
 
@@ -114,10 +114,7 @@ def test_v_limit_matches_partial_sums():
 def test_v_limit_domain():
     for bad in (0.5, 0.3, 1.01):
         with pytest.raises(lw.OutOfDomain):
-            lw.v_limit_superdiffusive(bad, 1e-10)
-    for bad_tol in (0.0, -1e-10, math.nan, math.inf):
-        with pytest.raises(lw.OutOfDomain):
-            lw.v_limit_superdiffusive(0.75, bad_tol)
+            lw.v_limit_superdiffusive(bad)
 
 
 def hyp3f2_v_limit(alpha):
@@ -130,11 +127,12 @@ def hyp3f2_v_limit(alpha):
 
 @pytest.mark.parametrize("alpha", [0.505, 0.55, 0.6, 0.75, 0.9, 1.0])
 def test_v_limit_matches_hypergeometric(alpha):
-    # the direct scan stops from 0.6 up, with an error set by tol; at 0.505
-    # and 0.55 it cannot stop and the value comes from the Thomae series
+    # the direct scan stops from 0.6 up, with an error set by its stop
+    # tolerance 1e-10; at 0.505 and 0.55 it cannot stop and the value comes
+    # from the Thomae series
     rel = 1e-13 if alpha < 0.56 else 1e-9
     want = hyp3f2_v_limit(alpha)
-    got = lw.v_limit_superdiffusive(alpha, 1e-10)
+    got = lw.v_limit_superdiffusive(alpha)
     assert abs(got - want) / want <= rel
 
 
@@ -149,7 +147,7 @@ def test_v_limit_pole_at_one_half():
     # v_inf ~ (pi/4) / (2 alpha - 1) as alpha -> 1/2+
     for alpha in (0.50005, 0.5000005, 0.500000005):
         span = 2.0 * alpha - 1.0  # exact
-        v = lw.v_limit_superdiffusive(alpha, 1e-10)
+        v = lw.v_limit_superdiffusive(alpha)
         assert abs(v * span / (math.pi / 4.0) - 1.0) <= 2.0 * span
 
 

@@ -3,9 +3,9 @@ import json
 
 import pytest
 
-from lapsewalk import experiments
+from lapsewalk import ensemble, experiments
 from lapsewalk.cli import main
-from lapsewalk.errors import TooSlowConvergence
+from lapsewalk.errors import OutOfDomain
 from lapsewalk.exact import distribution_dp
 from lapsewalk.model import ModelParams
 from lapsewalk.report import csv_lines, emit_json
@@ -207,19 +207,56 @@ def test_experiment_zero_workers_exit_2(capsys, tmp_path):
 
 def test_experiment_superdiffusive_series_fails_before_sampling(capsys,
                                                                   monkeypatch):
-    def series_fails(alpha, tol):
-        raise TooSlowConvergence(f"no convergence (alpha = {alpha!r})")
+    def series_fails(alpha):
+        raise OutOfDomain(f"no convergence (alpha = {alpha!r})")
 
     def sampled(*args, **kwargs):
         raise AssertionError("trajectories simulated before v_limit failed")
 
     monkeypatch.setattr(experiments, "v_limit_superdiffusive", series_fails)
-    monkeypatch.setattr(experiments, "estimate_w", sampled)
+    monkeypatch.setattr(experiments, "residual_clt_sample", sampled)
     code, _, err = run_cli(capsys, "experiment", "superdiffusive", "-p", "0.9",
                            "-q", "0", "-r", "0.1", "--theta", "0.8",
                            "-n", "100", "-t", "50", "--seed", "1")
     assert code == 2
     assert "no convergence" in err
+
+
+def test_experiment_superdiffusive_short_horizon_refused_before_walk(
+        capsys, monkeypatch):
+    def walked(*args, **kwargs):
+        raise AssertionError("trajectories simulated before the horizon "
+                             "factor was refused")
+
+    monkeypatch.setattr(ensemble, "run_ensemble", walked)
+    monkeypatch.setattr(experiments, "run_ensemble", walked)
+    code, _, err = run_cli(capsys, "experiment", "superdiffusive",
+                           *super_flags(0.75), "-n", "100", "-t", "50",
+                           "--seed", "1", "--horizon-factor", "8")
+    assert code == 2
+    assert err.startswith("lapsewalk: error:") and "horizon_factor" in err
+    assert "Traceback" not in err
+
+
+def test_regime_scan_below_first_fitted_n_exit_2(capsys):
+    code, _, err = run_cli(capsys, "experiment", "regime-scan",
+                           "--n-max", "512")
+    assert code == 2
+    assert err.startswith("lapsewalk: error:")
+    assert "--n-max" in err and "1024" in err
+    assert "Traceback" not in err
+
+
+def test_regime_scan_at_p_equal_q_exit_2(capsys, monkeypatch):
+    def computed(*args, **kwargs):
+        raise AssertionError("moments computed before p = q was refused")
+
+    monkeypatch.setattr(experiments, "exact_moments", computed)
+    code, _, err = run_cli(capsys, "experiment", "regime-scan", "-p", "0.5",
+                           "-q", "0.5", "-r", "0", "--alphas", "0.2")
+    assert code == 2
+    assert err.startswith("lapsewalk: error:") and "p = q" in err
+    assert "Traceback" not in err
 
 
 def test_malformed_alphas_exit_2(capsys):

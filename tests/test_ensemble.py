@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lapsewalk as lw
-from lapsewalk import ensemble
+from lapsewalk import ensemble, experiments
 from lapsewalk.ensemble import MomentAccumulator
 
 PARAMS = lw.ModelParams(0.6, 0.2, 0.2, 0.5)
@@ -254,13 +254,43 @@ def test_residual_clt_guard_and_sample():
         lw.residual_clt_sample(SUPER, 100, 50, horizon_factor=8)
     with pytest.raises(lw.WrongRegime):
         lw.residual_clt_sample(PARAMS, 100, 50)
-    res = lw.residual_clt_sample(SUPER, 250, 600, master_seed=5)
-    assert res.size == 600
+    w, res = lw.residual_clt_sample(SUPER, 250, 600, master_seed=5)
+    assert w.size == res.size == 600
     se = res.std(ddof=1) / math.sqrt(res.size)
     assert abs(res.mean()) <= 4.0 * se
     # proxy at 16x the horizon misses 1 - 16^(1-2a) = 25% of the variance at
     # alpha = 0.75; the raw spread must sit near sqrt(0.75), not near 1
     assert 0.7 <= res.std(ddof=1) <= 0.95
+
+
+def test_single_walk_w_matches_estimate_w_bytes():
+    # the superdiffusive experiment takes W from the residual walk's rows at
+    # n; they are the rows estimate_w walks to n at the same seed
+    n, n_traj, seed = 64, 300, 7
+    west = lw.estimate_w(SUPER, n, n_traj, master_seed=seed)
+    w, _ = lw.residual_clt_sample(SUPER, n, n_traj, master_seed=seed)
+    single = lw.WEstimate.from_sample(w)
+    assert single.n_used == west.n_used == n_traj
+    assert single.sample.tobytes() == west.sample.tobytes()
+    want = [x.hex() for x in (west.mean_w, west.var_w, west.stderr)]
+    assert [x.hex() for x in (single.mean_w, single.var_w, single.stderr)] == want
+    results = experiments.superdiffusive_experiment(SUPER, n, n_traj,
+                                                    seed)["results"]
+    assert [results[k].hex() for k in ("mean_w", "var_w", "stderr_w")] == want
+
+
+def test_superdiffusive_experiment_walks_once(monkeypatch):
+    calls = []
+    real = ensemble.run_ensemble
+
+    def spy(params, n_steps, n_traj, **kwargs):
+        calls.append((n_steps, n_traj, kwargs["snapshots"]))
+        return real(params, n_steps, n_traj, **kwargs)
+
+    monkeypatch.setattr(ensemble, "run_ensemble", spy)
+    monkeypatch.setattr(experiments, "run_ensemble", spy)
+    experiments.superdiffusive_experiment(SUPER, 64, 200, 3)
+    assert calls == [(16 * 64, 200, [64, 16 * 64])]
 
 
 def test_lil_diagnostic_trace():

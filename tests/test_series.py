@@ -5,8 +5,10 @@ the oracle: it scans each chunk with whole-chunk temporaries. The chunk
 schedule fixes the bits, so any sub-block width must reproduce them,
 including stops that land before, on or after a sub-block edge and stops
 whose raw test already holds within the first 10 terms. Where the reference
-raises, `v_limit_superdiffusive` returns the Thomae value instead, whether
-it skips the scan or falls back after it; that value must match mpmath.
+does not stop, `v_limit_superdiffusive` returns the Thomae value instead,
+whether it skips the scan or falls back after it; that value must match
+mpmath. The stop tolerance and the scan length are the module constants
+`_SCAN_TOL` and `_SCAN_TERMS`, patched here to reach every route quickly.
 """
 
 import mpmath
@@ -16,10 +18,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lapsewalk.analytic as analytic
-from lapsewalk.errors import TooSlowConvergence
 
 
 def reference_v_limit(alpha, tol, max_terms):
+    """The direct route's value, or None if it does not stop in max_terms."""
     total = 1.0
     term = 1.0
     k = 0
@@ -40,9 +42,7 @@ def reference_v_limit(alpha, tol, max_terms):
         k = int(ks[-1])
         chunk = min(chunk * 2, 1 << 22)
     else:
-        raise TooSlowConvergence(
-            f"no convergence after {max_terms} terms (alpha = {alpha!r})"
-        )
+        return None
     m = k + 1
     t_m = term * ((m / (m + alpha)) ** 2)
     ms = m + (1.0 + alpha) / 2.0
@@ -50,17 +50,10 @@ def reference_v_limit(alpha, tol, max_terms):
     return total + tail
 
 
-def reference_outcome(alpha, tol, max_terms):
-    try:
-        return reference_v_limit(alpha, tol, max_terms).hex()
-    except TooSlowConvergence:
-        return None
-
-
 def check_against_reference(got, alpha, tol, max_terms):
-    want = reference_outcome(alpha, tol, max_terms)
+    want = reference_v_limit(alpha, tol, max_terms)
     if want is not None:
-        assert got.hex() == want
+        assert got.hex() == want.hex()
     else:
         with mpmath.workdps(30):
             a1 = mpmath.mpf(alpha) + 1
@@ -78,11 +71,19 @@ def series_case(draw):
     return block, alpha, 10.0 ** log_tol
 
 
-# max_terms = 2^17 runs at most two chunks (65536 and 131072 terms): a series
-# that has not stopped by then takes the Thomae route, one that has returns
-# its value. At alpha = 0.6 the scan is skipped for tol below ~8.0293e-8 and
-# cannot stop for tol below ~8.0374e-8; in between it runs and falls back.
+# a scan of 3 * 2^16 terms runs at most two chunks (65536 and 131072 terms):
+# a series that has not stopped by then takes the Thomae route, one that has
+# returns its value. At alpha = 0.6 the scan is skipped for tol below
+# ~8.0293e-8 and cannot stop for tol below ~8.0374e-8; in between it runs
+# and falls back.
+SCAN_TERMS = 3 << 16
 SKIP, FALLBACK, STOP = 8.0e-8, 8.033e-8, 8.04e-8
+
+
+def v_limit_patched(mp, alpha, tol):
+    mp.setattr(analytic, "_SCAN_TOL", tol)
+    mp.setattr(analytic, "_SCAN_TERMS", SCAN_TERMS)
+    return analytic.v_limit_superdiffusive(alpha)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -96,11 +97,10 @@ SKIP, FALLBACK, STOP = 8.0e-8, 8.033e-8, 8.04e-8
 @example(case=(4096, 0.6, STOP))
 def test_series_matches_reference_bits(case):
     block, alpha, tol = case
-    max_terms = 1 << 17
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(analytic, "_SERIES_BLOCK", block)
-        got = analytic.v_limit_superdiffusive(alpha, tol, max_terms)
-    check_against_reference(got, alpha, tol, max_terms)
+        got = v_limit_patched(mp, alpha, tol)
+    check_against_reference(got, alpha, tol, SCAN_TERMS)
 
 
 @pytest.mark.parametrize("tol, scans", [(SKIP, []), (FALLBACK, [None]),
@@ -115,13 +115,23 @@ def test_skip_and_fallback_routes(monkeypatch, tol, scans):
         return out
 
     monkeypatch.setattr(analytic, "_v_limit_direct", spy)
-    got = analytic.v_limit_superdiffusive(0.6, tol, 1 << 17)
+    got = v_limit_patched(monkeypatch, 0.6, tol)
     assert seen == scans
-    check_against_reference(got, 0.6, tol, 1 << 17)
+    check_against_reference(got, 0.6, tol, SCAN_TERMS)
+
+
+def test_scan_terms_end_the_chunk_that_reaches_1e8():
+    # the scan gives up at the first chunk end at or past 1e8 terms
+    k, chunk = 0, 1 << 16
+    while k < 10 ** 8:
+        k += chunk
+        chunk = min(chunk * 2, 1 << 22)
+    assert analytic._SCAN_TERMS == k
 
 
 @pytest.mark.parametrize("alpha, tol", [(0.75, 1e-10), (0.9, 1e-10),
-                                        (1.0, 1e-12)])
-def test_series_matches_reference_bits_over_many_chunks(alpha, tol):
-    got = analytic.v_limit_superdiffusive(alpha, tol)
+                                        (1.0, 1e-10), (1.0, 1e-12)])
+def test_series_matches_reference_bits_over_many_chunks(monkeypatch, alpha, tol):
+    monkeypatch.setattr(analytic, "_SCAN_TOL", tol)
+    got = analytic.v_limit_superdiffusive(alpha)
     assert got.hex() == reference_v_limit(alpha, tol, 10 ** 8).hex()
