@@ -45,5 +45,5 @@ acc_m = lw.martingale_track(params, ens)
 c = lw.derive_constants(params)
 v = lw.v_sequence(c.alpha, 4096)
 for i, m in enumerate(ens.snapshots):
-    ratio = acc_m[i].variance / (c.phi * v.value(m))
+    ratio = acc_m[i].variance / (c.phi * v[m])
     print(f"  n = {m:5d}: Var(M_n) / (phi v_n) = {ratio:.4f}")

@@ -7,7 +7,6 @@ and critical regimes, and the superdiffusive martingale limit.
 
 from .analytic import (
     RegimePrediction,
-    SequenceTable,
     a_sequence,
     b_sequence,
     expected_s,
@@ -71,7 +70,7 @@ from .model import (
     simulate_trajectory,
     step_distribution,
 )
-from .rng import RngStream, Xoshiro256Batch, Xoshiro256StarStar
+from .rng import RngStream, Xoshiro256Batch
 from .stats import (
     KsResult,
     SlopeFit,

@@ -19,12 +19,7 @@ from .errors import (
     OutOfDomain,
     WrongRegime,
 )
-from .model import (
-    DerivedConstants,
-    ModelParams,
-    Regime,
-    derive_constants,
-)
+from .model import ModelParams, Regime, derive_constants
 
 _CHUNK = 1 << 19
 # sub-block width of the v_limit series scans: speed only, never the bits
@@ -48,22 +43,6 @@ def _check_rate(rate, name="alpha"):
         raise OutOfDomain(f"{name} must lie in [0, 1), got {rate!r}")
 
 
-@dataclass
-class SequenceTable:
-    """Values of one normalizing sequence for n = 1..n_max (index 0 unused)."""
-
-    kind: str  # 'a' (rate alpha), 'b' (rate gamma), or 'v' (partial sums)
-    rate: float
-    values: np.ndarray
-
-    def value(self, n: int) -> float:
-        return float(self.values[n])
-
-    @property
-    def n_max(self) -> int:
-        return len(self.values) - 1
-
-
 def _growth_table(rate, n_max):
     vals = np.empty(n_max + 1)
     vals[0] = np.nan
@@ -74,26 +53,28 @@ def _growth_table(rate, n_max):
     return vals
 
 
-def a_sequence(alpha: float, n_max: int) -> SequenceTable:
-    """Martingale normalizer a_n by its product recurrence."""
+def a_sequence(alpha: float, n_max: int) -> np.ndarray:
+    """Martingale normalizer a_n by its product recurrence, indexed by n
+    (slot 0 is NaN)."""
     _check_rate(alpha)
-    return SequenceTable("a", alpha, _growth_table(alpha, n_max))
+    return _growth_table(alpha, n_max)
 
 
-def b_sequence(gamma: float, n_max: int) -> SequenceTable:
+def b_sequence(gamma: float, n_max: int) -> np.ndarray:
     """Same recurrence with gamma; normalizes the activity count Z_n."""
     _check_rate(gamma, "gamma")
-    return SequenceTable("b", gamma, _growth_table(gamma, n_max))
+    return _growth_table(gamma, n_max)
 
 
-def v_sequence(alpha: float, n_max: int) -> SequenceTable:
-    """Variance clock v_n = sum_{k<=n} 1/a_k^2 (strictly increasing)."""
+def v_sequence(alpha: float, n_max: int) -> np.ndarray:
+    """Variance clock v_n = sum_{k<=n} 1/a_k^2 (strictly increasing),
+    indexed by n (slot 0 is NaN)."""
     _check_rate(alpha)
     a = _growth_table(alpha, n_max)
     vals = np.empty(n_max + 1)
     vals[0] = np.nan
     vals[1:] = np.cumsum(1.0 / a[1:] ** 2)
-    return SequenceTable("v", alpha, vals)
+    return vals
 
 
 def growth_values(rate, ns):
@@ -261,10 +242,11 @@ def _v_limit_thomae(alpha):
             / math.gamma(2.0 * alpha) ** 2 * sums[0])
 
 
-def _constants(params_or_constants) -> DerivedConstants:
-    if isinstance(params_or_constants, DerivedConstants):
-        return params_or_constants
-    return derive_constants(params_or_constants)
+def _expected_walk(first, fresh, rate, n):
+    """first a_n + fresh a_n sum_{l<n} 1/a_{l+1}, with a_n at `rate`."""
+    a_n = growth_values(rate, n)
+    return first * a_n + fresh * a_n * sum_inv_a_closed(
+        rate, np.asarray(n, dtype=np.float64), a_n)
 
 
 def expected_s(params: ModelParams, n):
@@ -272,26 +254,18 @@ def expected_s(params: ModelParams, n):
 
     `n` may be an int or an array of ints; arrays return an array.
     """
-    c = _constants(params)
+    c = derive_constants(params)
     if c.alpha < 0.0:
         raise OutOfDomain("expected_s requires alpha >= 0 (p >= q)")
-    a_n = growth_values(c.alpha, n)
-    ns = np.asarray(n, dtype=np.float64)
-    return c.beta * a_n + c.omega * a_n * (
-        ns / ((1.0 - c.alpha) * a_n) + 1.0 / (c.alpha - 1.0)
-    )
+    return _expected_walk(c.beta, c.omega, c.alpha, n)
 
 
 def expected_z(params: ModelParams, n):
     """Exact E[Z_n]; same closed form with (psi, gamma, tau, b_n)."""
-    c = _constants(params)
+    c = derive_constants(params)
     if c.alpha < 0.0:
         raise OutOfDomain("expected_z requires alpha >= 0 (p >= q)")
-    b_n = growth_values(c.gamma, n)
-    ns = np.asarray(n, dtype=np.float64)
-    return c.psi * b_n + c.tau * b_n * (
-        ns / ((1.0 - c.gamma) * b_n) + 1.0 / (c.gamma - 1.0)
-    )
+    return _expected_walk(c.psi, c.tau, c.gamma, n)
 
 
 @dataclass(frozen=True)
@@ -333,7 +307,7 @@ class RegimePrediction:
 
 
 def regime_prediction(params: ModelParams) -> RegimePrediction:
-    c = _constants(params)
+    c = derive_constants(params)
     if c.alpha < 0.0:
         raise OutOfDomain("regime predictions require alpha >= 0 (p >= q)")
     degenerate = c.phi == 0.0
@@ -367,7 +341,7 @@ def lil_envelope(params: ModelParams, n):
     with G = Gamma(alpha + 1). Raises DomainTooSmall while the inner
     (absolute) logarithm is still <= 1, i.e. before loglog turns positive.
     """
-    c = _constants(params)
+    c = derive_constants(params)
     if c.alpha < 0.0:
         raise OutOfDomain("LIL envelope requires alpha >= 0")
     if c.phi <= 0.0:

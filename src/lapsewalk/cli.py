@@ -25,19 +25,38 @@ from .report import base_report, csv_lines, emit_json, fmt_float
 from .stats import normal_cdf
 from .svg import line_plot
 
-# key -> (default, type); config-file values are parsed with the type
-OPTION_TABLE = {
-    "p": (0.6, float), "q": (0.2, float), "r": (0.2, float),
-    "theta": (0.5, float),
-    "steps": (10000, int), "trajectories": (1000, int), "seed": (0, int),
-    "workers": (1, int), "horizon_factor": (16, int),
-    "dp_cap": (DP_CAP_DEFAULT, int), "n_max": (1 << 20, int),
-    "format": (None, str), "snapshots": (None, str), "gate": (None, float),
-    "alphas": ("0.1,0.25,0.5,0.75", str),
-}
-# subcommand -> its --format choices; experiment takes none and ignores the key
+# subcommand -> its --format choices, the first the default; experiment takes
+# none and ignores the key
 FORMATS = {"predict": ("text", "json"), "simulate": ("csv", "json"),
            "exact": ("csv", "json")}
+_ALL = ("predict", "simulate", "exact", "experiment")
+_MC = ("simulate", "experiment")
+_STEPS = ("simulate", "exact", "experiment")
+# key -> (flags, type, default, subcommands with the flag, help). Every key is
+# also a config-file key for every subcommand, parsed with its type; a format
+# of None is the subcommand's first FORMATS choice
+OPTIONS = {
+    "p": (("-p",), float, 0.6, _ALL, "probability of a +1-type step"),
+    "q": (("-q",), float, 0.2, _ALL, "probability of a -1-type step"),
+    "r": (("-r",), float, 0.2, _ALL, "probability of a delay (0 step)"),
+    "theta": (("--theta",), float, 0.5, _ALL, "memory probability in [0, 1)"),
+    "steps": (("-n", "--steps"), int, 10000, _STEPS, None),
+    "trajectories": (("-t", "--trajectories"), int, 1000, _MC, None),
+    "seed": (("--seed",), int, 0, _MC, "master seed"),
+    "snapshots": (("--snapshots",), str, None, _MC,
+                  "comma-separated times, or 'dyadic' (default)"),
+    "workers": (("--workers",), int, 1, _MC, None),
+    "dp_cap": (("--dp-cap",), int, DP_CAP_DEFAULT, ("exact",), None),
+    "format": (("--format",), str, None, tuple(FORMATS), None),
+    "gate": (("--gate",), float, None, ("experiment",),
+             "KS gate override for clt/critical/superdiffusive"),
+    "horizon_factor": (("--horizon-factor",), int, 16, ("experiment",),
+                       "far-horizon multiple for the W proxy (>= 16)"),
+    "alphas": (("--alphas",), str, "0.1,0.25,0.5,0.75", ("experiment",),
+               "comma list of alpha values for regime-scan"),
+    "n_max": (("--n-max",), int, 1 << 20, ("experiment",),
+              "horizon for regime-scan / lil-diagnostic"),
+}
 
 
 def _parse_config_file(path):
@@ -52,7 +71,7 @@ def _parse_config_file(path):
                 raise LapsewalkError(f"{path}:{lineno}: expected key = value")
             key, value = (part.strip() for part in line.split("=", 1))
             key = key.replace("-", "_")
-            if key not in OPTION_TABLE:
+            if key not in OPTIONS:
                 raise InvalidState(f"{path}:{lineno}: unknown key {key!r}")
             out[key] = (value, f"{path}:{lineno}")
     return out
@@ -60,9 +79,9 @@ def _parse_config_file(path):
 
 def _resolve(args):
     """flags > config file > defaults"""
-    config = _parse_config_file(args.config) if getattr(args, "config", None) else {}
+    config = _parse_config_file(args.config) if args.config else {}
     resolved = {}
-    for key, (default, typ) in OPTION_TABLE.items():
+    for key, (_, typ, default, _, _) in OPTIONS.items():
         flag = getattr(args, key, None)
         if flag is not None:
             resolved[key] = flag
@@ -79,6 +98,8 @@ def _resolve(args):
                                    f"{', '.join(allowed)} for {args.command}")
         else:
             resolved[key] = default
+    if resolved["format"] is None and args.command in FORMATS:
+        resolved["format"] = FORMATS[args.command][0]
     return resolved
 
 
@@ -124,16 +145,6 @@ def _dict_rows_csv(rows):
     return _emit_csv_text(header, [[row[h] for h in header] for row in rows])
 
 
-def _add_param_flags(sp):
-    sp.add_argument("-p", type=float, default=None, help="probability of a +1-type step")
-    sp.add_argument("-q", type=float, default=None, help="probability of a -1-type step")
-    sp.add_argument("-r", type=float, default=None, help="probability of a delay (0 step)")
-    sp.add_argument("--theta", type=float, default=None,
-                    help="memory probability in [0, 1)")
-    sp.add_argument("--config", default=None, help="key = value config file")
-    sp.add_argument("--output", "-o", default=None, help="output path (default stdout)")
-
-
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="lapsewalk",
@@ -141,48 +152,26 @@ def build_parser():
                     "predictions, simulation, exact oracles, experiments.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("predict", help="derived constants, regime, limit predictions")
-    _add_param_flags(sp)
-    sp.add_argument("--format", choices=FORMATS["predict"], default=None)
-
-    sp = sub.add_parser("simulate", help="seeded ensemble summary at snapshot times")
-    _add_param_flags(sp)
-    sp.add_argument("-n", "--steps", type=int, default=None)
-    sp.add_argument("-t", "--trajectories", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=None, help="master seed")
-    sp.add_argument("--snapshots", default=None,
-                    help="comma-separated times, or 'dyadic' (default)")
-    sp.add_argument("--workers", type=int, default=None)
-    sp.add_argument("--format", choices=FORMATS["simulate"], default=None)
-
-    sp = sub.add_parser("exact", help="exact moments (and optionally the full law)")
-    _add_param_flags(sp)
-    sp.add_argument("-n", "--steps", type=int, default=None)
-    sp.add_argument("--distribution", action="store_true",
-                    help="emit the full (s, z) mass table at n (DP, capped)")
-    sp.add_argument("--dp-cap", dest="dp_cap", type=int, default=None)
-    sp.add_argument("--format", choices=FORMATS["exact"], default=None)
-
-    sp = sub.add_parser("experiment", help="limit-theorem checks with PASS/FAIL gates")
-    sp.add_argument("kind", choices=EXPERIMENTS)
-    _add_param_flags(sp)
-    sp.add_argument("-n", "--steps", type=int, default=None)
-    sp.add_argument("-t", "--trajectories", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--workers", type=int, default=None)
-    sp.add_argument("--snapshots", default=None)
-    sp.add_argument("--gate", type=float, default=None,
-                    help="KS gate override for clt/critical/superdiffusive")
-    sp.add_argument("--horizon-factor", dest="horizon_factor", type=int,
-                    default=None, help="far-horizon multiple for the W proxy (>= 16)")
-    sp.add_argument("--alphas", default=None,
-                    help="comma list of alpha values for regime-scan")
-    sp.add_argument("--n-max", dest="n_max", type=int, default=None,
-                    help="horizon for regime-scan / lil-diagnostic")
-    sp.add_argument("--csv", default=None,
-                    help="also write the per-row CSV table (lln, regime-scan)")
-    sp.add_argument("--plot", default=None, help="also write an SVG plot")
+    for name, about in (
+            ("predict", "derived constants, regime, limit predictions"),
+            ("simulate", "seeded ensemble summary at snapshot times"),
+            ("exact", "exact moments (and optionally the full law)"),
+            ("experiment", "limit-theorem checks with PASS/FAIL gates")):
+        sp = sub.add_parser(name, help=about)
+        if name == "experiment":
+            sp.add_argument("kind", choices=EXPERIMENTS)
+            sp.add_argument("--csv", help="also write the per-row CSV table "
+                                          "(lln, regime-scan)")
+            sp.add_argument("--plot", help="also write an SVG plot")
+        if name == "exact":
+            sp.add_argument("--distribution", action="store_true",
+                            help="emit the full (s, z) mass table at n (DP, capped)")
+        for key, (flags, typ, _, commands, help_) in OPTIONS.items():
+            if name in commands:
+                sp.add_argument(*flags, dest=key, type=typ, help=help_,
+                                choices=FORMATS[name] if key == "format" else None)
+        sp.add_argument("--config", help="key = value config file")
+        sp.add_argument("--output", "-o", help="output path (default stdout)")
     return ap
 
 
@@ -355,7 +344,7 @@ EXPERIMENTS = {
                 *_mc_args(o), gate=o["gate"], dp_cap=o["dp_cap"]),
             _plot_ecdf, None),
     "critical": (lambda o: experiments.critical_experiment(
-                     *_mc_args(o), gate=o["gate"], dp_cap=o["dp_cap"]),
+                     *_mc_args(o), gate=o["gate"]),
                  _plot_ecdf, None),
     "superdiffusive": (lambda o: experiments.superdiffusive_experiment(
                            *_mc_args(o), horizon_factor=o["horizon_factor"],
@@ -392,9 +381,7 @@ def cmd_experiment(args, resolved, output):
     if why:
         raise InvalidState(f"--plot: experiment {args.kind} has nothing to draw: "
                            f"{why}")
-    rep = run(resolved)
-    rep = base_report("experiment", **{k: v for k, v in rep.items() if k != "kind"},
-                      kind=args.kind)
+    rep = base_report("experiment", **run(resolved))
     _write_text(output, emit_json(rep))
 
     if args.csv and rep["results"][csv_key]:
@@ -409,22 +396,17 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         resolved = _resolve(args)
-        output = args.output
+        output, fmt = args.output, resolved["format"]
         if args.command == "predict":
-            return cmd_predict(resolved, output, resolved["format"] or "text")
+            return cmd_predict(resolved, output, fmt)
         if args.command == "simulate":
-            return cmd_simulate(resolved, output, resolved["format"] or "csv")
+            return cmd_simulate(resolved, output, fmt)
         if args.command == "exact":
-            return cmd_exact(resolved, output, resolved["format"] or "csv",
-                             args.distribution)
+            return cmd_exact(resolved, output, fmt, args.distribution)
         return cmd_experiment(args, resolved, output)
-    except LapsewalkError as exc:
+    except (LapsewalkError, ValueError, OSError) as exc:
         print(f"lapsewalk: error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
-        print(f"lapsewalk: error: {exc}", file=sys.stderr)
-        return 2
-
 
 if __name__ == "__main__":
     sys.exit(main())

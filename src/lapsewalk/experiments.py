@@ -101,48 +101,37 @@ def lln_experiment(params, n_steps, n_traj, master_seed, workers=1,
     pred = regime_prediction(params)
     ens = run_ensemble(params, n_steps, n_traj, snapshots=snapshots,
                        master_seed=master_seed, workers=workers)
-    acc_s, acc_z = ens.acc_s[-1], ens.acc_z[-1]
     n = ens.snapshots[-1]
-    exact_s = float(expected_s(params, n)) / n
-    exact_z = float(expected_z(params, n)) / n
-    se_s = acc_s.stderr / n
-    se_z = acc_z.stderr / n
-    dev_s = abs(acc_s.mean / n - pred.lln_limit)
-    dev_z = abs(acc_z.mean / n - pred.z_lln_limit)
-    gap_s = abs(exact_s - pred.lln_limit)
-    gap_z = abs(exact_z - pred.z_lln_limit)
-    report = _report("lln", params, {
-        "predicted": pred.lln_limit,
-        "z_predicted": pred.z_lln_limit,
-        "mean_s_over_n": acc_s.mean / n,
-        "mean_z_over_n": acc_z.mean / n,
-        "stderr_s_over_n": se_s,
-        "stderr_z_over_n": se_z,
-        "exact_mean_s_over_n": exact_s,
-        "exact_mean_z_over_n": exact_z,
-        "centering_gap_s": gap_s,
-        "centering_gap_z": gap_z,
-        "snapshots": _snapshot_stats(ens),
-    }, n_steps=n_steps, n_traj=n_traj, master_seed=master_seed, workers=workers)
-    gates = [
-        _gate("lln_s_sampler", abs(acc_s.mean / n - exact_s),
-              f"<= {SIGMA_GATE} stderr = {SIGMA_GATE * se_s!r}",
-              abs(acc_s.mean / n - exact_s) <= SIGMA_GATE * se_s),
-        _gate("lln_s_limit", dev_s,
-              f"<= {SIGMA_GATE} stderr + centering gap = {SIGMA_GATE * se_s + gap_s!r}",
-              dev_s <= SIGMA_GATE * se_s + gap_s),
-        _gate("lln_z_sampler", abs(acc_z.mean / n - exact_z),
-              f"<= {SIGMA_GATE} stderr = {SIGMA_GATE * se_z!r}",
-              abs(acc_z.mean / n - exact_z) <= SIGMA_GATE * se_z),
-        _gate("lln_z_limit", dev_z,
-              f"<= {SIGMA_GATE} stderr + centering gap = {SIGMA_GATE * se_z + gap_z!r}",
-              dev_z <= SIGMA_GATE * se_z + gap_z),
-    ]
+    results = {"predicted": pred.lln_limit, "z_predicted": pred.z_lln_limit,
+               "snapshots": _snapshot_stats(ens)}
+    gates = []
+    for x, acc, expected, limit in (
+            ("s", ens.acc_s[-1], expected_s, pred.lln_limit),
+            ("z", ens.acc_z[-1], expected_z, pred.z_lln_limit)):
+        exact = float(expected(params, n)) / n
+        mean, se = acc.mean / n, acc.stderr / n
+        gap = abs(exact - limit)
+        results.update({
+            f"mean_{x}_over_n": mean,
+            f"stderr_{x}_over_n": se,
+            f"exact_mean_{x}_over_n": exact,
+            f"centering_gap_{x}": gap,
+        })
+        gates += [
+            _gate(f"lln_{x}_sampler", abs(mean - exact),
+                  f"<= {SIGMA_GATE} stderr = {SIGMA_GATE * se!r}",
+                  abs(mean - exact) <= SIGMA_GATE * se),
+            _gate(f"lln_{x}_limit", abs(mean - limit),
+                  f"<= {SIGMA_GATE} stderr + centering gap = {SIGMA_GATE * se + gap!r}",
+                  abs(mean - limit) <= SIGMA_GATE * se + gap),
+        ]
+    report = _report("lln", params, results, n_steps=n_steps, n_traj=n_traj,
+                     master_seed=master_seed, workers=workers)
     return _finish(report, gates)
 
 
-def _clt_core(params, n_steps, n_traj, master_seed, workers, gate,
-              exact_gate, dp_cap, kind):
+def _clt_core(params, n_steps, n_traj, master_seed, workers, gate, kind,
+              exact_gate=None, dp_cap=None):
     """Shared CLT machinery: exact-CDF KS (when feasible) + Monte Carlo KS.
 
     The Monte Carlo sample is standardized by the exact mean and variance
@@ -195,12 +184,12 @@ def clt_experiment(params, n_steps, n_traj, master_seed, workers=1,
     if c.regime is not Regime.DIFFUSIVE:
         raise WrongRegime(f"clt experiment needs alpha < 1/2, regime is {c.regime.value}")
     report, gates = _clt_core(params, n_steps, n_traj, master_seed, workers,
-                              gate, EXACT_KS_GATE, dp_cap, "clt")
+                              gate, "clt", EXACT_KS_GATE, dp_cap)
     return _finish(report, gates)
 
 
 def critical_experiment(params, n_steps, n_traj, master_seed, workers=1,
-                        gate=None, dp_cap=DP_CAP_DEFAULT) -> dict:
+                        gate=None) -> dict:
     """Critical regime: Var(S_n)/(phi n log n) band plus the CLT check.
 
     At alpha = 1/2 the standardized law approaches normal only at rate
@@ -213,7 +202,7 @@ def critical_experiment(params, n_steps, n_traj, master_seed, workers=1,
     if gate is None and n_traj > 0:
         gate = 0.03 + 1.63 / math.sqrt(n_traj)
     report, gates = _clt_core(params, n_steps, n_traj, master_seed, workers,
-                              gate, None, dp_cap, "critical")
+                              gate, "critical")
     ratio = report["results"]["var_ratio"]
     lo, hi = CRITICAL_VAR_BAND
     gates.insert(0, _gate("variance_law", ratio, f"in [{lo}, {hi}]",
@@ -330,11 +319,13 @@ def regime_scan_experiment(p, q, r, alphas, n_max=2 ** 20) -> dict:
     if p == q:
         raise InvalidState("regime-scan solves theta = alpha / (p - q), but at "
                            "p = q alpha is 0 for every theta")
+    if not alphas:
+        raise InvalidState("--alphas: no alpha values to scan")
     ns = np.array([2 ** k for k in range(10, 25) if 2 ** k <= n_max],
                   dtype=np.int64)
-    if ns.size == 0:
-        raise InvalidState(f"--n-max = {n_max} is below 1024, the smallest n "
-                           "the regime scan fits")
+    if ns.size < 3:
+        raise InvalidState(f"--n-max = {n_max} leaves {ns.size} dyadic n from "
+                           "1024 up; the log-log fit needs 3, so n_max >= 4096")
     rows = []
     gates = []
     for alpha in alphas:

@@ -205,7 +205,12 @@ def simulate_trajectory(params, n_steps, stream: RngStream, snapshots):
     """Walk one seeded trajectory; return (n, s, z) at each snapshot time.
 
     Draws exactly one uniform per step, so trajectories are a pure function
-    of (params, n_steps, master_seed, stream_index).
+    of (params, n_steps, master_seed, stream_index). This is the independent
+    oracle of the lockstep sampler in ensemble.py, which draws the same
+    uniforms but rounds its thresholds differently: here theta * X / n and
+    p_plus + p_minus, there X * (theta / m) and (Y * th_m + a) + const_minus.
+    The two walks can part only where a uniform lies within one ulp of a
+    threshold.
     """
     if n_steps < 1:
         raise InvalidState("n_steps must be >= 1")

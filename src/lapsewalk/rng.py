@@ -11,8 +11,6 @@
 # advances one lane per trajectory so ensembles stay reproducible no matter
 # how trajectories are scheduled onto workers.
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 MASK64 = (1 << 64) - 1
@@ -51,15 +49,15 @@ def _rotl(x, k):
     return ((x << k) | (x >> (64 - k))) & MASK64
 
 
-class Xoshiro256StarStar:
-    """Scalar xoshiro256**; state is four 64-bit words, period 2^256 - 1."""
+class RngStream:
+    """One reproducible uniform stream, addressed by (master_seed, stream_index).
 
-    def __init__(self, state_words):
-        self.s = list(state_words)
+    The scalar xoshiro256** generator: four 64-bit state words, period
+    2^256 - 1.
+    """
 
-    @classmethod
-    def from_seed(cls, seed):
-        return cls(_state_words(seed))
+    def __init__(self, master_seed, stream_index):
+        self.s = _state_words(stream_seed(master_seed, stream_index))
 
     def next_uint64(self):
         s = self.s
@@ -73,27 +71,9 @@ class Xoshiro256StarStar:
         s[3] = _rotl(s[3], 45)
         return result
 
-    def next_uniform(self):
-        return (self.next_uint64() >> 11) * _U53
-
-
-@dataclass
-class RngStream:
-    """One reproducible uniform stream, addressed by (master_seed, stream_index)."""
-
-    master_seed: int
-    stream_index: int
-    state: Xoshiro256StarStar = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.state is None:
-            self.state = Xoshiro256StarStar.from_seed(
-                stream_seed(self.master_seed, self.stream_index)
-            )
-
     def uniform(self):
         """Next deviate in [0, 1), from the top 53 bits."""
-        return self.state.next_uniform()
+        return (self.next_uint64() >> 11) * _U53
 
 
 class Xoshiro256Batch:

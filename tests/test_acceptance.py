@@ -111,8 +111,8 @@ def test_criterion_02_closed_forms():
     n_max = 10 ** 4
     for params in GRID:
         c = lw.derive_constants(params)
-        a = lw.a_sequence(c.alpha, n_max).values
-        b = lw.b_sequence(c.gamma, n_max).values
+        a = lw.a_sequence(c.alpha, n_max)
+        b = lw.b_sequence(c.gamma, n_max)
         ns = np.arange(1, n_max + 1, dtype=np.float64)
         closed_s = c.beta * a[1:] + c.omega * (ns - a[1:]) / (1.0 - c.alpha)
         closed_z = c.psi * b[1:] + c.tau * (ns - b[1:]) / (1.0 - c.gamma)
@@ -238,7 +238,7 @@ def test_criterion_09a_vn_diffusive_constant():
     n = 10 ** 6
     t = lw.v_sequence(0.3, n)
     lim = math.gamma(1.3) ** 2 / 0.4
-    dev = abs(t.value(n) / n ** 0.4 / lim - 1.0)
+    dev = abs(t[n] / n ** 0.4 / lim - 1.0)
     ok = dev <= 0.01
     report("9a", "v_n diffusive constant", ok, f"(dev {dev:.4%})")
     assert ok
@@ -254,9 +254,9 @@ def test_criterion_09b_vn_critical_window():
     offset = 1.0173171548947639
     m, n = 10 ** 3, 10 ** 6
     t = lw.v_sequence(0.5, n)
-    slope = (t.value(n) - t.value(m)) / math.log(n / m)
+    slope = (t[n] - t[m]) / math.log(n / m)
     slope_dev = abs(slope / (math.pi / 4.0) - 1.0)
-    offset_err = abs(t.value(n) / (math.pi / 4.0) - math.log(n) - offset)
+    offset_err = abs(t[n] / (math.pi / 4.0) - math.log(n) - offset)
     ok = slope_dev <= 0.02 and offset_err <= 1e-5
     report("9b", "v_n critical window", ok,
            f"(slope {slope:.6f}, pi/4 = {math.pi / 4:.6f}, dev {slope_dev:.2e};"

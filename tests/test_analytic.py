@@ -26,14 +26,14 @@ def a_exact(alpha, n):
 
 def test_a_sequence_alpha_zero_is_ones():
     t = lw.a_sequence(0.0, 50)
-    assert np.array_equal(t.values[1:], np.ones(50))
+    assert np.array_equal(t[1:], np.ones(50))
 
 
 def test_a_sequence_hand_values():
     t = lw.a_sequence(0.5, 4)
-    assert t.value(1) == 1.0
-    assert math.isclose(t.value(2), 1.5)
-    assert math.isclose(t.value(3), 1.875)
+    assert t[1] == 1.0
+    assert math.isclose(t[2], 1.5)
+    assert math.isclose(t[3], 1.875)
 
 
 def test_a_sequence_domain():
@@ -49,7 +49,7 @@ def test_a_recurrence_matches_loggamma(alpha):
     t = lw.a_sequence(alpha, n_max)
     for n in (2, 3, 17, 1000, 31415, 10 ** 5, n_max):
         ref = a_exact(alpha, n)
-        assert abs(t.value(n) - ref) <= 1e-10 * ref
+        assert abs(t[n] - ref) <= 1e-10 * ref
 
 
 def test_a_sequence_stirling_ratio():
@@ -65,26 +65,25 @@ def test_growth_values_matches_table_and_handles_order():
     ns = np.array([388, 2, 500, 2, 77])
     vals = lw.growth_values(0.37, ns)
     for n, v in zip(ns, vals):
-        assert math.isclose(v, t.value(int(n)), rel_tol=1e-14)
+        assert math.isclose(v, t[int(n)], rel_tol=1e-14)
 
 
 def test_b_sequence_uses_gamma_rate():
     tb = lw.b_sequence(0.4, 10)
     ta = lw.a_sequence(0.4, 10)
-    assert np.allclose(tb.values[1:], ta.values[1:])
-    assert tb.kind == "b"
+    assert np.allclose(tb[1:], ta[1:])
 
 
 def test_v_sequence_alpha_zero_counts():
     t = lw.v_sequence(0.0, 30)
-    assert np.allclose(t.values[1:], np.arange(1, 31))
+    assert np.allclose(t[1:], np.arange(1, 31))
 
 
 def test_v_sequence_increasing_and_bounded_superdiffusive():
     t = lw.v_sequence(0.75, 20000)
-    assert np.all(np.diff(t.values[1:]) > 0)
+    assert np.all(np.diff(t[1:]) > 0)
     limit = lw.v_limit_superdiffusive(0.75)
-    assert t.value(20000) < limit
+    assert t[20000] < limit
 
 
 def test_v_sequence_diffusive_growth_constant():
@@ -92,7 +91,7 @@ def test_v_sequence_diffusive_growth_constant():
     n = 10 ** 6
     t = lw.v_sequence(0.3, n)
     lim = math.gamma(1.3) ** 2 / 0.4
-    assert abs(t.value(n) / n ** 0.4 / lim - 1.0) <= 0.01
+    assert abs(t[n] / n ** 0.4 / lim - 1.0) <= 0.01
 
 
 def test_v_limit_alpha_one_is_basel_sum():
@@ -108,7 +107,7 @@ def test_v_limit_positive_and_above_one():
 def test_v_limit_matches_partial_sums():
     v_inf = lw.v_limit_superdiffusive(0.75)
     t = lw.v_sequence(0.75, 10 ** 6)
-    assert abs(t.value(10 ** 6) - v_inf) / v_inf <= 1e-3
+    assert abs(t[10 ** 6] - v_inf) / v_inf <= 1e-3
 
 
 def test_v_limit_domain():
@@ -163,8 +162,8 @@ def test_sum_inv_a_closed_matches_direct_sum():
         alpha = float(rng.uniform(0.0, 0.95))
         n = int(rng.integers(2, 10 ** 4))
         t = lw.a_sequence(alpha, n)
-        direct = float(np.sum(1.0 / t.values[2:n + 1]))
-        closed = lw.sum_inv_a_closed(alpha, n, t.value(n))
+        direct = float(np.sum(1.0 / t[2:n + 1]))
+        closed = lw.sum_inv_a_closed(alpha, n, t[n])
         assert abs(closed - direct) <= 1e-9 * max(1.0, abs(direct))
 
 

@@ -259,6 +259,34 @@ def test_regime_scan_at_p_equal_q_exit_2(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def _refuse_moments(*args, **kwargs):
+    raise AssertionError("moments computed before the input was refused")
+
+
+@pytest.mark.parametrize("n_max, points", [("1024", 1), ("2048", 2), ("4095", 2)])
+def test_regime_scan_below_three_fit_points_exit_2(tmp_path, capsys,
+                                                    monkeypatch, n_max, points):
+    monkeypatch.setattr(experiments, "exact_moments", _refuse_moments)
+    out = tmp_path / "scan.json"
+    code, _, err = run_cli(capsys, "experiment", "regime-scan",
+                           "--n-max", n_max, "-o", str(out))
+    assert code == 2
+    assert err == (f"lapsewalk: error: --n-max = {n_max} leaves {points} dyadic "
+                   "n from 1024 up; the log-log fit needs 3, so n_max >= 4096\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("plot", [False, True])
+def test_regime_scan_empty_alphas_exit_2(tmp_path, capsys, monkeypatch, plot):
+    monkeypatch.setattr(experiments, "exact_moments", _refuse_moments)
+    out, svg = tmp_path / "scan.json", tmp_path / "scan.svg"
+    argv = ["experiment", "regime-scan", "--alphas", ",", "-o", str(out)]
+    code, _, err = run_cli(capsys, *argv, *(["--plot", str(svg)] if plot else []))
+    assert code == 2
+    assert err == "lapsewalk: error: --alphas: no alpha values to scan\n"
+    assert not out.exists() and not svg.exists()
+
+
 def test_malformed_alphas_exit_2(capsys):
     code, _, err = run_cli(capsys, "experiment", "regime-scan",
                            "--alphas", "0.1,abc", "--n-max", "1024")

@@ -226,7 +226,7 @@ def test_martingale_variance_clock_ratio():
     n = 10 ** 5
     tab = lw.exact_moments(PARAMS, n)
     a_n = lw.growth_values(c.alpha, n)
-    v_n = lw.v_sequence(c.alpha, n).value(n)
+    v_n = lw.v_sequence(c.alpha, n)[n]
     ratio = tab.var_s[n] / a_n ** 2 / v_n / c.phi
     assert abs(ratio - 1.0) <= 0.05
 

@@ -69,7 +69,7 @@ def test_batch_uint64_matches_scalar_and_is_fresh():
     batch = lw.Xoshiro256Batch(42, idx)
     words = [batch.next_uint64() for _ in range(16)]
     for lane, stream_index in enumerate(idx.tolist()):
-        st = lw.RngStream(42, int(stream_index)).state
+        st = lw.RngStream(42, int(stream_index))
         assert [int(w[lane]) for w in words] == [st.next_uint64() for _ in range(16)]
 
 
