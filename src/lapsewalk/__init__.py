@@ -60,13 +60,8 @@ from .model import (
     DerivedConstants,
     ModelParams,
     Regime,
-    StepDistribution,
-    WalkState,
-    advance,
     classify_regime,
     derive_constants,
-    first_step_distribution,
-    sample_step,
     simulate_trajectory,
     step_distribution,
 )

@@ -301,10 +301,6 @@ class RegimePrediction:
         out = self.phi * n / (2.0 * self.alpha - 1.0)
         return out if out.ndim else float(out)
 
-    def tail_sum_r2(self, n, a_n):
-        """Asymptotic tail sum r_n^2 ~ phi n / ((2 alpha - 1) a_n^2)."""
-        return self.residual_scale(n) / np.asarray(a_n, dtype=np.float64) ** 2
-
 
 def regime_prediction(params: ModelParams) -> RegimePrediction:
     c = derive_constants(params)

@@ -312,15 +312,13 @@ class WEstimate:
 
 
 def estimate_w(params: ModelParams, n_steps: int, n_traj: int,
-               master_seed: int = 0, workers: int = 1,
-               chunk_size: int = CHUNK_SIZE_DEFAULT) -> WEstimate:
+               master_seed: int = 0, workers: int = 1) -> WEstimate:
     """Estimate W by M_{n_steps} per trajectory (superdiffusive only)."""
     c = derive_constants(params)
     if c.regime is not Regime.SUPERDIFFUSIVE:
         raise WrongRegime(f"W exists only for alpha > 1/2; regime is {c.regime.value}")
     ens = run_ensemble(params, n_steps, n_traj, snapshots=[n_steps],
-                       master_seed=master_seed, keep_raw=True,
-                       workers=workers, chunk_size=chunk_size)
+                       master_seed=master_seed, keep_raw=True, workers=workers)
     w = (ens.sample_s[0] - expected_s(params, n_steps)) / growth_values(c.alpha, n_steps)
     return WEstimate.from_sample(w)
 
@@ -341,8 +339,7 @@ def bootstrap_variance_ci(sample, n_boot: int = 1000, level: float = 0.99,
 def residual_clt_sample(params: ModelParams, n_steps: int, n_traj: int,
                         master_seed: int = 0,
                         horizon_factor: int = HORIZON_FACTOR_MIN,
-                        workers: int = 1,
-                        chunk_size: int = CHUNK_SIZE_DEFAULT):
+                        workers: int = 1):
     """(w, residuals) from one walk to the far horizon n_far.
 
     w is M_n = (S_n - E S_n)/a_n per trajectory at n = n_steps, the sample
@@ -362,8 +359,7 @@ def residual_clt_sample(params: ModelParams, n_steps: int, n_traj: int,
         raise InvalidState(f"horizon_factor must be >= {HORIZON_FACTOR_MIN}")
     n_far = horizon_factor * n_steps
     ens = run_ensemble(params, n_far, n_traj, snapshots=[n_steps, n_far],
-                       master_seed=master_seed, keep_raw=True,
-                       workers=workers, chunk_size=chunk_size)
+                       master_seed=master_seed, keep_raw=True, workers=workers)
     s_near, s_far = ens.sample_s
     ns = np.array([n_steps, n_far], dtype=np.int64)
     means = expected_s(params, ns)

@@ -25,9 +25,9 @@ n^2 cancellation of the raw recursion; the cross recursion uses X^3 = X).
 All four are validated against the DP in the test suite before anything
 else relies on them. They run together in carried blocks of transitions
 through one `(4, block + 1)` buffer. `exact_moments(params, n_max)` copies
-every block into a `MomentTable` of five float64 arrays of n_max + 1 (the
-four above and `mean_s2`); tests, demos and the benchmark's oracle check
-read that. `exact_moments(params, n_max, ns=...)` keeps only the rows at
+every block into a `MomentTable` of four float64 arrays of n_max + 1;
+tests, demos and the benchmark's oracle check read that.
+`exact_moments(params, n_max, ns=...)` keeps only the rows at
 `ns`, in O(block) memory, with the same bits; every package caller (the
 `exact` command, the CLT, superdiffusive and regime-scan experiments) reads
 its rows that way. Both refuse n_max above `MOMENT_CAP`.
@@ -51,7 +51,6 @@ class ExactMoments:
     n: int
     mean_s: float
     mean_z: float
-    mean_s2: float
     var_s: float
     mean_sz: float
 
@@ -65,14 +64,12 @@ class MomentTable:
         self.mean_z = mean_z
         self.var_s = var_s
         self.mean_sz = mean_sz
-        self.mean_s2 = var_s + mean_s ** 2
 
     def row(self, n: int) -> ExactMoments:
         return ExactMoments(
             n=n,
             mean_s=float(self.mean_s[n]),
             mean_z=float(self.mean_z[n]),
-            mean_s2=float(self.mean_s2[n]),
             var_s=float(self.var_s[n]),
             mean_sz=float(self.mean_sz[n]),
         )
@@ -173,11 +170,7 @@ def _moment_rows(params, n_max, ns):
         done = upto
         if done == want.size:  # no later block holds a wanted row
             break
-    mean_s, mean_z, var_s, mean_sz = rows
-    mean_s2 = var_s + mean_s ** 2  # as MomentTable forms it
-    return [ExactMoments(*vals) for vals in zip(
-        want.tolist(), mean_s.tolist(), mean_z.tolist(), mean_s2.tolist(),
-        var_s.tolist(), mean_sz.tolist())]
+    return [ExactMoments(*vals) for vals in zip(want.tolist(), *rows.tolist())]
 
 
 @dataclass(frozen=True)
@@ -267,7 +260,7 @@ def dp_moment_scan(params: ModelParams, n_max: int,
         mz = float((tri * zs).sum())
         ms2 = float((tri * s * s).sum())
         msz = float((tri * s * zs).sum())
-        out.append(ExactMoments(m, ms, mz, ms2, ms2 - ms * ms, msz))
+        out.append(ExactMoments(m, ms, mz, ms2 - ms * ms, msz))
     return out
 
 

@@ -1,4 +1,4 @@
-"""Core model: parameters, derived constants, walk state and transition kernel.
+"""Core model: parameters, derived constants and the transition kernel.
 
 The process is a one-dimensional walk with steps in {+1, -1, 0}. The first
 step is +1/-1/0 with probabilities (p, q, r). Afterwards, with probability
@@ -21,9 +21,6 @@ from .rng import RngStream
 
 SIMPLEX_TOL = 1e-12
 CRITICAL_TOL = 1e-12
-# |sum - 1| above this is renormalized; above RENORM_MAX it is a kernel bug
-RENORM_MIN = 1e-12
-RENORM_MAX = 1e-9
 
 
 class Regime(str, Enum):
@@ -110,102 +107,37 @@ def derive_constants(params: ModelParams) -> DerivedConstants:
     )
 
 
-@dataclass(frozen=True)
-class StepDistribution:
-    """One-step probabilities over (+1, -1, 0)."""
+def step_distribution(params: ModelParams, n_plus: int, n_minus: int,
+                      n_zero: int):
+    """Exact conditional step law (p_plus, p_minus, p_zero) given the step
+    counts after n = n_plus + n_minus + n_zero >= 1 steps.
 
-    p_plus: float
-    p_minus: float
-    p_zero: float
-
-    def __post_init__(self):
-        for name in ("p_plus", "p_minus", "p_zero"):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
-                raise InvalidState(f"{name} = {v!r} outside [0, 1]")
-        total = self.p_plus + self.p_minus + self.p_zero
-        drift = abs(total - 1.0)
-        if drift > RENORM_MAX:
-            raise InvalidState(
-                f"step probabilities sum to {total!r}; drift {drift:.3e} "
-                "exceeds the renormalization window (kernel bug?)"
-            )
-        if drift > RENORM_MIN:
-            object.__setattr__(self, "p_plus", self.p_plus / total)
-            object.__setattr__(self, "p_minus", self.p_minus / total)
-            object.__setattr__(self, "p_zero", self.p_zero / total)
-
-
-@dataclass(frozen=True)
-class WalkState:
-    """Step counts after n steps; position and activity are derived."""
-
-    n: int
-    n_plus: int
-    n_minus: int
-    n_zero: int
-
-    def __post_init__(self):
-        if min(self.n_plus, self.n_minus, self.n_zero) < 0:
-            raise InvalidState("negative step count")
-        if self.n_plus + self.n_minus + self.n_zero != self.n:
-            raise InvalidState("counts do not sum to n")
-
-    @classmethod
-    def initial(cls) -> "WalkState":
-        return cls(0, 0, 0, 0)
-
-    @property
-    def s(self) -> int:
-        """Position S_n = n_plus - n_minus."""
-        return self.n_plus - self.n_minus
-
-    @property
-    def z(self) -> int:
-        """Activity Z_n = n_plus + n_minus (number of nonzero steps)."""
-        return self.n_plus + self.n_minus
-
-
-def first_step_distribution(params: ModelParams) -> StepDistribution:
-    return StepDistribution(params.p, params.q, params.r)
-
-
-def step_distribution(params: ModelParams, state: WalkState) -> StepDistribution:
-    """Exact conditional step law given the counts after n >= 1 steps."""
-    n = state.n
+    ModelParams lets p + q + r miss 1 by SIMPLEX_TOL and a correct kernel
+    adds only a few ulps of rounding, so a sum further than 2 * SIMPLEX_TOL
+    from 1 is a kernel bug and raises InvalidState; nothing is rescaled.
+    """
+    if min(n_plus, n_minus, n_zero) < 0:
+        raise InvalidState(f"negative step count in {(n_plus, n_minus, n_zero)}")
+    n = n_plus + n_minus + n_zero
     if n < 1:
-        raise InvalidState("first step has no history; use first_step_distribution")
+        raise InvalidState("the first step has no history; it is drawn from (p, q, r)")
     p, q, r, theta = params.p, params.q, params.r, params.theta
-    p_plus = theta * (state.n_plus * p + state.n_minus * q) / n + (1.0 - theta) * p
-    p_minus = theta * (state.n_minus * p + state.n_plus * q) / n + (1.0 - theta) * q
-    p_zero = theta * state.n_zero * (p + q) / n + r
-    return StepDistribution(p_plus, p_minus, p_zero)
-
-
-def sample_step(dist: StepDistribution, u: float) -> int:
-    """Inverse-CDF draw with fixed category order (+1, -1, 0)."""
-    if u < dist.p_plus:
-        return 1
-    if u < dist.p_plus + dist.p_minus:
-        return -1
-    return 0
-
-
-def advance(state: WalkState, step: int) -> WalkState:
-    assert step in (1, -1, 0), step
-    return WalkState(
-        n=state.n + 1,
-        n_plus=state.n_plus + (step == 1),
-        n_minus=state.n_minus + (step == -1),
-        n_zero=state.n_zero + (step == 0),
-    )
+    p_plus = theta * (n_plus * p + n_minus * q) / n + (1.0 - theta) * p
+    p_minus = theta * (n_minus * p + n_plus * q) / n + (1.0 - theta) * q
+    p_zero = theta * n_zero * (p + q) / n + r
+    total = p_plus + p_minus + p_zero
+    if abs(total - 1.0) > 2.0 * SIMPLEX_TOL:
+        raise InvalidState(f"step probabilities sum to {total!r} (kernel bug?)")
+    return p_plus, p_minus, p_zero
 
 
 def simulate_trajectory(params, n_steps, stream: RngStream, snapshots):
     """Walk one seeded trajectory; return (n, s, z) at each snapshot time.
 
     Draws exactly one uniform per step, so trajectories are a pure function
-    of (params, n_steps, master_seed, stream_index). This is the independent
+    of (params, n_steps, master_seed, stream_index). The first step is drawn
+    from (p, q, r), every later one from `step_distribution`, each by inverse
+    CDF in the fixed category order (+1, -1, 0). This is the independent
     oracle of the lockstep sampler in ensemble.py, which draws the same
     uniforms but rounds its thresholds differently: here theta * X / n and
     p_plus + p_minus, there X * (theta / m) and (Y * th_m + a) + const_minus.
@@ -220,13 +152,17 @@ def simulate_trajectory(params, n_steps, stream: RngStream, snapshots):
     wanted = set(snaps)
 
     out = []
-    state = advance(WalkState.initial(),
-                    sample_step(first_step_distribution(params), stream.uniform()))
-    if 1 in wanted:
-        out.append((1, state.s, state.z))
-    for _ in range(n_steps - 1):
-        dist = step_distribution(params, state)
-        state = advance(state, sample_step(dist, stream.uniform()))
-        if state.n in wanted:
-            out.append((state.n, state.s, state.z))
+    n_plus = n_minus = n_zero = 0
+    p_plus, p_minus = params.p, params.q
+    for n in range(1, n_steps + 1):
+        u = stream.uniform()
+        if u < p_plus:
+            n_plus += 1
+        elif u < p_plus + p_minus:
+            n_minus += 1
+        else:
+            n_zero += 1
+        if n in wanted:
+            out.append((n, n_plus - n_minus, n_plus + n_minus))
+        p_plus, p_minus, _ = step_distribution(params, n_plus, n_minus, n_zero)
     return out

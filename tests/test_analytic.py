@@ -237,10 +237,7 @@ def test_regime_prediction_superdiffusive_threshold():
     pred = lw.regime_prediction(p)
     assert pred.regime is lw.Regime.SUPERDIFFUSIVE
     assert math.isclose(pred.alpha, 0.81)
-    scale = pred.residual_scale(100)
-    assert scale > 0
-    a_100 = lw.growth_values(pred.alpha, 100)
-    assert math.isclose(pred.tail_sum_r2(100, a_100), scale / a_100 ** 2)
+    assert pred.residual_scale(100) > 0
 
 
 def test_regime_prediction_rejects_negative_alpha():

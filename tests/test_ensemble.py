@@ -141,6 +141,39 @@ def test_merge_keeps_the_pebay_bits(sizes, seed, integral, order):
         assert acc_bits(merged) == ref_bits(ref)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(sizes=st.lists(st.integers(0, 200), min_size=2, max_size=8),
+       seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_merge_order_changes_only_roundoff(sizes, seed, data):
+    """Folding the same pieces in any order, or as a balanced tree, gives the
+    same count, min and max, and mean and m2 equal to 1e-12 relative (mean
+    relative to the data's magnitude, since it may be near 0)."""
+    rng = np.random.default_rng(seed)
+    pieces = [rng.normal(rng.normal(0.0, 1e3), 10.0 ** rng.uniform(-3, 3), k)
+              for k in sizes]
+    accs = [MomentAccumulator.from_values(piece) for piece in pieces]
+    order = data.draw(st.permutations(range(len(accs))))
+
+    def fold(items):
+        out = MomentAccumulator()
+        for acc in items:
+            out = out.merge(acc)
+        return out
+
+    def tree(items):
+        if len(items) == 1:
+            return items[0]
+        mid = len(items) // 2
+        return tree(items[:mid]).merge(tree(items[mid:]))
+
+    ref = fold(accs)
+    magnitude = max(abs(ref.min), abs(ref.max), 1e-300)
+    for got in (fold([accs[i] for i in order]), tree([accs[i] for i in order])):
+        assert (got.count, got.min, got.max) == (ref.count, ref.min, ref.max)
+        assert abs(got.mean - ref.mean) <= 1e-12 * magnitude
+        assert abs(got.m2 - ref.m2) <= 1e-12 * abs(ref.m2)
+
+
 def test_all_delay_ensemble_is_degenerate():
     ens = lw.run_ensemble(lw.ModelParams(0, 0, 1, 0.5), 100, 200,
                           snapshots=[50, 100], master_seed=0)

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -58,46 +59,36 @@ def test_regime_boundary():
     assert lw.classify_regime(0.5 + 1e-13) is lw.Regime.CRITICAL
 
 
-def test_first_step_distribution():
-    d = lw.first_step_distribution(lw.ModelParams(0.6, 0.2, 0.2, 0.5))
-    assert (d.p_plus, d.p_minus, d.p_zero) == (0.6, 0.2, 0.2)
-    d = lw.first_step_distribution(lw.ModelParams(0.0, 0.0, 1.0, 0.5))
-    assert (d.p_plus, d.p_minus, d.p_zero) == (0.0, 0.0, 1.0)
-    d = lw.first_step_distribution(lw.ModelParams(0.5, 0.5, 0.0, 0.5))
-    assert (d.p_plus, d.p_minus, d.p_zero) == (0.5, 0.5, 0.0)
-
-
 def test_step_distribution_hand_example():
     # n = 1 after a +1 step: 0.5*0.6 + 0.5*0.6 etc., evaluated by hand
     params = lw.ModelParams(0.6, 0.2, 0.2, 0.5)
-    state = lw.WalkState(1, 1, 0, 0)
-    d = lw.step_distribution(params, state)
-    assert math.isclose(d.p_plus, 0.6)
-    assert math.isclose(d.p_minus, 0.2)
-    assert math.isclose(d.p_zero, 0.2)
+    p_plus, p_minus, p_zero = lw.step_distribution(params, 1, 0, 0)
+    assert math.isclose(p_plus, 0.6)
+    assert math.isclose(p_minus, 0.2)
+    assert math.isclose(p_zero, 0.2)
 
 
 def test_step_distribution_theta_zero_is_memoryless():
     params = lw.ModelParams(0.6, 0.2, 0.2, 0.0)
-    for state in (lw.WalkState(5, 3, 1, 1), lw.WalkState(9, 0, 0, 9)):
-        d = lw.step_distribution(params, state)
-        assert math.isclose(d.p_plus, 0.6)
-        assert math.isclose(d.p_minus, 0.2)
-        assert math.isclose(d.p_zero, 0.2)
+    for counts in ((3, 1, 1), (0, 0, 9)):
+        p_plus, p_minus, p_zero = lw.step_distribution(params, *counts)
+        assert math.isclose(p_plus, 0.6)
+        assert math.isclose(p_minus, 0.2)
+        assert math.isclose(p_zero, 0.2)
 
 
 def test_step_distribution_all_delays_state():
     params = lw.ModelParams(0.6, 0.2, 0.2, 0.5)
-    d = lw.step_distribution(params, lw.WalkState(7, 0, 0, 7))
-    assert math.isclose(d.p_zero, 0.5 * 0.8 + 0.2)
-    assert math.isclose(d.p_plus, 0.5 * 0.6)
-    assert math.isclose(d.p_minus, 0.5 * 0.2)
+    p_plus, p_minus, p_zero = lw.step_distribution(params, 0, 0, 7)
+    assert math.isclose(p_zero, 0.5 * 0.8 + 0.2)
+    assert math.isclose(p_plus, 0.5 * 0.6)
+    assert math.isclose(p_minus, 0.5 * 0.2)
 
 
 def test_step_distribution_rejects_empty_history():
     params = lw.ModelParams(0.6, 0.2, 0.2, 0.5)
     with pytest.raises(lw.InvalidState):
-        lw.step_distribution(params, lw.WalkState.initial())
+        lw.step_distribution(params, 0, 0, 0)
 
 
 def test_step_distribution_sums_to_one_over_random_states():
@@ -109,11 +100,10 @@ def test_step_distribution_sums_to_one_over_random_states():
         n = int(rng.integers(1, 2000))
         n_plus = int(rng.integers(0, n + 1))
         n_minus = int(rng.integers(0, n - n_plus + 1))
-        state = lw.WalkState(n, n_plus, n_minus, n - n_plus - n_minus)
-        d = lw.step_distribution(params, state)
-        total = d.p_plus + d.p_minus + d.p_zero
-        assert abs(total - 1.0) <= 1e-12
-        for v in (d.p_plus, d.p_minus, d.p_zero):
+        probs = lw.step_distribution(params, n_plus, n_minus,
+                                     n - n_plus - n_minus)
+        assert abs(sum(probs) - 1.0) <= 1e-12
+        for v in probs:
             assert 0.0 <= v <= 1.0
 
 
@@ -131,34 +121,25 @@ def test_p_zero_two_forms_agree():
         assert math.isclose(direct, expanded, rel_tol=1e-12, abs_tol=1e-15)
 
 
-def test_step_distribution_renormalization_window():
-    d = lw.StepDistribution(0.5, 0.3, 0.2 + 5e-10)  # inside (1e-12, 1e-9]
-    assert math.isclose(d.p_plus + d.p_minus + d.p_zero, 1.0, abs_tol=1e-15)
-    with pytest.raises(lw.InvalidState):
-        lw.StepDistribution(0.5, 0.3, 0.2 + 5e-8)  # beyond the window
+def test_step_distribution_rejects_bad_counts_and_sums():
+    # ModelParams would refuse r = 0.2 + 1e-9; the kernel must refuse it too
+    # rather than rescale a sum 1e-9 off 1
+    off = SimpleNamespace(p=0.5, q=0.3, r=0.2 + 1e-9, theta=0.5)
+    with pytest.raises(lw.InvalidState, match="sum"):
+        lw.step_distribution(off, 2, 1, 1)
+    params = lw.ModelParams(0.5, 0.3, 0.2, 0.5)
+    for counts in ((-1, 2, 2), (2, -1, 2), (2, 2, -1)):
+        with pytest.raises(lw.InvalidState, match="negative"):
+            lw.step_distribution(params, *counts)
 
 
-def test_sample_step_inverse_cdf_order():
-    d = lw.StepDistribution(0.6, 0.2, 0.2)
-    assert lw.sample_step(d, 0.59) == 1
-    assert lw.sample_step(d, 0.75) == -1
-    assert lw.sample_step(d, 0.999) == 0
-
-
-def test_advance():
-    s = lw.advance(lw.WalkState(2, 1, 1, 0), 1)
-    assert (s.n, s.n_plus, s.n_minus, s.s, s.z) == (3, 2, 1, 1, 3)
-    s = lw.advance(lw.WalkState.initial(), 0)
-    assert (s.n, s.n_zero, s.s, s.z) == (1, 1, 0, 0)
-    s = lw.advance(lw.WalkState(5, 3, 0, 2), -1)
-    assert (s.n, s.n_plus, s.n_minus, s.n_zero, s.s, s.z) == (6, 3, 1, 2, 2, 4)
-
-
-def test_walk_state_invariants():
-    with pytest.raises(lw.InvalidState):
-        lw.WalkState(3, 1, 1, 0)  # counts do not sum to n
-    with pytest.raises(lw.InvalidState):
-        lw.WalkState(3, -1, 2, 2)
+def test_trajectory_walks_within_simplex_tolerance():
+    # p + q + r may miss 1 by SIMPLEX_TOL; the kernel's check allows twice that
+    params = lw.ModelParams(0.5, 0.3, 0.2 + 9e-13, 0.7)
+    assert params.p + params.q + params.r - 1.0 > 8e-13
+    out = lw.simulate_trajectory(params, 2000, lw.RngStream(3, 1), [2000])
+    ((n, s, z),) = out
+    assert n == 2000 and abs(s) <= z <= 2000
 
 
 def test_trajectory_all_delays():

@@ -21,7 +21,7 @@ import lapsewalk.exact as exact
 from lapsewalk.errors import CapExceeded, InvalidState
 from lapsewalk.model import ModelParams, derive_constants
 
-FIELDS = ("mean_s", "mean_z", "var_s", "mean_sz", "mean_s2")
+FIELDS = ("mean_s", "mean_z", "var_s", "mean_sz")
 
 
 def _solve_linear_recursion(coeff_table, x1, forcing):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats as scipy_stats
+from scipy.stats import kstwobign
 
 import lapsewalk as lw
 from lapsewalk.exact import DiscreteCdf
@@ -84,6 +86,10 @@ def test_ks_distance_point_mass():
     point = DiscreteCdf(points=np.array([0.0]), probs=np.array([1.0]),
                         cdf=np.array([1.0]))
     assert math.isclose(lw.ks_distance_cdf(point), 0.5)
+    # at x = 2 the sup sits just left of the jump, where the CDF is still 0
+    point = DiscreteCdf(points=np.array([2.0]), probs=np.array([1.0]),
+                        cdf=np.array([1.0]))
+    assert math.isclose(lw.ks_distance_cdf(point), lw.normal_cdf(2.0))
 
 
 def trinomial_standardized_cdf(p, q, r, n):
@@ -141,3 +147,33 @@ def test_fit_loglog_errors():
         lw.fit_loglog([1, 2, 3], [1.0, -1.0, 2.0])
     with pytest.raises(lw.SampleTooSmall):
         lw.fit_loglog([1, 2], [1.0, 2.0])
+
+
+@pytest.mark.parametrize("t", [0.05, 0.3, 0.5, 0.8, 1.0, 1.36, 1.63, 2.0, 3.0])
+def test_kolmogorov_sf_matches_scipy(t):
+    assert abs(lw.stats._kolmogorov_sf(t) - kstwobign.sf(t)) <= 1e-11
+
+
+@pytest.mark.parametrize("k, shift", [(10, 0.0), (57, 0.3), (400, 0.0),
+                                      (2000, 0.05)])
+def test_ks_test_normal_matches_scipy(k, shift):
+    x = np.random.default_rng(k).normal(shift, 1.0, k)
+    res = lw.ks_test_normal(x)
+    assert res.sample_size == k
+    assert abs(res.d_stat - scipy_stats.kstest(x, "norm").statistic) <= 1e-12
+    # Stephens' small-sample correction of the asymptotic p-value
+    t = res.d_stat * (math.sqrt(k) + 0.12 + 0.11 / math.sqrt(k))
+    assert abs(res.p_value - kstwobign.sf(t)) <= 1e-11
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fit_loglog_matches_scipy_linregress(seed):
+    rng = np.random.default_rng(seed)
+    xs = np.sort(rng.uniform(1.0, 1e4, 3 + 4 * seed))
+    ys = 2.5 * xs ** 0.7 * np.exp(rng.normal(0.0, 0.2, xs.size))
+    fit = lw.fit_loglog(xs, ys)
+    ref = scipy_stats.linregress(np.log(xs), np.log(ys))
+    assert math.isclose(fit.slope, ref.slope, rel_tol=1e-12)
+    assert math.isclose(fit.intercept, ref.intercept, rel_tol=1e-12, abs_tol=1e-12)
+    assert math.isclose(fit.stderr_slope, ref.stderr, rel_tol=1e-10)
+    assert math.isclose(fit.r2, ref.rvalue ** 2, rel_tol=1e-12)
