@@ -19,7 +19,7 @@ import sys
 from . import experiments
 from .analytic import regime_prediction, v_limit_superdiffusive
 from .errors import Degenerate, InvalidState, LapsewalkError
-from .exact import DP_CAP_DEFAULT, distribution_columns, exact_moments
+from .exact import distribution_columns, exact_moments
 from .model import ModelParams, Regime, derive_constants
 from .report import base_report, csv_lines, emit_json, fmt_float
 from .stats import normal_cdf
@@ -46,7 +46,6 @@ OPTIONS = {
     "snapshots": (("--snapshots",), str, None, _MC,
                   "comma-separated times, or 'dyadic' (default)"),
     "workers": (("--workers",), int, 1, _MC, None),
-    "dp_cap": (("--dp-cap",), int, DP_CAP_DEFAULT, ("exact",), None),
     "format": (("--format",), str, None, tuple(FORMATS), None),
     "gate": (("--gate",), float, None, ("experiment",),
              "KS gate override for clt/critical/superdiffusive"),
@@ -216,11 +215,10 @@ def cmd_predict(resolved, output, fmt):
 def cmd_simulate(resolved, output, fmt):
     params = _params_from(resolved)
     snaps = _parse_snapshots(resolved["snapshots"])
-    rep = experiments.simulate_report(
+    rep = base_report("simulate", **experiments.simulate_report(
         params, resolved["steps"], resolved["trajectories"], resolved["seed"],
         snapshots=snaps, workers=resolved["workers"],
-    )
-    rep = base_report("simulate", **{k: v for k, v in rep.items() if k != "kind"})
+    ))
     if fmt == "json":
         _write_text(output, emit_json(rep))
     else:
@@ -260,8 +258,7 @@ def cmd_exact(resolved, output, fmt, with_distribution):
         results={"moments": rows},
     )
     if with_distribution:
-        law = [col.tolist() for col in
-               distribution_columns(params, n, cap=resolved["dp_cap"])]
+        law = [col.tolist() for col in distribution_columns(params, n)]
         rep["results"]["distribution"] = []  # JSON rows are spliced in here
     if fmt == "json":
         text = emit_json(rep)
@@ -341,7 +338,7 @@ EXPERIMENTS = {
                 *_mc_args(o), snapshots=_parse_snapshots(o["snapshots"])),
             _plot_lln, "snapshots"),
     "clt": (lambda o: experiments.clt_experiment(
-                *_mc_args(o), gate=o["gate"], dp_cap=o["dp_cap"]),
+                *_mc_args(o), gate=o["gate"]),
             _plot_ecdf, None),
     "critical": (lambda o: experiments.critical_experiment(
                      *_mc_args(o), gate=o["gate"]),

@@ -3,10 +3,10 @@
 Three independent routes, in decreasing cost:
 
 * `enumerate_paths`  - chain rule over every path in {+1,-1,0}^n, no state
-  merging (n <= 14); the reference the others are checked against.
+  merging (n <= PATH_CAP); the reference the others are checked against.
 * `distribution_dp`  - the pair (S_n, Z_n) is Markov under the step kernel,
   so the full joint law follows by dynamic programming over the triangle
-  z <= m, |s| <= z (O(n^3) work, capped).
+  z <= m, |s| <= z (O(n^3) work, n <= DP_CAP).
 * `exact_moments`    - O(n) forward recursions for the first and second
   moments, closed in (E S, E Z, Var S, E SZ).
 
@@ -31,6 +31,13 @@ tests, demos and the benchmark's oracle check read that.
 `ns`, in O(block) memory, with the same bits; every package caller (the
 `exact` command, the CLT, superdiffusive and regime-scan experiments) reads
 its rows that way. Both refuse n_max above `MOMENT_CAP`.
+
+Sizes outside [1, cap], for the module constants `PATH_CAP`, `DP_CAP` and
+`MOMENT_CAP`, raise `CapExceeded`. The enumeration and the DP check that
+their law holds unit mass: every cell's step law sums to p + q + r, which a
+valid `ModelParams` holds only within `SIMPLEX_TOL` of 1, so n steps may
+drift by n * SIMPLEX_TOL beyond the rounding tolerance; more raises
+`InvalidState`.
 """
 
 from dataclasses import dataclass
@@ -38,9 +45,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceeded, DegenerateVariance, InvalidState
-from .model import ModelParams, derive_constants
+from .model import SIMPLEX_TOL, ModelParams, derive_constants
 
-DP_CAP_DEFAULT = 400
+DP_CAP = 400
 PATH_CAP = 14
 MOMENT_CAP = 2 ** 32  # O(n) moment recursion: ~16 Mterms/s, so ~4.5 min
 _MOMENT_BLOCK = 1 << 15  # transitions per carried block; speed only
@@ -55,15 +62,15 @@ class ExactMoments:
     mean_sz: float
 
 
+@dataclass(frozen=True, eq=False)
 class MomentTable:
     """Exact moments for all n = 1..n_max (arrays indexed by n; slot 0 unused)."""
 
-    def __init__(self, n_max, mean_s, mean_z, var_s, mean_sz):
-        self.n_max = n_max
-        self.mean_s = mean_s
-        self.mean_z = mean_z
-        self.var_s = var_s
-        self.mean_sz = mean_sz
+    n_max: int
+    mean_s: np.ndarray
+    mean_z: np.ndarray
+    var_s: np.ndarray
+    mean_sz: np.ndarray
 
     def row(self, n: int) -> ExactMoments:
         return ExactMoments(
@@ -73,6 +80,21 @@ class MomentTable:
             var_s=float(self.var_s[n]),
             mean_sz=float(self.mean_sz[n]),
         )
+
+
+def _check_size(name, n, cap, kind, cost):
+    """Refuse a size below 1 or above its cap before any work."""
+    if n < 1:
+        raise CapExceeded(f"{name} must be >= 1")
+    if n > cap:
+        raise CapExceeded(f"{name} = {n} above the {kind} cap {cap} ({cost})")
+
+
+def _check_mass(total, n, tol):
+    """Refuse a law of n steps whose mass is off 1 by more than `tol` plus
+    the n * SIMPLEX_TOL that n valid step laws may drift."""
+    if abs(total - 1.0) > tol + n * SIMPLEX_TOL:
+        raise InvalidState(f"probability mass drifted to {total!r}")
 
 
 def _carry_block(rate, k, forcing, x1, carry, out):
@@ -139,11 +161,7 @@ def exact_moments(params: ModelParams, n_max: int, ns=None):
     of `ExactMoments` at the sorted distinct n of `ns` (each in 1..n_max),
     the same bits as the table's rows, in O(block) memory.
     """
-    if n_max > MOMENT_CAP:
-        raise CapExceeded(f"n_max = {n_max} above the moment cap {MOMENT_CAP} "
-                          "(O(n) cost)")
-    if n_max < 1:
-        raise CapExceeded("n_max must be >= 1")
+    _check_size("n_max", n_max, MOMENT_CAP, "moment", "O(n) cost")
     if ns is not None:
         return _moment_rows(params, n_max, ns)
     try:
@@ -184,16 +202,13 @@ class ExactDistribution:
         return float(sum(self.mass.values()))
 
 
-def _dp_slices(params: ModelParams, n: int, cap: int):
+def _dp_slices(params: ModelParams, n: int):
     """Yield (m, tri) for m = 1..n, tri[z, j] = P(Z_m = z, n_plus = j).
 
     The pair (S_m, Z_m) is Markov, and with j = n_plus = (s + z) / 2 each
     time slice is a dense triangle and every transition is a shifted array add.
     """
-    if n < 1:
-        raise CapExceeded("n must be >= 1")
-    if n > cap:
-        raise CapExceeded(f"n = {n} above the DP cap {cap} (O(n^3) cost)")
+    _check_size("n", n, DP_CAP, "DP", "O(n^3) cost")
     p, q, r, theta = params.p, params.q, params.r, params.theta
     pq = p + q
 
@@ -216,43 +231,34 @@ def _dp_slices(params: ModelParams, n: int, cap: int):
         yield m + 1, tri
 
 
-def _final_slice(params: ModelParams, n: int, cap: int):
-    """The DP triangle at step n, checked to hold unit mass."""
-    for _, tri in _dp_slices(params, n, cap):
-        pass
-    total = float(tri.sum())
-    if abs(total - 1.0) > 1e-10:
-        raise AssertionError(f"probability mass drifted to {total!r}")
-    return tri
-
-
-def distribution_columns(params: ModelParams, n: int,
-                         cap: int = DP_CAP_DEFAULT):
+def distribution_columns(params: ModelParams, n: int):
     """The reachable cells of the joint law of (S_n, Z_n) as three arrays
-    (s, z, probability), sorted by (s, z)."""
-    tri = _final_slice(params, n, cap)
+    (s, z, probability), sorted by (s, z), from the DP triangle at step n
+    checked to hold unit mass."""
+    for _, tri in _dp_slices(params, n):
+        pass
+    _check_mass(float(tri.sum()), n, 1e-10)
     zs, js = np.nonzero(tri)
     ss = 2 * js - zs
     order = np.lexsort((zs, ss))
     return ss[order], zs[order], tri[zs, js][order]
 
 
-def distribution_dp(params: ModelParams, n: int, cap: int = DP_CAP_DEFAULT) -> ExactDistribution:
+def distribution_dp(params: ModelParams, n: int) -> ExactDistribution:
     """Exact joint law of (S_n, Z_n) by DP over (z, n_plus) triangles."""
-    ss, zs, probs = distribution_columns(params, n, cap)
+    ss, zs, probs = distribution_columns(params, n)
     return ExactDistribution(n=n, mass=dict(zip(
         zip(ss.tolist(), zs.tolist()), probs.tolist())))
 
 
-def dp_moment_scan(params: ModelParams, n_max: int,
-                   cap: int = DP_CAP_DEFAULT):
+def dp_moment_scan(params: ModelParams, n_max: int):
     """Moments of the DP joint law at every step 1..n_max (one DP pass).
 
     Returns a list of ExactMoments; the independent cross-check for the
     O(n) moment recursions.
     """
     out = []
-    for m, tri in _dp_slices(params, n_max, cap):
+    for m, tri in _dp_slices(params, n_max):
         zs = np.arange(m + 1, dtype=np.float64)[:, None]
         js = np.arange(m + 1, dtype=np.float64)[None, :]
         s = 2.0 * js - zs
@@ -264,34 +270,25 @@ def dp_moment_scan(params: ModelParams, n_max: int,
     return out
 
 
-def enumerate_paths(params: ModelParams, n: int, cap: int = PATH_CAP) -> ExactDistribution:
+def enumerate_paths(params: ModelParams, n: int) -> ExactDistribution:
     """Brute-force law of (S_n, Z_n): chain rule over all 3^n paths.
 
     Every path keeps its own probability; nothing is merged until the final
     tally, so this is a genuinely independent check on the DP.
     """
-    if n < 1:
-        raise CapExceeded("n must be >= 1")
-    if n > cap:
-        raise CapExceeded(f"n = {n} above the enumeration cap {cap} (3^n paths)")
+    _check_size("n", n, PATH_CAP, "enumeration", "3^n paths")
     p, q, r, theta = params.p, params.q, params.r, params.theta
 
-    n_plus = np.zeros(1, dtype=np.int64)
-    n_minus = np.zeros(1, dtype=np.int64)
-    weight = np.ones(1)
-    for m in range(n):
-        if m == 0:
-            w_plus = weight * p
-            w_minus = weight * q
-            w_zero = weight * r
-        else:
-            p_plus = (theta / m) * (n_plus * p + n_minus * q) + (1.0 - theta) * p
-            p_minus = (theta / m) * (n_minus * p + n_plus * q) + (1.0 - theta) * q
-            p_zero = (theta * (p + q) / m) * (m - n_plus - n_minus) + r
-            w_plus = weight * p_plus
-            w_minus = weight * p_minus
-            w_zero = weight * p_zero
-        weight = np.concatenate((w_plus, w_minus, w_zero))
+    # the first step's three paths, then each step splits every path in three
+    n_plus = np.array([1, 0, 0])
+    n_minus = np.array([0, 1, 0])
+    weight = np.array([p, q, r])
+    for m in range(1, n):
+        p_plus = (theta / m) * (n_plus * p + n_minus * q) + (1.0 - theta) * p
+        p_minus = (theta / m) * (n_minus * p + n_plus * q) + (1.0 - theta) * q
+        p_zero = (theta * (p + q) / m) * (m - n_plus - n_minus) + r
+        weight = np.concatenate((weight * p_plus, weight * p_minus,
+                                 weight * p_zero))
         n_plus = np.concatenate((n_plus + 1, n_plus, n_plus))
         n_minus = np.concatenate((n_minus, n_minus + 1, n_minus))
 
@@ -303,7 +300,7 @@ def enumerate_paths(params: ModelParams, n: int, cap: int = PATH_CAP) -> ExactDi
         zz, jj = divmod(key, n + 1)
         mass[(2 * jj - zz, zz)] = float(tally[key])
     dist = ExactDistribution(n=n, mass=mass)
-    assert abs(dist.total_mass() - 1.0) <= 1e-12
+    _check_mass(dist.total_mass(), n, 1e-12)
     return dist
 
 
@@ -316,18 +313,15 @@ class DiscreteCdf:
     cdf: np.ndarray     # running totals, cdf[i] = P(X <= points[i])
 
 
-def standardized_exact_cdf(params: ModelParams, n: int,
-                           cap: int = DP_CAP_DEFAULT) -> DiscreteCdf:
+def standardized_exact_cdf(params: ModelParams, n: int) -> DiscreteCdf:
     """Exact CDF of (S_n - E S_n) / sqrt(Var S_n) on its finite support."""
-    tri = _final_slice(params, n, cap)
-    zs, js = np.nonzero(tri)
-    # P(S_n = s) in bin s + n; bincount adds a bin's cells in the row-major
-    # order of nonzero, i.e. by increasing z, which fixes the bits
-    bins = 2 * js - zs + n
-    sums = np.bincount(bins, weights=tri[zs, js])
-    reached = np.unique(bins)
-    svals = (reached - n).astype(np.float64)
-    probs = sums[reached]
+    ss, _, cells = distribution_columns(params, n)
+    # P(S_n = s) in bin s + n; bincount adds a bin's cells in the columns'
+    # order, i.e. by increasing z, which fixes the bits
+    sums = np.bincount(ss + n, weights=cells)
+    reached = np.unique(ss)
+    svals = reached.astype(np.float64)
+    probs = sums[reached + n]
     mean = float(np.dot(svals, probs))
     var = float(np.dot(svals * svals, probs)) - mean * mean
     if var <= 1e-14:

@@ -25,7 +25,7 @@ from .ensemble import (
     run_ensemble,
 )
 from .errors import Degenerate, InvalidState, WrongRegime
-from .exact import DP_CAP_DEFAULT, exact_moments, standardized_exact_cdf
+from .exact import DP_CAP, exact_moments, standardized_exact_cdf
 from .model import ModelParams, Regime, derive_constants
 from .stats import fit_loglog, ks_distance_cdf, ks_test_normal
 
@@ -131,7 +131,7 @@ def lln_experiment(params, n_steps, n_traj, master_seed, workers=1,
 
 
 def _clt_core(params, n_steps, n_traj, master_seed, workers, gate, kind,
-              exact_gate=None, dp_cap=None):
+              exact_gate=None):
     """Shared CLT machinery: exact-CDF KS (when feasible) + Monte Carlo KS.
 
     The Monte Carlo sample is standardized by the exact mean and variance
@@ -150,8 +150,8 @@ def _clt_core(params, n_steps, n_traj, master_seed, workers, gate, kind,
         "scale_formula": pred.scale_formula,
     }
     gates = []
-    if exact_gate is not None and n_steps <= dp_cap:
-        d_exact = ks_distance_cdf(standardized_exact_cdf(params, n_steps, cap=dp_cap))
+    if exact_gate is not None and n_steps <= DP_CAP:
+        d_exact = ks_distance_cdf(standardized_exact_cdf(params, n_steps))
         results["exact_cdf_ks"] = d_exact
         gates.append(_gate("exact_cdf_ks", d_exact, f"< {exact_gate}",
                            d_exact < exact_gate))
@@ -178,13 +178,13 @@ def _clt_core(params, n_steps, n_traj, master_seed, workers, gate, kind,
 
 
 def clt_experiment(params, n_steps, n_traj, master_seed, workers=1,
-                   gate=None, dp_cap=DP_CAP_DEFAULT) -> dict:
+                   gate=None) -> dict:
     """Diffusive CLT: standardized S_n against N(0,1)."""
     c = derive_constants(params)
     if c.regime is not Regime.DIFFUSIVE:
         raise WrongRegime(f"clt experiment needs alpha < 1/2, regime is {c.regime.value}")
     report, gates = _clt_core(params, n_steps, n_traj, master_seed, workers,
-                              gate, "clt", EXACT_KS_GATE, dp_cap)
+                              gate, "clt", EXACT_KS_GATE)
     return _finish(report, gates)
 
 
@@ -379,7 +379,8 @@ def lil_experiment(params, n_max, n_traj, master_seed, workers=1) -> dict:
 
 def simulate_report(params, n_steps, n_traj, master_seed, snapshots=None,
                     workers=1) -> dict:
-    """Plain ensemble summary (the `simulate` command's payload)."""
+    """Plain ensemble summary: the sections of the `simulate` command's
+    report."""
     ens = run_ensemble(params, n_steps, n_traj, snapshots=snapshots,
                        master_seed=master_seed, workers=workers)
     rows = _snapshot_stats(ens)
@@ -387,5 +388,6 @@ def simulate_report(params, n_steps, n_traj, master_seed, snapshots=None,
         for row, acc in zip(rows, martingale_track(params, ens)):
             row["mean_m"] = acc.mean
             row["var_m"] = acc.variance
-    return _report("simulate", params, {"snapshots": rows}, n_steps=n_steps,
-                   n_traj=n_traj, master_seed=master_seed, workers=workers)
+    return {**model_sections(params), "results": {"snapshots": rows},
+            "config": {"n_steps": n_steps, "n_traj": n_traj,
+                       "master_seed": master_seed, "workers": workers}}

@@ -114,6 +114,34 @@ def test_exact_csv_and_cap(capsys, tmp_path):
     assert "cap" in err.lower()
 
 
+# r = 0.2 + 9e-13: p + q + r is inside SIMPLEX_TOL of 1, so ModelParams
+# accepts it, and 400 steps drift the DP's mass by 3.6e-10
+EDGE_FLAGS = ["-p", "0.6", "-q", "0.2", "-r", "0.2000000000009", "-n", "400"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["exact", *EDGE_FLAGS, "--distribution"],
+    ["experiment", "clt", *EDGE_FLAGS, "-t", "0"],
+])
+def test_exact_law_at_the_simplex_edge_exit_0(tmp_path, argv):
+    assert main([*argv, "-o", str(tmp_path / "out")]) == 0
+
+
+def test_dp_cap_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["exact", "-n", "400", "--dp-cap", "500"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --dp-cap 500" in capsys.readouterr().err
+
+
+def test_dp_cap_config_key_is_gone(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("steps = 40\ndp_cap = 500\n")
+    code, _, err = run_cli(capsys, "exact", "--config", str(cfg))
+    assert code == 2
+    assert err == f"lapsewalk: error: {cfg}:2: unknown key 'dp_cap'\n"
+
+
 def test_exact_oversized_n_exit_2(capsys):
     # above exact.MOMENT_CAP, so refused before any work
     code, _, err = run_cli(capsys, "exact", "-n", str(10 ** 12))

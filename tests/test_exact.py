@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import lapsewalk as lw
+from lapsewalk import exact
 
 # parameter grid shared with the acceptance suite
 GRID = [
@@ -65,21 +66,43 @@ def test_theta_zero_matches_trinomial():
             assert abs(got - want) <= 1e-12
 
 
-def test_dp_cap():
+def test_dp_cap(monkeypatch):
     params = lw.ModelParams(0.6, 0.2, 0.2, 0.5)
     with pytest.raises(lw.CapExceeded):
-        lw.distribution_dp(params, 401)
+        lw.distribution_dp(params, exact.DP_CAP + 1)
     with pytest.raises(lw.CapExceeded):
-        lw.enumerate_paths(params, 15)
-    lw.distribution_dp(params, 20, cap=20)
+        lw.enumerate_paths(params, exact.PATH_CAP + 1)
+    # the cap is read when the DP runs: both sides of a lowered cap
+    monkeypatch.setattr(exact, "DP_CAP", 20)
+    lw.distribution_dp(params, 20)
+    with pytest.raises(lw.CapExceeded, match="n = 21 above the DP cap 20"):
+        lw.distribution_dp(params, 21)
 
 
 def test_dp_mass_guard_trips_on_a_leaking_kernel():
     # p + q + r = 1 + 1e-6, which ModelParams would refuse: after 10 steps
-    # the DP holds about 1 + 1e-5 of mass, far past the 1e-10 guard
+    # the law holds about 1 + 1e-5 of mass, far past either mass guard
     leaking = SimpleNamespace(p=0.5, q=0.3, r=0.2 + 1e-6, theta=0.5)
-    with pytest.raises(AssertionError, match="drifted"):
-        lw.distribution_dp(leaking, 10)
+    for oracle in (lw.distribution_dp, lw.enumerate_paths):
+        with pytest.raises(lw.InvalidState, match="drifted"):
+            oracle(leaking, 10)
+
+
+# p + q + r = 1 -+ 9e-13: inside SIMPLEX_TOL, so ModelParams accepts both, and
+# n steps carry mass (p + q + r)^n, up to 3.6e-10 off 1 at n = 400
+EDGE = [lw.ModelParams(0.6, 0.2, 0.2 + d, 0.5) for d in (-9e-13, 9e-13)]
+
+
+@pytest.mark.parametrize("params", EDGE)
+def test_exact_oracles_accept_the_simplex_edge(params):
+    n = exact.DP_CAP
+    d = lw.distribution_dp(params, n)
+    assert abs(d.total_mass() - 1.0) > 1e-10  # past the bare rounding tolerance
+    cdf = lw.standardized_exact_cdf(params, n)
+    assert cdf.points.size == 2 * n + 1
+    n = exact.PATH_CAP
+    assert dists_close(lw.enumerate_paths(params, n),
+                       lw.distribution_dp(params, n), 1e-12)
 
 
 def test_exact_moments_first_step():

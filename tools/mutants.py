@@ -68,9 +68,17 @@ MUTANTS = [
      "nxt[:-1, 1:] += tri * p_minus",
      "tests/test_properties.py::test_exact_oracles_agree"),
     ("dp_mass_guard_loosened", "exact.py",
-     "if abs(total - 1.0) > 1e-10:",
-     "if abs(total - 1.0) > 1e-3:",
+     "_check_mass(float(tri.sum()), n, 1e-10)",
+     "_check_mass(float(tri.sum()), n, 1e-3)",
      "tests/test_exact.py::test_dp_mass_guard_trips_on_a_leaking_kernel"),
+    ("path_mass_guard_loosened", "exact.py",
+     "_check_mass(dist.total_mass(), n, 1e-12)",
+     "_check_mass(dist.total_mass(), n, 1e-3)",
+     "tests/test_exact.py::test_dp_mass_guard_trips_on_a_leaking_kernel"),
+    ("mass_guard_without_step_drift", "exact.py",
+     "if abs(total - 1.0) > tol + n * SIMPLEX_TOL:",
+     "if abs(total - 1.0) > tol:",
+     "tests/test_exact.py::test_exact_oracles_accept_the_simplex_edge"),
     ("thomae_two_levels", "analytic.py",
      "_THOMAE_LEVELS = 3",
      "_THOMAE_LEVELS = 2",
