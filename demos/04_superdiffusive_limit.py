@@ -38,8 +38,7 @@ print(f"var_w  = {west.var_w:.4f}, exact Var(M_n) = {exact_vm:.4f}, "
 
 print()
 print("== residual CLT around the far-horizon proxy ==")
-_, res = lw.residual_clt_sample(params, 1500, 3000, master_seed=11,
-                                horizon_factor=16, workers=2)
+_, res = lw.residual_clt_sample(params, 1500, 3000, master_seed=11, workers=2)
 ks_raw = lw.ks_test_normal(res)
 # the proxy W_hat = M_{16 n} misses the variance accumulated beyond 16 n;
 # rescale by the exact residual deviation to test the Gaussian shape alone

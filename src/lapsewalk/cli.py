@@ -47,10 +47,6 @@ OPTIONS = {
                   "comma-separated times, or 'dyadic' (default)"),
     "workers": (("--workers",), int, 1, _MC, None),
     "format": (("--format",), str, None, tuple(FORMATS), None),
-    "gate": (("--gate",), float, None, ("experiment",),
-             "KS gate override for clt/critical/superdiffusive"),
-    "horizon_factor": (("--horizon-factor",), int, 16, ("experiment",),
-                       "far-horizon multiple for the W proxy (>= 16)"),
     "alphas": (("--alphas",), str, "0.1,0.25,0.5,0.75", ("experiment",),
                "comma list of alpha values for regime-scan"),
     "n_max": (("--n-max",), int, 1 << 20, ("experiment",),
@@ -134,14 +130,11 @@ def _write_text(path, text):
             fh.write(text)
 
 
-def _emit_csv_text(header, rows):
-    return "\r\n".join(csv_lines(header, rows)) + "\r\n"
-
-
 def _dict_rows_csv(rows):
     """CSV of a list of dicts that share their keys, in the first one's order."""
     header = list(rows[0])
-    return _emit_csv_text(header, [[row[h] for h in header] for row in rows])
+    return "\r\n".join(csv_lines(header, [[row[h] for h in header]
+                                           for row in rows])) + "\r\n"
 
 
 def build_parser():
@@ -268,10 +261,7 @@ def cmd_exact(resolved, output, fmt, with_distribution):
                                 f'"distribution": [\n{rows_text}\n    ]', 1)
         _write_text(output, text)
     else:
-        header = ["n", "mean_s", "var_s", "mean_z", "mean_sz",
-                  "predicted_scale", "var_over_scale"]
-        lines = _emit_csv_text(header, [[row[h] if row[h] is not None else ""
-                                         for h in header] for row in rows])
+        lines = _dict_rows_csv(rows)
         if with_distribution:
             lines += "s,z,probability\r\n" + "".join(
                 map(_LAW_CSV_ROW.format, *law))
@@ -337,16 +327,12 @@ EXPERIMENTS = {
     "lln": (lambda o: experiments.lln_experiment(
                 *_mc_args(o), snapshots=_parse_snapshots(o["snapshots"])),
             _plot_lln, "snapshots"),
-    "clt": (lambda o: experiments.clt_experiment(
-                *_mc_args(o), gate=o["gate"]),
+    "clt": (lambda o: experiments.clt_experiment(*_mc_args(o)),
             _plot_ecdf, None),
-    "critical": (lambda o: experiments.critical_experiment(
-                     *_mc_args(o), gate=o["gate"]),
+    "critical": (lambda o: experiments.critical_experiment(*_mc_args(o)),
                  _plot_ecdf, None),
     "superdiffusive": (lambda o: experiments.superdiffusive_experiment(
-                           *_mc_args(o), horizon_factor=o["horizon_factor"],
-                           gate=o["gate"]),
-                       _plot_superdiffusive, None),
+                           *_mc_args(o)), _plot_superdiffusive, None),
     "regime-scan": (lambda o: experiments.regime_scan_experiment(
                         o["p"], o["q"], o["r"],
                         _parse_list(o["alphas"], float, "alphas"), n_max=o["n_max"]),
@@ -363,7 +349,7 @@ def _nothing_to_plot(kind, o):
     if kind in ("clt", "critical") and o["trajectories"] <= 0:
         return f"no Monte Carlo ECDF at trajectories = {o['trajectories']}"
     if kind == "superdiffusive":
-        n_far = o["horizon_factor"] * o["steps"]
+        n_far = experiments.HORIZON_FACTOR * o["steps"]
         if len(experiments.slope_fit_ns(n_far)) < experiments.SLOPE_FIT_MIN:
             return (f"fewer than {experiments.SLOPE_FIT_MIN} dyadic n in "
                     f"[1024, horizon_factor * n = {n_far}] for the slope fit")

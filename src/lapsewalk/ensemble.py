@@ -25,7 +25,13 @@ from .rng import Xoshiro256Batch
 CHUNK_SIZE_DEFAULT = 4096
 # widest lockstep walk one task runs; a speed constant, not part of the output
 LANES_MAX = 16384
-HORIZON_FACTOR_MIN = 16
+# the W proxy's far horizon n_far = HORIZON_FACTOR * n: at n_far = n the
+# residuals are identically zero, and small factors leave most of the limit
+# variable unresolved
+HORIZON_FACTOR = 16
+# the bootstrap CI of Var(W): its level and its own fixed seed
+BOOTSTRAP_LEVEL = 0.99
+BOOTSTRAP_SEED = 20210905
 # the kernel counts steps in float64, exact only up to 2**53
 STEPS_CAP = 2 ** 53
 
@@ -91,7 +97,8 @@ class MomentAccumulator:
 
     def standardized(self, center: float, scale: float) -> "MomentAccumulator":
         """Accumulator of (x - center)/scale, scale > 0, without raw data."""
-        assert scale > 0.0
+        if not scale > 0.0:
+            raise InvalidState(f"scale must be > 0, got {scale!r}")
         return MomentAccumulator(
             count=self.count,
             mean=(self.mean - center) / scale,
@@ -111,10 +118,8 @@ class MomentAccumulator:
 
 @dataclass
 class EnsembleResult:
-    params: ModelParams
     n_steps: int
     n_traj: int
-    master_seed: int
     snapshots: list
     acc_s: list
     acc_z: list
@@ -257,8 +262,7 @@ def run_ensemble(params: ModelParams, n_steps: int, n_traj: int,
                     for i in range(len(snaps))]
 
     return EnsembleResult(
-        params=params, n_steps=n_steps, n_traj=n_traj,
-        master_seed=master_seed, snapshots=snaps,
+        n_steps=n_steps, n_traj=n_traj, snapshots=snaps,
         acc_s=acc_s, acc_z=acc_z, sample_s=sample_s,
     )
 
@@ -323,41 +327,34 @@ def estimate_w(params: ModelParams, n_steps: int, n_traj: int,
     return WEstimate.from_sample(w)
 
 
-def bootstrap_variance_ci(sample, n_boot: int = 1000, level: float = 0.99,
-                          seed: int = 20210905):
-    """Percentile bootstrap CI for the sample variance (fixed own seed)."""
+def bootstrap_variance_ci(sample, n_boot: int = 1000):
+    """Percentile bootstrap CI at BOOTSTRAP_LEVEL for the sample variance,
+    drawn from its own fixed seed BOOTSTRAP_SEED."""
     x = np.asarray(sample, dtype=np.float64)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(BOOTSTRAP_SEED)
     vs = np.empty(n_boot)
     for b in range(n_boot):
         idx = rng.integers(0, x.size, x.size)
         vs[b] = x[idx].var(ddof=1)
-    half = 100.0 * (1.0 - level) / 2.0
+    half = 100.0 * (1.0 - BOOTSTRAP_LEVEL) / 2.0
     return float(np.percentile(vs, half)), float(np.percentile(vs, 100.0 - half))
 
 
 def residual_clt_sample(params: ModelParams, n_steps: int, n_traj: int,
-                        master_seed: int = 0,
-                        horizon_factor: int = HORIZON_FACTOR_MIN,
-                        workers: int = 1):
+                        master_seed: int = 0, workers: int = 1):
     """(w, residuals) from one walk to the far horizon n_far.
 
     w is M_n = (S_n - E S_n)/a_n per trajectory at n = n_steps, the sample
     `estimate_w` draws at the same seed. The residuals are the standardized
     (S_n - E S_n - W_hat a_n)/sqrt(phi n/(2a-1)), with W_hat the
-    per-trajectory martingale value at n_far = horizon_factor * n_steps.
-    horizon_factor < 16 is refused before any walk: at n_far = n_steps the
-    residuals are identically zero, and small factors leave most of the
-    limit variable unresolved.
+    per-trajectory martingale value at n_far = HORIZON_FACTOR * n_steps.
     """
     c = derive_constants(params)
     if c.regime is not Regime.SUPERDIFFUSIVE:
         raise WrongRegime(f"residual CLT needs alpha > 1/2; regime is {c.regime.value}")
     if c.phi <= 0.0:
         raise Degenerate("phi = 0: residuals cannot be standardized")
-    if horizon_factor < HORIZON_FACTOR_MIN:
-        raise InvalidState(f"horizon_factor must be >= {HORIZON_FACTOR_MIN}")
-    n_far = horizon_factor * n_steps
+    n_far = HORIZON_FACTOR * n_steps
     ens = run_ensemble(params, n_far, n_traj, snapshots=[n_steps, n_far],
                        master_seed=master_seed, keep_raw=True, workers=workers)
     s_near, s_far = ens.sample_s
@@ -374,7 +371,6 @@ def residual_clt_sample(params: ModelParams, n_steps: int, n_traj: int,
 class LilDiagnostic:
     """Trace of the running LIL statistic; diagnostic only, no pass/fail."""
 
-    params: ModelParams
     snapshots: np.ndarray
     envelopes: np.ndarray
     running_max: np.ndarray  # (n_snapshots, n_traj)
@@ -416,7 +412,6 @@ def lil_diagnostic(params: ModelParams, n_max: int, n_traj: int,
         for i in range(len(snaps))
     ])
     return LilDiagnostic(
-        params=params,
         snapshots=snaps_arr,
         envelopes=envs_arr,
         running_max=np.maximum.accumulate(stat, axis=0),

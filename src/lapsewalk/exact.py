@@ -255,10 +255,11 @@ def dp_moment_scan(params: ModelParams, n_max: int):
     """Moments of the DP joint law at every step 1..n_max (one DP pass).
 
     Returns a list of ExactMoments; the independent cross-check for the
-    O(n) moment recursions.
+    O(n) moment recursions. Each slice is checked to hold unit mass.
     """
     out = []
     for m, tri in _dp_slices(params, n_max):
+        _check_mass(float(tri.sum()), m, 1e-10)
         zs = np.arange(m + 1, dtype=np.float64)[:, None]
         js = np.arange(m + 1, dtype=np.float64)[None, :]
         s = 2.0 * js - zs

@@ -17,6 +17,7 @@ from .analytic import (
     v_limit_superdiffusive,
 )
 from .ensemble import (
+    HORIZON_FACTOR,
     WEstimate,
     bootstrap_variance_ci,
     lil_diagnostic,
@@ -24,10 +25,11 @@ from .ensemble import (
     residual_clt_sample,
     run_ensemble,
 )
-from .errors import Degenerate, InvalidState, WrongRegime
+from .errors import (Degenerate, DegenerateVariance, InvalidState,
+                     SampleTooSmall, WrongRegime)
 from .exact import DP_CAP, exact_moments, standardized_exact_cdf
 from .model import ModelParams, Regime, derive_constants
-from .stats import fit_loglog, ks_distance_cdf, ks_test_normal
+from .stats import KS_MIN_POINTS, fit_loglog, ks_distance_cdf, ks_test_normal
 
 SIGMA_GATE = 4.0
 EXACT_KS_GATE = 0.03               # clt: KS distance of the exact law
@@ -36,6 +38,21 @@ W_VAR_TOL = 0.05                   # superdiffusive: floor of the Var(W) bound
 SLOPE_TOL = 0.05                   # superdiffusive: Var(S_n) exponent vs 2 alpha
 SCAN_SLOPE_TOL = 0.12              # regime-scan: fitted exponent vs theory
 SLOPE_FIT_MIN = 4                  # superdiffusive: fewest dyadic n to fit
+# kind -> (offset, coefficient) of its Monte Carlo KS bound
+# offset + coefficient / sqrt(n_traj). critical's is looser: at alpha = 1/2
+# the law nears normal only at rate O(1/log n) (exact KS ~ 0.05 at n = 400)
+MC_KS_GATES = {"clt": (0.01, 1.36), "critical": (0.03, 1.63),
+               "superdiffusive": (0.015, 1.36)}
+
+
+def _mc_ks_gate(kind, n_traj):
+    """Experiment kind's Monte Carlo KS bound at n_traj trajectories; a
+    sample the KS test would refuse is refused here, before any work."""
+    if n_traj < KS_MIN_POINTS:
+        raise SampleTooSmall(f"the KS gate needs trajectories >= "
+                             f"{KS_MIN_POINTS}, got {n_traj}")
+    offset, coefficient = MC_KS_GATES[kind]
+    return offset + coefficient / math.sqrt(n_traj)
 
 
 def slope_fit_ns(n_far):
@@ -68,10 +85,8 @@ def _finish(report, gates):
 
 
 def _require_nondegenerate(params):
-    c = derive_constants(params)
-    if c.phi <= 0.0:
+    if derive_constants(params).phi <= 0.0:
         raise Degenerate("phi = 0: standardized experiments refuse these parameters")
-    return c
 
 
 def _snapshot_stats(ensemble):
@@ -130,15 +145,16 @@ def lln_experiment(params, n_steps, n_traj, master_seed, workers=1,
     return _finish(report, gates)
 
 
-def _clt_core(params, n_steps, n_traj, master_seed, workers, gate, kind,
+def _clt_core(params, n_steps, n_traj, master_seed, workers, kind,
               exact_gate=None):
     """Shared CLT machinery: exact-CDF KS (when feasible) + Monte Carlo KS.
 
     The Monte Carlo sample is standardized by the exact mean and variance
     from the moment recursions; the theorem's asymptotic scale is reported
-    alongside for comparison.
+    alongside for comparison. n_traj = 0 runs the exact part only.
     """
     _require_nondegenerate(params)
+    gate = _mc_ks_gate(kind, n_traj) if n_traj > 0 else None
     pred = regime_prediction(params)
     (row,) = exact_moments(params, n_steps, ns=[n_steps])
     mean_n, var_n = row.mean_s, row.var_s
@@ -161,8 +177,6 @@ def _clt_core(params, n_steps, n_traj, master_seed, workers, gate, kind,
                            workers=workers)
         sample = (ens.sample_s[0] - mean_n) / math.sqrt(var_n)
         ks = ks_test_normal(sample)
-        if gate is None:
-            gate = 0.01 + 1.36 / math.sqrt(ks.sample_size)
         results["mc_ks"] = ks.d_stat
         results["mc_ks_pvalue"] = ks.p_value
         results["mc_sample_size"] = ks.sample_size
@@ -177,32 +191,26 @@ def _clt_core(params, n_steps, n_traj, master_seed, workers, gate, kind,
     return report, gates
 
 
-def clt_experiment(params, n_steps, n_traj, master_seed, workers=1,
-                   gate=None) -> dict:
+def clt_experiment(params, n_steps, n_traj, master_seed, workers=1) -> dict:
     """Diffusive CLT: standardized S_n against N(0,1)."""
     c = derive_constants(params)
     if c.regime is not Regime.DIFFUSIVE:
         raise WrongRegime(f"clt experiment needs alpha < 1/2, regime is {c.regime.value}")
     report, gates = _clt_core(params, n_steps, n_traj, master_seed, workers,
-                              gate, "clt", EXACT_KS_GATE)
+                              "clt", EXACT_KS_GATE)
     return _finish(report, gates)
 
 
-def critical_experiment(params, n_steps, n_traj, master_seed, workers=1,
-                        gate=None) -> dict:
-    """Critical regime: Var(S_n)/(phi n log n) band plus the CLT check.
-
-    At alpha = 1/2 the standardized law approaches normal only at rate
-    O(1/log n) (exact KS ~ 0.05 at n = 400), so the default KS gate is
-    looser than the diffusive one.
-    """
+def critical_experiment(params, n_steps, n_traj, master_seed, workers=1) -> dict:
+    """Critical regime: Var(S_n)/(phi n log n) band plus the CLT check."""
     c = derive_constants(params)
     if c.regime is not Regime.CRITICAL:
         raise WrongRegime(f"critical experiment needs alpha = 1/2, got {c.alpha!r}")
-    if gate is None and n_traj > 0:
-        gate = 0.03 + 1.63 / math.sqrt(n_traj)
+    if n_steps < 2:
+        raise DegenerateVariance(f"critical experiment needs n >= 2: the scale "
+                                 f"phi n log n is 0 at n = {n_steps}")
     report, gates = _clt_core(params, n_steps, n_traj, master_seed, workers,
-                              gate, "critical")
+                              "critical")
     ratio = report["results"]["var_ratio"]
     lo, hi = CRITICAL_VAR_BAND
     gates.insert(0, _gate("variance_law", ratio, f"in [{lo}, {hi}]",
@@ -210,8 +218,7 @@ def critical_experiment(params, n_steps, n_traj, master_seed, workers=1,
     return _finish(report, gates)
 
 
-def superdiffusive_experiment(params, n_steps, n_traj, master_seed,
-                              workers=1, horizon_factor=16, gate=None) -> dict:
+def superdiffusive_experiment(params, n_steps, n_traj, master_seed, workers=1) -> dict:
     """Superdiffusive regime: W estimate, variance scaling, residual CLT.
 
     One walk to the far horizon gives both samples: M_n per trajectory for
@@ -226,10 +233,11 @@ def superdiffusive_experiment(params, n_steps, n_traj, master_seed,
     if c.regime is not Regime.SUPERDIFFUSIVE:
         raise WrongRegime(f"superdiffusive experiment needs alpha > 1/2, got {c.alpha!r}")
     _require_nondegenerate(params)
+    gate = _mc_ks_gate("superdiffusive", n_traj)
     # before the Monte Carlo work, so a bad alpha fails before any sampling
     v_inf = v_limit_superdiffusive(c.alpha)
     pred = regime_prediction(params)
-    n_far = horizon_factor * n_steps
+    n_far = HORIZON_FACTOR * n_steps
 
     ns = slope_fit_ns(n_far)
     var_s = {row.n: row.var_s
@@ -240,7 +248,6 @@ def superdiffusive_experiment(params, n_steps, n_traj, master_seed,
 
     w, residuals = residual_clt_sample(params, n_steps, n_traj,
                                        master_seed=master_seed,
-                                       horizon_factor=horizon_factor,
                                        workers=workers)
     west = WEstimate.from_sample(w)
     ci_lo, ci_hi = bootstrap_variance_ci(w)
@@ -258,8 +265,6 @@ def superdiffusive_experiment(params, n_steps, n_traj, master_seed,
     exact_resid_sd = float(norm[0]) * math.sqrt(var_m_far - var_m_n)
     rescaled = residuals * (theorem_scale / exact_resid_sd)
     ks_rescaled = ks_test_normal(rescaled)
-    if gate is None:
-        gate = 0.015 + 1.36 / math.sqrt(n_traj)
 
     # exact Var(S_n) scaling over dyadic n (skip if horizon too short)
     slope_gate = None
@@ -293,7 +298,7 @@ def superdiffusive_experiment(params, n_steps, n_traj, master_seed,
         "exact_residual_sd": exact_resid_sd,
         **slope_results,
     }, n_steps=n_steps, n_traj=n_traj, master_seed=master_seed, workers=workers,
-        horizon_factor=horizon_factor)
+        horizon_factor=HORIZON_FACTOR)
     gates = [
         _gate("w_mean", abs(west.mean_w),
               f"<= {SIGMA_GATE} stderr = {SIGMA_GATE * west.stderr!r}",

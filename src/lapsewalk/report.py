@@ -18,7 +18,7 @@ def fmt_float(x) -> str:
 
 
 def _csv_field(value) -> str:
-    s = fmt_float(value)
+    s = "" if value is None else fmt_float(value)
     if any(ch in s for ch in ',"\r\n'):
         s = '"' + s.replace('"', '""') + '"'
     return s

@@ -10,6 +10,8 @@ import numpy as np
 from .errors import NonPositive, SampleTooSmall
 
 _SQRT2 = math.sqrt(2.0)
+# fewest sample points a KS test accepts
+KS_MIN_POINTS = 10
 
 
 def normal_cdf(x: float) -> float:
@@ -52,8 +54,8 @@ def ks_test_normal(sample) -> KsResult:
     """
     xs = np.sort(np.asarray(sample, dtype=np.float64))
     k = xs.size
-    if k < 10:
-        raise SampleTooSmall(f"KS test needs >= 10 points, got {k}")
+    if k < KS_MIN_POINTS:
+        raise SampleTooSmall(f"KS test needs >= {KS_MIN_POINTS} points, got {k}")
     phi = normal_cdf_array(xs)
     i = np.arange(1, k + 1, dtype=np.float64)
     d = float(max((i / k - phi).max(), (phi - (i - 1.0) / k).max()))

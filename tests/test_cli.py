@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from lapsewalk import ensemble, experiments
+from lapsewalk import ensemble, exact, experiments
 from lapsewalk.cli import main
 from lapsewalk.errors import OutOfDomain
 from lapsewalk.exact import distribution_dp
@@ -207,12 +207,32 @@ def test_experiment_lln_report(tmp_path):
 
 
 def test_experiment_gate_failure_exit_1(tmp_path):
+    # at n = 5 the exact law is still far from normal: KS 0.112 against 0.03
     out = tmp_path / "clt.json"
-    code = main(["experiment", "clt", "-n", "200", "-t", "300", "--seed",
-                 "4", "--gate", "1e-9", "-o", str(out)])
+    code = main(["experiment", "clt", "-n", "5", "-t", "0", "-o", str(out)])
     assert code == 1
     rep = json.loads(out.read_text())
     assert rep["pass"] is False
+    assert [g["name"] for g in rep["gates"] if not g["pass"]] == ["exact_cdf_ks"]
+
+
+@pytest.mark.parametrize("flag", [["--gate", "0.5"], ["--horizon-factor", "32"]])
+def test_gate_and_horizon_flags_are_gone(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "superdiffusive", *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["gate = 0.5", "horizon_factor = 32"])
+def test_gate_and_horizon_config_keys_are_gone(tmp_path, capsys, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"steps = 40\n{key}\n")
+    code, _, err = run_cli(capsys, "experiment", "superdiffusive",
+                           "--config", str(cfg))
+    assert code == 2
+    name = key.split(" = ")[0]
+    assert err == f"lapsewalk: error: {cfg}:2: unknown key {name!r}\n"
 
 
 def test_experiment_wrong_regime_exit_2(capsys):
@@ -250,20 +270,34 @@ def test_experiment_superdiffusive_series_fails_before_sampling(capsys,
     assert "no convergence" in err
 
 
-def test_experiment_superdiffusive_short_horizon_refused_before_walk(
-        capsys, monkeypatch):
-    def walked(*args, **kwargs):
-        raise AssertionError("trajectories simulated before the horizon "
-                             "factor was refused")
-
-    monkeypatch.setattr(ensemble, "run_ensemble", walked)
-    monkeypatch.setattr(experiments, "run_ensemble", walked)
-    code, _, err = run_cli(capsys, "experiment", "superdiffusive",
-                           *super_flags(0.75), "-n", "100", "-t", "50",
-                           "--seed", "1", "--horizon-factor", "8")
+@pytest.mark.parametrize("kind, flags, why", [
+    ("superdiffusive", [*super_flags(0.75), "-n", "100", "-t", "1"],
+     "trajectories >= 10, got 1"),
+    ("superdiffusive", [*super_flags(0.75), "-n", "100", "-t", "9"],
+     "trajectories >= 10, got 9"),
+    ("clt", ["-n", "100", "-t", "1"], "trajectories >= 10, got 1"),
+    ("clt", ["-n", "100", "-t", "9"], "trajectories >= 10, got 9"),
+    ("critical", [*super_flags(0.5), "-n", "100", "-t", "1"],
+     "trajectories >= 10, got 1"),
+    ("critical", [*super_flags(0.5), "-n", "100", "-t", "9"],
+     "trajectories >= 10, got 9"),
+    ("critical", [*super_flags(0.5), "-n", "1", "-t", "50"], "n >= 2"),
+], ids=["superdiffusive-t1", "superdiffusive-t9", "clt-t1", "clt-t9",
+        "critical-t1", "critical-t9", "critical-n1"])
+def test_experiment_refused_before_any_work(capsys, monkeypatch, tmp_path,
+                                            kind, flags, why):
+    monkeypatch.setattr(ensemble, "run_ensemble", _refuse_moments)
+    monkeypatch.setattr(experiments, "run_ensemble", _refuse_moments)
+    monkeypatch.setattr(exact, "exact_moments", _refuse_moments)
+    monkeypatch.setattr(experiments, "exact_moments", _refuse_moments)
+    monkeypatch.setattr(experiments, "v_limit_superdiffusive", _refuse_moments)
+    out = tmp_path / "r.json"
+    code, _, err = run_cli(capsys, "experiment", kind, *flags, "--seed", "1",
+                           "-o", str(out))
     assert code == 2
-    assert err.startswith("lapsewalk: error:") and "horizon_factor" in err
+    assert err.startswith("lapsewalk: error:") and why in err
     assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_regime_scan_below_first_fitted_n_exit_2(capsys):
@@ -474,7 +508,7 @@ def test_config_unknown_key_names_file_and_line(tmp_path, capsys):
 
 def test_config_keys_of_other_subcommands_accepted(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("alphas = 0.2,0.75\nn-max = 1024\nhorizon_factor = 32\n"
+    cfg.write_text("alphas = 0.2,0.75\nn-max = 1024\n"
                    "steps = 100\ntrajectories = 7\n")
     code, out, _ = run_cli(capsys, "predict", "--config", str(cfg),
                            "--format", "json")

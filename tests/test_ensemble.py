@@ -70,6 +70,13 @@ def test_standardized_matches_transformed_values():
     assert close_acc(acc, want, rel=1e-12)
 
 
+@pytest.mark.parametrize("scale", [0.0, -4.0, float("nan")])
+def test_standardized_refuses_a_scale_not_above_zero(scale):
+    acc = MomentAccumulator.from_values(np.arange(10.0))
+    with pytest.raises(lw.InvalidState, match="scale must be > 0"):
+        acc.standardized(0.0, scale)
+
+
 def pebay_from_values(x):
     """Reference accumulator as (count, mean, m2, m3, m4, min, max)."""
     x = np.asarray(x, dtype=np.float64)
@@ -283,8 +290,6 @@ def test_estimate_w_small_scale():
 
 
 def test_residual_clt_guard_and_sample():
-    with pytest.raises(lw.InvalidState):
-        lw.residual_clt_sample(SUPER, 100, 50, horizon_factor=8)
     with pytest.raises(lw.WrongRegime):
         lw.residual_clt_sample(PARAMS, 100, 50)
     w, res = lw.residual_clt_sample(SUPER, 250, 600, master_seed=5)

@@ -81,9 +81,9 @@ def test_dp_cap(monkeypatch):
 
 def test_dp_mass_guard_trips_on_a_leaking_kernel():
     # p + q + r = 1 + 1e-6, which ModelParams would refuse: after 10 steps
-    # the law holds about 1 + 1e-5 of mass, far past either mass guard
+    # the law holds about 1 + 1e-5 of mass, far past every mass guard
     leaking = SimpleNamespace(p=0.5, q=0.3, r=0.2 + 1e-6, theta=0.5)
-    for oracle in (lw.distribution_dp, lw.enumerate_paths):
+    for oracle in (lw.distribution_dp, lw.enumerate_paths, lw.dp_moment_scan):
         with pytest.raises(lw.InvalidState, match="drifted"):
             oracle(leaking, 10)
 

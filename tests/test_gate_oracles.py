@@ -44,6 +44,24 @@ def test_bootstrap_ci_is_the_99_percent_percentile_interval(superdiffusive):
     assert gate(report, "w_var_positive")["value"] == pytest.approx(lo, rel=1e-12)
 
 
+def test_mc_ks_gates_are_the_documented_formulas(superdiffusive):
+    # README states each Monte Carlo KS bound; these are its formulas, with
+    # the float operations the reports have always written
+    t = 50
+    clt = experiments.clt_experiment(lw.ModelParams(0.6, 0.2, 0.2, 0.5),
+                                     100, t, SEED)
+    critical = experiments.critical_experiment(
+        lw.ModelParams(0.9, 0.0, 0.1, 0.5 / 0.9), 100, t, SEED)
+    assert clt["results"]["mc_gate"] == 0.01 + 1.36 / math.sqrt(t)
+    assert critical["results"]["mc_gate"] == 0.03 + 1.63 / math.sqrt(t)
+    report = superdiffusive[0]
+    assert report["results"]["residual_gate"] == 0.015 + 1.36 / math.sqrt(N_TRAJ)
+    for rep, name, key in ((clt, "mc_ks", "mc_gate"),
+                           (critical, "mc_ks", "mc_gate"),
+                           (report, "residual_ks", "residual_gate")):
+        assert gate(rep, name)["bound"] == f"< {rep['results'][key]}"
+
+
 def test_w_variance_bound_widens_with_the_sample_kurtosis(superdiffusive):
     report, w, _ = superdiffusive
     n = w.size
