@@ -1,15 +1,18 @@
 """Command-line interface.
 
 Subcommands: predict (analytic constants and regime), simulate (seeded
-ensemble summary), exact (finite-n oracle tables), experiment (limit-theorem
-checks with PASS/FAIL gates).
+ensemble summary), exact (finite-n oracle tables), experiment KIND
+(limit-theorem checks with PASS/FAIL gates). Each experiment kind is its own
+subcommand and takes only the flags it reads; argparse refuses any other
+before any work.
 
 Exit codes: 0 success / all gates pass, 1 an experiment gate failed,
 2 usage or domain error. Flags beat the config file, which beats defaults;
 the config file is plain `key = value` lines with `#` comments, keys named
-like the long options of any subcommand (p, q, r, theta, steps,
-trajectories, seed, ...). An unknown key or a value that does not parse is
-a usage error naming the file and the line.
+like the long options of any command (p, q, r, theta, steps, trajectories,
+seed, ...). One file serves every command, so a key the command does not
+read is ignored; an unknown key or a value that does not parse is a usage
+error naming the file and the line.
 """
 
 import argparse
@@ -25,32 +28,38 @@ from .report import base_report, csv_lines, emit_json, fmt_float
 from .stats import normal_cdf
 from .svg import line_plot
 
-# subcommand -> its --format choices, the first the default; experiment takes
-# none and ignores the key
+# subcommand -> its --format choices, the first the default; the experiment
+# kinds take none and ignore the key
 FORMATS = {"predict": ("text", "json"), "simulate": ("csv", "json"),
            "exact": ("csv", "json")}
-_ALL = ("predict", "simulate", "exact", "experiment")
-_MC = ("simulate", "experiment")
-_STEPS = ("simulate", "exact", "experiment")
-# key -> (flags, type, default, subcommands with the flag, help). Every key is
-# also a config-file key for every subcommand, parsed with its type; a format
-# of None is the subcommand's first FORMATS choice
+# the experiment kinds judged at -n; lil-diagnostic walks to --n-max and
+# regime-scan walks nothing
+_WALKS = ("lln", "clt", "critical", "superdiffusive")
+_MC = ("simulate", *_WALKS, "lil-diagnostic")
+_MODEL = ("predict", "exact", *_MC)
+_ALL = (*_MODEL, "regime-scan")
+_STEPS = ("simulate", "exact", *_WALKS)
+# key -> (flags, type, default, commands with the flag, help). A command is a
+# subcommand or an experiment kind, and takes only the flags it reads. Every
+# key is also a config-file key for every command, parsed with its type and
+# ignored where unread; a format of None is the subcommand's first FORMATS
+# choice
 OPTIONS = {
     "p": (("-p",), float, 0.6, _ALL, "probability of a +1-type step"),
     "q": (("-q",), float, 0.2, _ALL, "probability of a -1-type step"),
     "r": (("-r",), float, 0.2, _ALL, "probability of a delay (0 step)"),
-    "theta": (("--theta",), float, 0.5, _ALL, "memory probability in [0, 1)"),
+    "theta": (("--theta",), float, 0.5, _MODEL, "memory probability in [0, 1)"),
     "steps": (("-n", "--steps"), int, 10000, _STEPS, None),
     "trajectories": (("-t", "--trajectories"), int, 1000, _MC, None),
     "seed": (("--seed",), int, 0, _MC, "master seed"),
-    "snapshots": (("--snapshots",), str, None, _MC,
+    "snapshots": (("--snapshots",), str, None, ("simulate",),
                   "comma-separated times, or 'dyadic' (default)"),
     "workers": (("--workers",), int, 1, _MC, None),
     "format": (("--format",), str, None, tuple(FORMATS), None),
-    "alphas": (("--alphas",), str, "0.1,0.25,0.5,0.75", ("experiment",),
-               "comma list of alpha values for regime-scan"),
-    "n_max": (("--n-max",), int, 1 << 20, ("experiment",),
-              "horizon for regime-scan / lil-diagnostic"),
+    "alphas": (("--alphas",), str, "0.1,0.25,0.5,0.75", ("regime-scan",),
+               "comma list of alpha values to scan"),
+    "n_max": (("--n-max",), int, 1 << 20, ("regime-scan", "lil-diagnostic"),
+              "horizon: the largest n walked or fitted"),
 }
 
 
@@ -116,12 +125,6 @@ def _parse_list(text, typ, flag):
     return out
 
 
-def _parse_snapshots(text):
-    if text is None or text == "dyadic":
-        return None
-    return _parse_list(text, int, "snapshots")
-
-
 def _write_text(path, text):
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -137,6 +140,15 @@ def _dict_rows_csv(rows):
                                            for row in rows])) + "\r\n"
 
 
+def _add_options(sp, command):
+    for key, (flags, typ, _, commands, help_) in OPTIONS.items():
+        if command in commands:
+            sp.add_argument(*flags, dest=key, type=typ, help=help_,
+                            choices=FORMATS[command] if key == "format" else None)
+    sp.add_argument("--config", help="key = value config file")
+    sp.add_argument("--output", "-o", help="output path (default stdout)")
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="lapsewalk",
@@ -147,23 +159,20 @@ def build_parser():
     for name, about in (
             ("predict", "derived constants, regime, limit predictions"),
             ("simulate", "seeded ensemble summary at snapshot times"),
-            ("exact", "exact moments (and optionally the full law)"),
-            ("experiment", "limit-theorem checks with PASS/FAIL gates")):
+            ("exact", "exact moments (and optionally the full law)")):
         sp = sub.add_parser(name, help=about)
-        if name == "experiment":
-            sp.add_argument("kind", choices=EXPERIMENTS)
-            sp.add_argument("--csv", help="also write the per-row CSV table "
-                                          "(lln, regime-scan)")
-            sp.add_argument("--plot", help="also write an SVG plot")
         if name == "exact":
             sp.add_argument("--distribution", action="store_true",
                             help="emit the full (s, z) mass table at n (DP, capped)")
-        for key, (flags, typ, _, commands, help_) in OPTIONS.items():
-            if name in commands:
-                sp.add_argument(*flags, dest=key, type=typ, help=help_,
-                                choices=FORMATS[name] if key == "format" else None)
-        sp.add_argument("--config", help="key = value config file")
-        sp.add_argument("--output", "-o", help="output path (default stdout)")
+        _add_options(sp, name)
+    kinds = sub.add_parser("experiment", help="limit-theorem checks with PASS/FAIL "
+                           "gates").add_subparsers(dest="kind", required=True)
+    for kind, (_, _, csv_key) in EXPERIMENTS.items():
+        sp = kinds.add_parser(kind)
+        if csv_key:
+            sp.add_argument("--csv", help="also write the per-row results table as CSV")
+        sp.add_argument("--plot", help="also write an SVG plot")
+        _add_options(sp, kind)
     return ap
 
 
@@ -207,7 +216,8 @@ def cmd_predict(resolved, output, fmt):
 
 def cmd_simulate(resolved, output, fmt):
     params = _params_from(resolved)
-    snaps = _parse_snapshots(resolved["snapshots"])
+    text = resolved["snapshots"]
+    snaps = None if text in (None, "dyadic") else _parse_list(text, int, "snapshots")
     rep = base_report("simulate", **experiments.simulate_report(
         params, resolved["steps"], resolved["trajectories"], resolved["seed"],
         snapshots=snaps, workers=resolved["workers"],
@@ -324,8 +334,7 @@ def _mc_args(o):
 # run(resolved) looks its driver up on the experiments module when it is
 # called, so a driver replaced there (a test double, a tracing wrapper) runs.
 EXPERIMENTS = {
-    "lln": (lambda o: experiments.lln_experiment(
-                *_mc_args(o), snapshots=_parse_snapshots(o["snapshots"])),
+    "lln": (lambda o: experiments.lln_experiment(*_mc_args(o)),
             _plot_lln, "snapshots"),
     "clt": (lambda o: experiments.clt_experiment(*_mc_args(o)),
             _plot_ecdf, None),
@@ -346,7 +355,7 @@ EXPERIMENTS = {
 
 def _nothing_to_plot(kind, o):
     """Why experiment `kind` would have nothing to draw, or None."""
-    if kind in ("clt", "critical") and o["trajectories"] <= 0:
+    if kind in ("clt", "critical") and o["trajectories"] == 0:
         return f"no Monte Carlo ECDF at trajectories = {o['trajectories']}"
     if kind == "superdiffusive":
         n_far = experiments.HORIZON_FACTOR * o["steps"]
@@ -358,8 +367,7 @@ def _nothing_to_plot(kind, o):
 
 def cmd_experiment(args, resolved, output):
     run, plot, csv_key = EXPERIMENTS[args.kind]
-    if args.csv and csv_key is None:
-        raise InvalidState(f"--csv: experiment {args.kind} has no per-row table")
+    csv = getattr(args, "csv", None)  # only kinds with a table take --csv
     why = args.plot and _nothing_to_plot(args.kind, resolved)
     if why:
         raise InvalidState(f"--plot: experiment {args.kind} has nothing to draw: "
@@ -367,8 +375,8 @@ def cmd_experiment(args, resolved, output):
     rep = base_report("experiment", **run(resolved))
     _write_text(output, emit_json(rep))
 
-    if args.csv and rep["results"][csv_key]:
-        _write_text(args.csv, _dict_rows_csv(rep["results"][csv_key]))
+    if csv and rep["results"][csv_key]:
+        _write_text(csv, _dict_rows_csv(rep["results"][csv_key]))
     if args.plot:
         _write_text(args.plot, plot(rep["results"]))
     return 1 if rep["pass"] is False else 0

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from lapsewalk import ensemble, exact, experiments
-from lapsewalk.cli import main
+from lapsewalk.cli import build_parser, main
 from lapsewalk.errors import OutOfDomain
 from lapsewalk.exact import distribution_dp
 from lapsewalk.model import ModelParams
@@ -282,8 +282,16 @@ def test_experiment_superdiffusive_series_fails_before_sampling(capsys,
     ("critical", [*super_flags(0.5), "-n", "100", "-t", "9"],
      "trajectories >= 10, got 9"),
     ("critical", [*super_flags(0.5), "-n", "1", "-t", "50"], "n >= 2"),
+    ("clt", ["-n", "100", "-t", "-5"], "trajectories >= 10, got -5"),
+    ("critical", [*super_flags(0.5), "-n", "50", "-t", "-1"],
+     "trajectories >= 10, got -1"),
+    ("clt", ["-p", "0", "-q", "0", "-r", "1"], "phi = 0"),
+    ("critical", ["-p", "1", "-q", "0", "-r", "0", "--theta", "0.5"], "phi = 0"),
+    ("superdiffusive", ["-p", "1", "-q", "0", "-r", "0", "--theta", "0.8"],
+     "phi = 0"),
 ], ids=["superdiffusive-t1", "superdiffusive-t9", "clt-t1", "clt-t9",
-        "critical-t1", "critical-t9", "critical-n1"])
+        "critical-t1", "critical-t9", "critical-n1", "clt-t-5", "critical-t-1",
+        "clt-phi0", "critical-phi0", "superdiffusive-phi0"])
 def test_experiment_refused_before_any_work(capsys, monkeypatch, tmp_path,
                                             kind, flags, why):
     monkeypatch.setattr(ensemble, "run_ensemble", _refuse_moments)
@@ -402,12 +410,59 @@ def test_experiment_csv_without_table_exit_2(capsys, monkeypatch, tmp_path,
 
     monkeypatch.setattr(experiments, driver, sampled)
     out, csv = tmp_path / "r.json", tmp_path / "r.csv"
-    code, _, err = run_cli(capsys, "experiment", kind, *flags, "-t", "10",
-                           "-o", str(out), "--csv", str(csv))
-    assert code == 2
-    assert err == (f"lapsewalk: error: --csv: experiment {kind} has no "
-                   "per-row table\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", kind, *flags, "-t", "10", "-o", str(out),
+              "--csv", str(csv)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: --csv {csv}" in capsys.readouterr().err
     assert not out.exists() and not csv.exists()
+
+
+# experiment kind -> the flags it reads besides --plot, --config and -o, and
+# the flags of other kinds that it refuses
+KIND_FLAGS = {
+    "lln": ("-p -q -r --theta -n -t --seed --workers --csv",
+            "--snapshots --alphas --n-max"),
+    "clt": ("-p -q -r --theta -n -t --seed --workers",
+            "--snapshots --alphas --n-max --csv"),
+    "critical": ("-p -q -r --theta -n -t --seed --workers",
+                 "--snapshots --alphas --n-max --csv"),
+    "superdiffusive": ("-p -q -r --theta -n -t --seed --workers",
+                       "--snapshots --alphas --n-max --csv"),
+    "regime-scan": ("-p -q -r --alphas --n-max --csv",
+                    "--theta -n -t --seed --snapshots --workers"),
+    "lil-diagnostic": ("-p -q -r --theta -t --seed --workers --n-max",
+                       "-n --snapshots --alphas --csv"),
+}
+REFUSED = [(kind, flag) for kind, (_, refused) in KIND_FLAGS.items()
+           for flag in refused.split()]
+
+
+@pytest.mark.parametrize("kind", KIND_FLAGS)
+def test_experiment_kind_takes_the_flags_it_reads(kind):
+    flags = [*KIND_FLAGS[kind][0].split(), "--plot", "--config", "-o"]
+    args = build_parser().parse_args(
+        ["experiment", kind, *(tok for flag in flags for tok in (flag, "1"))])
+    assert args.kind == kind
+
+
+@pytest.mark.parametrize("kind, flag", REFUSED,
+                         ids=[f"{kind}{flag}" for kind, flag in REFUSED])
+def test_experiment_flag_the_kind_does_not_read_exit_2(capsys, monkeypatch,
+                                                       tmp_path, kind, flag):
+    def ran(*args, **kwargs):
+        raise AssertionError(f"experiment ran before {flag} was refused")
+
+    for driver in ("lln_experiment", "clt_experiment", "critical_experiment",
+                   "superdiffusive_experiment", "regime_scan_experiment",
+                   "lil_experiment"):
+        monkeypatch.setattr(experiments, driver, ran)
+    out = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", kind, flag, "1", "-o", str(out)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("kind, driver, flags, why", [

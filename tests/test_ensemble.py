@@ -301,6 +301,15 @@ def test_residual_clt_guard_and_sample():
     assert 0.7 <= res.std(ddof=1) <= 0.95
 
 
+def test_residual_clt_refuses_phi_zero_before_walking(monkeypatch):
+    def walked(*args, **kwargs):
+        raise AssertionError("walked before phi = 0 was refused")
+
+    monkeypatch.setattr(ensemble, "run_ensemble", walked)
+    with pytest.raises(lw.Degenerate, match="phi = 0"):
+        ensemble.residual_clt_sample(lw.ModelParams(1, 0, 0, 0.8), 16, 20)
+
+
 def test_single_walk_w_matches_estimate_w_bytes():
     # the superdiffusive experiment takes W from the residual walk's rows at
     # n; they are the rows estimate_w walks to n at the same seed

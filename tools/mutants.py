@@ -123,6 +123,14 @@ MUTANTS = [
      '"critical": (0.03, 1.63)',
      '"critical": (0.03, 1.73)',
      "tests/test_gate_oracles.py::test_mc_ks_gates_are_the_documented_formulas"),
+    ("nondegenerate_allows_phi_zero", "experiments.py",
+     "derive_constants(params).phi <= 0.0",
+     "derive_constants(params).phi < 0.0",
+     "tests/test_cli.py::test_experiment_refused_before_any_work"),
+    ("clt_takes_n_max", "cli.py",
+     '("regime-scan", "lil-diagnostic"),',
+     '("regime-scan", "lil-diagnostic", "clt"),',
+     "tests/test_cli.py::test_experiment_flag_the_kind_does_not_read_exit_2"),
     ("scan_superdiffusive_slope", "experiments.py",
      "ref = 2.0 * c.alpha\n",
      "ref = 2.0 * c.alpha - 0.05\n",
