@@ -7,16 +7,15 @@ subcommand and takes only the flags it reads; argparse refuses any other
 before any work.
 
 Exit codes: 0 success / all gates pass, 1 an experiment gate failed,
-2 usage or domain error. Flags beat the config file, which beats defaults;
-the config file is plain `key = value` lines with `#` comments, keys named
-like the long options of any command (p, q, r, theta, steps, trajectories,
-seed, ...). One file serves every command, so a key the command does not
-read is ignored; an unknown key or a value that does not parse is a usage
-error naming the file and the line.
+2 usage or domain error. An argument `@FILE` stands for the arguments in
+FILE, each line split into shell words with `#` starting a comment. They are
+parsed as if typed in its place: a later value of a flag wins, and a file's
+words meet every check its flags would.
 """
 
 import argparse
 import math
+import shlex
 import sys
 
 from . import experiments
@@ -29,7 +28,7 @@ from .stats import normal_cdf
 from .svg import line_plot
 
 # subcommand -> its --format choices, the first the default; the experiment
-# kinds take none and ignore the key
+# kinds take none
 FORMATS = {"predict": ("text", "json"), "simulate": ("csv", "json"),
            "exact": ("csv", "json")}
 # the experiment kinds judged at -n; lil-diagnostic walks to --n-max and
@@ -40,10 +39,8 @@ _MODEL = ("predict", "exact", *_MC)
 _ALL = (*_MODEL, "regime-scan")
 _STEPS = ("simulate", "exact", *_WALKS)
 # key -> (flags, type, default, commands with the flag, help). A command is a
-# subcommand or an experiment kind, and takes only the flags it reads. Every
-# key is also a config-file key for every command, parsed with its type and
-# ignored where unread; a format of None is the subcommand's first FORMATS
-# choice
+# subcommand or an experiment kind, and takes only the flags it reads; a
+# format of None is the subcommand's first FORMATS choice
 OPTIONS = {
     "p": (("-p",), float, 0.6, _ALL, "probability of a +1-type step"),
     "q": (("-q",), float, 0.2, _ALL, "probability of a -1-type step"),
@@ -63,53 +60,8 @@ OPTIONS = {
 }
 
 
-def _parse_config_file(path):
-    """key -> (value, "path:line"); a key no subcommand takes is refused."""
-    out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise LapsewalkError(f"{path}:{lineno}: expected key = value")
-            key, value = (part.strip() for part in line.split("=", 1))
-            key = key.replace("-", "_")
-            if key not in OPTIONS:
-                raise InvalidState(f"{path}:{lineno}: unknown key {key!r}")
-            out[key] = (value, f"{path}:{lineno}")
-    return out
-
-
-def _resolve(args):
-    """flags > config file > defaults"""
-    config = _parse_config_file(args.config) if args.config else {}
-    resolved = {}
-    for key, (_, typ, default, _, _) in OPTIONS.items():
-        flag = getattr(args, key, None)
-        if flag is not None:
-            resolved[key] = flag
-        elif key in config:
-            value, where = config[key]
-            try:
-                resolved[key] = typ(value)
-            except ValueError:
-                raise InvalidState(f"{where}: {key} = {value!r} is not a valid "
-                                   f"{typ.__name__}") from None
-            allowed = FORMATS.get(args.command) if key == "format" else None
-            if allowed and value not in allowed:
-                raise InvalidState(f"{where}: format = {value!r} is not one of "
-                                   f"{', '.join(allowed)} for {args.command}")
-        else:
-            resolved[key] = default
-    if resolved["format"] is None and args.command in FORMATS:
-        resolved["format"] = FORMATS[args.command][0]
-    return resolved
-
-
-def _params_from(resolved) -> ModelParams:
-    return ModelParams(resolved["p"], resolved["q"], resolved["r"],
-                       resolved["theta"])
+def _params_from(o) -> ModelParams:
+    return ModelParams(o["p"], o["q"], o["r"], o["theta"])
 
 
 def _parse_list(text, typ, flag):
@@ -141,11 +93,11 @@ def _dict_rows_csv(rows):
 
 
 def _add_options(sp, command):
-    for key, (flags, typ, _, commands, help_) in OPTIONS.items():
+    for key, (flags, typ, default, commands, help_) in OPTIONS.items():
         if command in commands:
-            sp.add_argument(*flags, dest=key, type=typ, help=help_,
-                            choices=FORMATS[command] if key == "format" else None)
-    sp.add_argument("--config", help="key = value config file")
+            choices = FORMATS[command] if key == "format" else None
+            sp.add_argument(*flags, dest=key, type=typ, help=help_, choices=choices,
+                            default=choices[0] if choices else default)
     sp.add_argument("--output", "-o", help="output path (default stdout)")
 
 
@@ -154,7 +106,9 @@ def build_parser():
         prog="lapsewalk",
         description="Elephant random walk with delays and memory lapses: "
                     "predictions, simulation, exact oracles, experiments.",
+        fromfile_prefix_chars="@",
     )
+    ap.convert_arg_line_to_args = lambda line: shlex.split(line, comments=True)
     sub = ap.add_subparsers(dest="command", required=True)
     for name, about in (
             ("predict", "derived constants, regime, limit predictions"),
@@ -176,8 +130,8 @@ def build_parser():
     return ap
 
 
-def cmd_predict(resolved, output, fmt):
-    params = _params_from(resolved)
+def cmd_predict(o):
+    params = _params_from(o)
     c = derive_constants(params)
     pred = regime_prediction(params)  # raises OutOfDomain for alpha < 0
     if pred.degenerate:
@@ -202,30 +156,29 @@ def cmd_predict(resolved, output, fmt):
     if c.regime is Regime.SUPERDIFFUSIVE:
         report["predictions"]["v_limit"] = v_limit_superdiffusive(c.alpha)
         report["predictions"]["residual_scale"] = pred.residual_scale(10 ** 6)
-    if fmt == "json":
-        _write_text(output, emit_json(report))
+    if o["format"] == "json":
+        _write_text(o["output"], emit_json(report))
     else:
         lines = [f"regime = {c.regime.value}"]
         for key in ("alpha", "omega", "tau", "gamma", "phi", "beta", "psi"):
             lines.append(f"{key} = {fmt_float(report['derived'][key])}")
         for key, val in report["predictions"].items():
             lines.append(f"{key} = {val if isinstance(val, str) else fmt_float(val)}")
-        _write_text(output, "\n".join(lines) + "\n")
+        _write_text(o["output"], "\n".join(lines) + "\n")
     return 0
 
 
-def cmd_simulate(resolved, output, fmt):
-    params = _params_from(resolved)
-    text = resolved["snapshots"]
+def cmd_simulate(o):
+    text = o["snapshots"]
     snaps = None if text in (None, "dyadic") else _parse_list(text, int, "snapshots")
     rep = base_report("simulate", **experiments.simulate_report(
-        params, resolved["steps"], resolved["trajectories"], resolved["seed"],
-        snapshots=snaps, workers=resolved["workers"],
+        _params_from(o), o["steps"], o["trajectories"], o["seed"],
+        snapshots=snaps, workers=o["workers"],
     ))
-    if fmt == "json":
-        _write_text(output, emit_json(rep))
+    if o["format"] == "json":
+        _write_text(o["output"], emit_json(rep))
     else:
-        _write_text(output, _dict_rows_csv(rep["results"]["snapshots"]))
+        _write_text(o["output"], _dict_rows_csv(rep["results"]["snapshots"]))
     return 0
 
 
@@ -237,9 +190,9 @@ _LAW_JSON_ROW = ('      {{\n        "probability": {2!r},\n        "s": {0},\n'
 _LAW_CSV_ROW = "{0},{1},{2:.17g}\r\n"
 
 
-def cmd_exact(resolved, output, fmt, with_distribution):
-    params = _params_from(resolved)
-    n = resolved["steps"]
+def cmd_exact(o):
+    params = _params_from(o)
+    n = o["steps"]
     pred = regime_prediction(params)
     ns = [1, n, *(2 ** k for k in range(4, 25) if 2 ** k < n)]
     rows = []
@@ -260,22 +213,22 @@ def cmd_exact(resolved, output, fmt, with_distribution):
         config={"n": n},
         results={"moments": rows},
     )
-    if with_distribution:
+    if o["distribution"]:
         law = [col.tolist() for col in distribution_columns(params, n)]
         rep["results"]["distribution"] = []  # JSON rows are spliced in here
-    if fmt == "json":
+    if o["format"] == "json":
         text = emit_json(rep)
-        if with_distribution:
+        if o["distribution"]:
             rows_text = ",\n".join(map(_LAW_JSON_ROW.format, *law))
             text = text.replace('"distribution": []',
                                 f'"distribution": [\n{rows_text}\n    ]', 1)
-        _write_text(output, text)
+        _write_text(o["output"], text)
     else:
         lines = _dict_rows_csv(rows)
-        if with_distribution:
+        if o["distribution"]:
             lines += "s,z,probability\r\n" + "".join(
                 map(_LAW_CSV_ROW.format, *law))
-        _write_text(output, lines)
+        _write_text(o["output"], lines)
     return 0
 
 
@@ -331,7 +284,7 @@ def _mc_args(o):
 
 
 # kind -> (run, plot, key of the results list --csv writes, or None).
-# run(resolved) looks its driver up on the experiments module when it is
+# run(o) looks its driver up on the experiments module when it is
 # called, so a driver replaced there (a test double, a tracing wrapper) runs.
 EXPERIMENTS = {
     "lln": (lambda o: experiments.lln_experiment(*_mc_args(o)),
@@ -365,36 +318,33 @@ def _nothing_to_plot(kind, o):
     return None
 
 
-def cmd_experiment(args, resolved, output):
-    run, plot, csv_key = EXPERIMENTS[args.kind]
-    csv = getattr(args, "csv", None)  # only kinds with a table take --csv
-    why = args.plot and _nothing_to_plot(args.kind, resolved)
+def cmd_experiment(o):
+    kind = o["kind"]
+    run, plot, csv_key = EXPERIMENTS[kind]
+    csv = o.get("csv")  # only kinds with a table take --csv
+    why = o["plot"] and _nothing_to_plot(kind, o)
     if why:
-        raise InvalidState(f"--plot: experiment {args.kind} has nothing to draw: "
-                           f"{why}")
-    rep = base_report("experiment", **run(resolved))
-    _write_text(output, emit_json(rep))
+        raise InvalidState(f"--plot: experiment {kind} has nothing to draw: {why}")
+    rep = base_report("experiment", **run(o))
+    _write_text(o["output"], emit_json(rep))
 
     if csv and rep["results"][csv_key]:
         _write_text(csv, _dict_rows_csv(rep["results"][csv_key]))
-    if args.plot:
-        _write_text(args.plot, plot(rep["results"]))
+    if o["plot"]:
+        _write_text(o["plot"], plot(rep["results"]))
     return 1 if rep["pass"] is False else 0
 
 
+COMMANDS = {"predict": cmd_predict, "simulate": cmd_simulate, "exact": cmd_exact,
+            "experiment": cmd_experiment}
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
-        resolved = _resolve(args)
-        output, fmt = args.output, resolved["format"]
-        if args.command == "predict":
-            return cmd_predict(resolved, output, fmt)
-        if args.command == "simulate":
-            return cmd_simulate(resolved, output, fmt)
-        if args.command == "exact":
-            return cmd_exact(resolved, output, fmt, args.distribution)
-        return cmd_experiment(args, resolved, output)
+        # inside the try: shlex refuses an argument file's unclosed quote
+        # with ValueError
+        o = vars(build_parser().parse_args(argv))
+        return COMMANDS[o["command"]](o)
     except (LapsewalkError, ValueError, OSError) as exc:
         print(f"lapsewalk: error: {exc}", file=sys.stderr)
         return 2

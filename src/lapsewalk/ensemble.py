@@ -207,7 +207,8 @@ def run_ensemble(params: ModelParams, n_steps: int, n_traj: int,
                  snapshots=None, master_seed: int = 0, keep_raw: bool = False,
                  workers: int = 1,
                  chunk_size: int = CHUNK_SIZE_DEFAULT) -> EnsembleResult:
-    """Simulate n_traj seeded trajectories, accumulating at snapshot times.
+    """Simulate n_traj seeded trajectories, accumulating at snapshot times
+    (the dyadic grid when snapshots is None).
 
     Trajectories are accumulated in blocks of chunk_size, folded in block
     order. keep_raw also keeps the raw S row of every snapshot, indexed by
@@ -223,12 +224,12 @@ def run_ensemble(params: ModelParams, n_steps: int, n_traj: int,
         raise InvalidState(f"workers must be >= 1, got {workers}")
     if chunk_size < 1:
         raise InvalidState(f"chunk_size must be >= 1, got {chunk_size}")
-    if snapshots is None or len(snapshots) == 0:
+    if snapshots is None:
         snaps = dyadic_snapshots(n_steps)
     else:
         snaps = sorted(set(int(m) for m in snapshots))
-    if snaps[0] < 1 or snaps[-1] > n_steps:
-        raise InvalidState("snapshots must lie in [1, n_steps]")
+    if not snaps or snaps[0] < 1 or snaps[-1] > n_steps:
+        raise InvalidState("snapshots must be one or more times in [1, n_steps]")
 
     # a task walks up to LANES_MAX lanes of whole blocks at once, with at
     # least min(workers, n_blocks) tasks so that every worker gets one

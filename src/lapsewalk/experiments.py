@@ -113,6 +113,8 @@ def lln_experiment(params, n_steps, n_traj, master_seed, workers=1) -> dict:
     above Monte Carlo resolution in the superdiffusive regime). The walk is
     summarized on the dyadic grid up to n, so the gates judge n itself.
     """
+    if n_traj < 2:  # with one trajectory the stderr is 0
+        raise SampleTooSmall(f"the stderr gates need trajectories >= 2, got {n_traj}")
     pred = regime_prediction(params)
     ens = run_ensemble(params, n_steps, n_traj, master_seed=master_seed,
                        workers=workers)

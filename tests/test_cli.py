@@ -1,5 +1,7 @@
 import hashlib
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -134,14 +136,6 @@ def test_dp_cap_flag_is_gone(capsys):
     assert "unrecognized arguments: --dp-cap 500" in capsys.readouterr().err
 
 
-def test_dp_cap_config_key_is_gone(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("steps = 40\ndp_cap = 500\n")
-    code, _, err = run_cli(capsys, "exact", "--config", str(cfg))
-    assert code == 2
-    assert err == f"lapsewalk: error: {cfg}:2: unknown key 'dp_cap'\n"
-
-
 def test_exact_oversized_n_exit_2(capsys):
     # above exact.MOMENT_CAP, so refused before any work
     code, _, err = run_cli(capsys, "exact", "-n", str(10 ** 12))
@@ -224,17 +218,6 @@ def test_gate_and_horizon_flags_are_gone(capsys, flag):
     assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", ["gate = 0.5", "horizon_factor = 32"])
-def test_gate_and_horizon_config_keys_are_gone(tmp_path, capsys, key):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"steps = 40\n{key}\n")
-    code, _, err = run_cli(capsys, "experiment", "superdiffusive",
-                           "--config", str(cfg))
-    assert code == 2
-    name = key.split(" = ")[0]
-    assert err == f"lapsewalk: error: {cfg}:2: unknown key {name!r}\n"
-
-
 def test_experiment_wrong_regime_exit_2(capsys):
     code, _, err = run_cli(capsys, "experiment", "critical", "-p", "0.6",
                            "-q", "0.2", "-r", "0.2", "--theta", "0.5",
@@ -289,9 +272,10 @@ def test_experiment_superdiffusive_series_fails_before_sampling(capsys,
     ("critical", ["-p", "1", "-q", "0", "-r", "0", "--theta", "0.5"], "phi = 0"),
     ("superdiffusive", ["-p", "1", "-q", "0", "-r", "0", "--theta", "0.8"],
      "phi = 0"),
+    ("lln", ["-n", "100", "-t", "1"], "trajectories >= 2, got 1"),
 ], ids=["superdiffusive-t1", "superdiffusive-t9", "clt-t1", "clt-t9",
         "critical-t1", "critical-t9", "critical-n1", "clt-t-5", "critical-t-1",
-        "clt-phi0", "critical-phi0", "superdiffusive-phi0"])
+        "clt-phi0", "critical-phi0", "superdiffusive-phi0", "lln-t1"])
 def test_experiment_refused_before_any_work(capsys, monkeypatch, tmp_path,
                                             kind, flags, why):
     monkeypatch.setattr(ensemble, "run_ensemble", _refuse_moments)
@@ -369,6 +353,12 @@ def test_malformed_snapshots_exit_2(capsys):
                            "--snapshots", "1,x")
     assert code == 2
     assert err == "lapsewalk: error: --snapshots: 'x' is not a valid int\n"
+    # no times at all is refused, not read as the dyadic default
+    code, out, err = run_cli(capsys, "simulate", "-n", "10", "-t", "5",
+                             "--snapshots", ",")
+    assert (code, out) == (2, "")
+    assert err == ("lapsewalk: error: snapshots must be one or more times in "
+                   "[1, n_steps]\n")
 
 
 def test_experiment_csv_and_plot(tmp_path):
@@ -418,7 +408,7 @@ def test_experiment_csv_without_table_exit_2(capsys, monkeypatch, tmp_path,
     assert not out.exists() and not csv.exists()
 
 
-# experiment kind -> the flags it reads besides --plot, --config and -o, and
+# experiment kind -> the flags it reads besides --plot and -o, and
 # the flags of other kinds that it refuses
 KIND_FLAGS = {
     "lln": ("-p -q -r --theta -n -t --seed --workers --csv",
@@ -440,7 +430,7 @@ REFUSED = [(kind, flag) for kind, (_, refused) in KIND_FLAGS.items()
 
 @pytest.mark.parametrize("kind", KIND_FLAGS)
 def test_experiment_kind_takes_the_flags_it_reads(kind):
-    flags = [*KIND_FLAGS[kind][0].split(), "--plot", "--config", "-o"]
+    flags = [*KIND_FLAGS[kind][0].split(), "--plot", "-o"]
     args = build_parser().parse_args(
         ["experiment", kind, *(tok for flag in flags for tok in (flag, "1"))])
     assert args.kind == kind
@@ -515,78 +505,87 @@ def test_simulate_oversized_n_exit_2(capsys):
                    "the step cap 9007199254740992 (float64 step counts)\n")
 
 
+def run_refused(capsys, *argv):
+    """Exit code and stderr of a command line argparse or main refuses."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
+def test_config_file_precedence(tmp_path, capsys):
+    # an argument file is read in its place: a later -n wins either way
+    args = tmp_path / "base.args"
+    args.write_text("# small lln run\n-n 64 -t 10  # n and t\n\n   \n--seed 3\n")
+    for argv, n in ([f"@{args}", "-n", "500"], 500), (["-n", "500", f"@{args}"], 64):
+        code, out, _ = run_cli(capsys, "experiment", "lln", *argv)
+        assert code == 0
+        assert json.loads(out)["config"] == {"n_steps": n, "n_traj": 10,
+                                             "master_seed": 3, "workers": 1}
+
+
 @pytest.mark.parametrize("command, allowed", [("predict", "text, json"),
                                               ("simulate", "csv, json")])
 def test_config_format_outside_choices_exit_2(tmp_path, capsys, command,
                                               allowed):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("steps = 10\nformat = xml\n")
+    args = tmp_path / "run.args"
+    args.write_text("--theta 0.3\n--format xml\n")
     out = tmp_path / "out"
-    code, _, err = run_cli(capsys, command, "--config", str(cfg), "-o", str(out))
+    code, err = run_refused(capsys, command, f"@{args}", "-o", str(out))
     assert code == 2
-    assert err == (f"lapsewalk: error: {cfg}:2: format = 'xml' is not one of "
-                   f"{allowed} for {command}\n")
+    assert "argument --format: invalid choice: 'xml'" in err
+    assert all(choice in err for choice in allowed.split(", "))
     assert not out.exists()
 
 
-def test_config_format_read_when_valid_and_ignored_by_experiment(tmp_path,
-                                                                 capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("format = json\n")
-    code, out, _ = run_cli(capsys, "predict", "--config", str(cfg))
-    assert code == 0
-    assert json.loads(out)["command"] == "predict"
-    cfg.write_text("format = text\n")  # experiment has no --format to check
-    code, out, _ = run_cli(capsys, "experiment", "lln", "--config", str(cfg),
-                           "-n", "64", "-t", "10")
-    assert code == 0
-    assert json.loads(out)["kind"] == "lln"
-
-
-def test_config_bad_value_names_file_key_and_value(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("seed = 3\nsteps = abc\n")
-    code, _, err = run_cli(capsys, "simulate", "--config", str(cfg), "-t", "5")
+@pytest.mark.parametrize("lines, why", [
+    ("--seed 3\n-n abc\n", "argument -n/--steps: invalid int value: 'abc'"),
+    ("-n 10\n--trajectoris 10\n", "unrecognized arguments: --trajectoris 10"),
+    (None, "No such file or directory"),
+    ("--snapshots '10,20\n", "No closing quotation"),
+], ids=["bad-value", "unknown-flag", "missing-file", "unclosed-quote"])
+def test_argument_file_refused_exit_2(tmp_path, capsys, monkeypatch, lines, why):
+    monkeypatch.setattr(experiments, "run_ensemble", _refuse_moments)
+    args, out = tmp_path / "run.args", tmp_path / "out.csv"
+    if lines is not None:
+        args.write_text(lines)
+    code, err = run_refused(capsys, "simulate", f"@{args}", "-o", str(out))
     assert code == 2
-    assert err == (f"lapsewalk: error: {cfg}:2: steps = 'abc' is not a "
-                   "valid int\n")
+    assert "lapsewalk" in err and why in err and "Traceback" not in err
+    assert not out.exists()
 
 
-def test_config_unknown_key_names_file_and_line(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("# shared by every subcommand\nsteps = 10\n"
-                   "trajectoris = 10\n")
-    code, _, err = run_cli(capsys, "simulate", "--config", str(cfg))
+@pytest.mark.parametrize("kind, line", [("lln", "--n-max 5"),
+                                        ("lln", "--format json"),
+                                        ("regime-scan", "--seed 3")],
+                         ids=["lln-n-max", "lln-format", "regime-scan-seed"])
+def test_argument_file_flag_the_kind_does_not_read_exit_2(tmp_path, capsys,
+                                                          kind, line):
+    # per-kind refusal holds for a file's words as for typed flags
+    args, out = tmp_path / "run.args", tmp_path / "r.json"
+    args.write_text(f"-p 0.6\n{line}\n")
+    code, err = run_refused(capsys, "experiment", kind, f"@{args}", "-o", str(out))
     assert code == 2
-    assert err == f"lapsewalk: error: {cfg}:3: unknown key 'trajectoris'\n"
+    assert f"unrecognized arguments: {line}" in err
+    assert not out.exists()
 
 
-def test_config_keys_of_other_subcommands_accepted(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("alphas = 0.2,0.75\nn-max = 1024\n"
-                   "steps = 100\ntrajectories = 7\n")
-    code, out, _ = run_cli(capsys, "predict", "--config", str(cfg),
-                           "--format", "json")
-    assert code == 0
-    assert json.loads(out)["derived"]["regime"] == "diffusive"
-
-
-def test_config_file_precedence(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(
-        "# experiment defaults\n"
-        "p = 0.95\nq = 0.05\nr = 0\ntheta = 0.9\n"
-        "steps = 123\n"
-    )
-    code, out, _ = run_cli(capsys, "predict", "--config", str(cfg),
-                           "--format", "json")
-    assert code == 0
-    assert json.loads(out)["derived"]["regime"] == "superdiffusive"
-    # flag beats config
-    code, out, _ = run_cli(capsys, "predict", "--config", str(cfg),
-                           "--theta", "0.2", "--format", "json")
-    assert code == 0
-    assert json.loads(out)["derived"]["regime"] == "diffusive"
+def test_readme_command_lines_parse(tmp_path):
+    # every example in README's Command line block names flags that exist;
+    # its argument file is written out first, and @NAME points at the copy
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    sample = section.split("```text\n", 1)[1].split("```", 1)[0]
+    name = sample.splitlines()[0].removeprefix("# ")
+    (tmp_path / name).write_text(sample)
+    lines = [line for line in block.splitlines() if line.startswith("lapsewalk ")]
+    assert f"@{name}" in lines[-1]
+    for line in lines:
+        argv = [f"@{tmp_path}/{tok[1:]}" if tok.startswith("@") else tok
+                for tok in shlex.split(line)[1:]]
+        assert build_parser().parse_args(argv).command == argv[0]
 
 
 def test_json_roundtrip():

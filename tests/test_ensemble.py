@@ -227,8 +227,9 @@ def test_ensemble_rejects_bad_workers_and_chunk_size(kw):
 def test_ensemble_counts_and_snapshot_validation():
     ens = lw.run_ensemble(PARAMS, 100, 500, snapshots=[10, 100], master_seed=1)
     assert all(acc.count == 500 for acc in ens.acc_s)
-    with pytest.raises(lw.InvalidState):
-        lw.run_ensemble(PARAMS, 100, 10, snapshots=[101], master_seed=1)
+    for snapshots in ([101], [0, 10], []):  # [] is no times, not the default
+        with pytest.raises(lw.InvalidState):
+            lw.run_ensemble(PARAMS, 100, 10, snapshots=snapshots, master_seed=1)
 
 
 def test_keep_raw_rows_match_scalar_walk(monkeypatch):

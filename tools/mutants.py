@@ -131,6 +131,14 @@ MUTANTS = [
      '("regime-scan", "lil-diagnostic"),',
      '("regime-scan", "lil-diagnostic", "clt"),',
      "tests/test_cli.py::test_experiment_flag_the_kind_does_not_read_exit_2"),
+    ("lln_takes_one_trajectory", "experiments.py",
+     "if n_traj < 2:",
+     "if n_traj < 1:",
+     "tests/test_cli.py::test_experiment_refused_before_any_work"),
+    ("empty_snapshots_walk_dyadic", "ensemble.py",
+     "    if snapshots is None:\n        snaps = dyadic_snapshots(n_steps)\n",
+     "    if not snapshots:\n        snaps = dyadic_snapshots(n_steps)\n",
+     "tests/test_ensemble.py::test_ensemble_counts_and_snapshot_validation"),
     ("scan_superdiffusive_slope", "experiments.py",
      "ref = 2.0 * c.alpha\n",
      "ref = 2.0 * c.alpha - 0.05\n",
