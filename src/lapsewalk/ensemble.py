@@ -181,8 +181,9 @@ def _simulate_chunk(params: ModelParams, n_steps, snaps, master_seed, lo, hi):
             next_snap = next(pending, None)
             if next_snap is None:
                 return
-        _thresholds(n_plus, n_minus, p, q, theta / m, const_plus, const_minus,
-                    a, cum, tmp)
+        if theta:  # at theta = 0 the update rewrites a = p and cum = p + q
+            _thresholds(n_plus, n_minus, p, q, theta / m, const_plus,
+                        const_minus, a, cum, tmp)
 
 
 def _chunk_job(task):

@@ -6,7 +6,10 @@ Three independent routes, in decreasing cost:
   merging (n <= PATH_CAP); the reference the others are checked against.
 * `distribution_dp`  - the pair (S_n, Z_n) is Markov under the step kernel,
   so the full joint law follows by dynamic programming over the triangle
-  z <= m, |s| <= z (O(n^3) work, n <= DP_CAP).
+  z <= m, |s| <= z (O(n^3) work, n <= DP_CAP). The slices alternate between
+  two flat buffers of (n + 2)^2 floats with row stride n + 2, and each step
+  runs over contiguous bands of `_DP_BAND` rows; a yielded slice is a view
+  that stays valid until the next step.
 * `exact_moments`    - O(n) forward recursions for the first and second
   moments, closed in (E S, E Z, Var S, E SZ).
 
@@ -51,6 +54,7 @@ DP_CAP = 400
 PATH_CAP = 14
 MOMENT_CAP = 2 ** 32  # O(n) moment recursion: ~16 Mterms/s, so ~4.5 min
 _MOMENT_BLOCK = 1 << 15  # transitions per carried block; speed only
+_DP_BAND = 64  # DP rows per contiguous band; speed only
 
 
 @dataclass(frozen=True)
@@ -206,29 +210,49 @@ def _dp_slices(params: ModelParams, n: int):
     """Yield (m, tri) for m = 1..n, tri[z, j] = P(Z_m = z, n_plus = j).
 
     The pair (S_m, Z_m) is Markov, and with j = n_plus = (s + z) / 2 each
-    time slice is a dense triangle and every transition is a shifted array add.
+    time slice is a dense triangle. Slices alternate between two flat
+    buffers of (n + 2)^2 floats: cell (z, j) sits at z * stride + j with
+    stride = n + 2, so the +1, -1 and 0 moves land at the constant offsets
+    stride + 1, stride and 0. Each step runs over contiguous bands of
+    `_DP_BAND` whole rows; the columns past m hold zeros and add only zeros.
+    Every cell starts at +0.0 and takes its shares in the order +1, -1, 0,
+    with the float operations of a fresh dense triangle per step, so the
+    bits do not depend on the band. tri is an (m + 1, m + 1) view, valid
+    until the next step.
     """
     _check_size("n", n, DP_CAP, "DP", "O(n^3) cost")
     p, q, r, theta = params.p, params.q, params.r, params.theta
     pq = p + q
-
-    tri = np.zeros((2, 2))
-    tri[1, 1] = p
-    tri[1, 0] = q
-    tri[0, 0] = r
-    yield 1, tri
+    c_plus, c_minus = (1.0 - theta) * p, (1.0 - theta) * q
+    stride = n + 2
+    zs = np.arange(n + 1, dtype=np.float64)
+    js = np.arange(stride, dtype=np.float64)
+    # the m-free terms: p_plus = (theta / m) up + c_plus, p_minus likewise
+    up = (js * p + (zs[:, None] - js) * q).ravel()
+    down = ((zs[:, None] - js) * p + js * q).ravel()
+    cur, nxt = np.zeros(stride * stride), np.zeros(stride * stride)
+    scratch = np.empty(_DP_BAND * stride)
+    cur[0], cur[stride], cur[stride + 1] = r, q, p
+    yield 1, cur.reshape(stride, stride)[:2, :2]
     for m in range(1, n):
-        zs = np.arange(m + 1, dtype=np.float64)[:, None]
-        js = np.arange(m + 1, dtype=np.float64)[None, :]
-        p_plus = (theta / m) * (js * p + (zs - js) * q) + (1.0 - theta) * p
-        p_minus = (theta / m) * ((zs - js) * p + js * q) + (1.0 - theta) * q
-        p_zero = (theta * pq / m) * (m - zs) + r
-        nxt = np.zeros((m + 2, m + 2))
-        nxt[1:, 1:] += tri * p_plus
-        nxt[1:, :-1] += tri * p_minus
-        nxt[:-1, :-1] += tri * p_zero
-        tri = nxt
-        yield m + 1, tri
+        th_m, rows = theta / m, m + 1
+        p_zero = (theta * pq / m) * (m - zs[:rows]) + r
+        nxt[:(rows + 1) * stride + 1] = 0.0  # every cell a +1 move reaches
+        for z0 in range(0, rows, _DP_BAND):
+            z1 = min(z0 + _DP_BAND, rows)
+            lo, hi = z0 * stride, z1 * stride
+            src, t = cur[lo:hi], scratch[:hi - lo]
+            for law, const, to in ((up, c_plus, stride + 1),  # (z+1, j+1)
+                                   (down, c_minus, stride)):  # (z+1, j)
+                np.multiply(law[lo:hi], th_m, out=t)
+                t += const
+                t *= src
+                nxt[lo + to:hi + to] += t
+            np.multiply(src.reshape(-1, stride), p_zero[z0:z1, None],
+                        out=t.reshape(-1, stride))
+            nxt[lo:hi] += t
+        cur, nxt = nxt, cur
+        yield m + 1, cur.reshape(stride, stride)[:m + 2, :m + 2]
 
 
 def distribution_columns(params: ModelParams, n: int):

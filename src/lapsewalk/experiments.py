@@ -319,7 +319,8 @@ def regime_scan_experiment(p, q, r, alphas, n_max=2 ** 20) -> dict:
 
     theta is solved from alpha = (p - q) theta for the fixed (p, q, r); the
     critical point's reference slope includes the log factor's effective
-    contribution over the fitted window.
+    contribution over the fitted window. An alpha that no theta in [0, 1)
+    reaches is refused before any moments run.
     """
     ModelParams(p, q, r, 0.0)  # validates the simplex up front
     if p == q:
@@ -332,10 +333,15 @@ def regime_scan_experiment(p, q, r, alphas, n_max=2 ** 20) -> dict:
     if ns.size < 3:
         raise InvalidState(f"--n-max = {n_max} leaves {ns.size} dyadic n from "
                            "1024 up; the log-log fit needs 3, so n_max >= 4096")
+    beta = p - q
+    for alpha in alphas:
+        if not 0.0 <= alpha / beta < 1.0:
+            raise InvalidState(f"--alphas: no theta in [0, 1) gives alpha = "
+                               f"{alpha!r} = (p - q) theta at p - q = {beta!r}")
     rows = []
     gates = []
     for alpha in alphas:
-        theta = alpha / (p - q)
+        theta = alpha / beta
         params = ModelParams(p, q, r, theta)
         c = derive_constants(params)
         moments = exact_moments(params, int(ns[-1]), ns=ns)

@@ -341,6 +341,25 @@ def test_regime_scan_empty_alphas_exit_2(tmp_path, capsys, monkeypatch, plot):
     assert not out.exists() and not svg.exists()
 
 
+@pytest.mark.parametrize("pq, alphas, alpha, beta", [
+    (("0.6", "0.2"), "0.1,0.5", "0.5", "0.39999999999999997"),  # theta > 1
+    (("0.6", "0.2"), "0.1,-0.1", "-0.1", "0.39999999999999997"),  # theta < 0
+    (("0.2", "0.6"), "0.1", "0.1", "-0.39999999999999997"),  # p < q
+])
+def test_regime_scan_unreachable_alpha_exit_2(tmp_path, capsys, monkeypatch,
+                                              pq, alphas, alpha, beta):
+    # refused before the first alpha's moments, naming the alpha and p - q
+    monkeypatch.setattr(experiments, "exact_moments", _refuse_moments)
+    out = tmp_path / "scan.json"
+    code, _, err = run_cli(capsys, "experiment", "regime-scan", "-p", pq[0],
+                           "-q", pq[1], f"--alphas={alphas}", "--n-max", "4096",
+                           "-o", str(out))
+    assert code == 2
+    assert err == (f"lapsewalk: error: --alphas: no theta in [0, 1) gives alpha "
+                   f"= {alpha} = (p - q) theta at p - q = {beta}\n")
+    assert not out.exists()
+
+
 def test_malformed_alphas_exit_2(capsys):
     code, _, err = run_cli(capsys, "experiment", "regime-scan",
                            "--alphas", "0.1,abc", "--n-max", "1024")

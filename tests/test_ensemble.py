@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats as scipy_stats
 
 import lapsewalk as lw
-from lapsewalk import ensemble, experiments
+from lapsewalk import ensemble, exact, experiments
 from lapsewalk.ensemble import MomentAccumulator
 
 PARAMS = lw.ModelParams(0.6, 0.2, 0.2, 0.5)
@@ -244,6 +245,44 @@ def test_keep_raw_rows_match_scalar_walk(monkeypatch):
         out = lw.simulate_trajectory(PARAMS, 50, lw.RngStream(5, i), [20, 50])
         assert [row[i] for row in ens.sample_s] == [s for _, s, _ in out]
     assert lw.run_ensemble(PARAMS, 50, 700, **kw).sample_s is None
+
+
+def pooled_counts(observed, expected, floor=5.0):
+    """Pool cells, smallest expected count first, until each pool expects at
+    least `floor`; a short last pool joins the one before it."""
+    obs, exp, o, e = [], [], 0, 0.0
+    for i in np.argsort(expected, kind="stable"):
+        o, e = o + observed[i], e + expected[i]
+        if e >= floor:
+            obs.append(o)
+            exp.append(e)
+            o, e = 0, 0.0
+    obs[-1] += o
+    exp[-1] += e
+    return np.array(obs), np.array(exp)
+
+
+@pytest.mark.parametrize("params", [
+    lw.ModelParams(0.5, 0.3, 0.2, 0.0),
+    lw.ModelParams(0.5, 0.3, 0.2, 0.999),
+    lw.ModelParams(0.35, 0.35, 0.3, 0.6),
+    lw.ModelParams(0.7, 0.3, 0.0, 0.5),
+    lw.ModelParams(0.6, 0.0, 0.4, 0.7),
+], ids=["theta=0", "theta=0.999", "p=q", "r=0", "q=0"])
+def test_batch_kernel_law_matches_dp(params):
+    # the sampler against the exact law, which the DP reaches along a
+    # separate code path: chi-square of the (S_n, Z_n) histogram of 1e5 lanes
+    n, lanes = 24, 100_000
+    (s, z), = ensemble._simulate_chunk(params, n, [n], 11, 0, lanes)
+    ss, zs, probs = exact.distribution_columns(params, n)
+    keys = (ss + n) * (n + 1) + zs  # increasing in (s, z), as the columns are
+    drawn = ((s + n) * (n + 1) + z).astype(np.int64)
+    cell = np.minimum(np.searchsorted(keys, drawn), keys.size - 1)
+    assert np.array_equal(keys[cell], drawn)  # no draw off the support
+    obs, exp = pooled_counts(np.bincount(cell, minlength=keys.size),
+                             probs * (lanes / probs.sum()))
+    assert obs.size >= 2
+    assert scipy_stats.chisquare(obs, exp).pvalue > 1e-3
 
 
 def test_theta_zero_lln_bound():

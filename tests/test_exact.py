@@ -3,6 +3,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lapsewalk as lw
 from lapsewalk import exact
@@ -86,6 +88,73 @@ def test_dp_mass_guard_trips_on_a_leaking_kernel():
     for oracle in (lw.distribution_dp, lw.enumerate_paths, lw.dp_moment_scan):
         with pytest.raises(lw.InvalidState, match="drifted"):
             oracle(leaking, 10)
+
+
+def reference_dp_slices(params, n):
+    """The dense-triangle DP that `exact._dp_slices` replaced, kept as its
+    oracle: a fresh zero triangle per step and three shifted whole-array adds."""
+    p, q, r, theta = params.p, params.q, params.r, params.theta
+    pq = p + q
+    tri = np.zeros((2, 2))
+    tri[1, 1] = p
+    tri[1, 0] = q
+    tri[0, 0] = r
+    yield 1, tri
+    for m in range(1, n):
+        zs = np.arange(m + 1, dtype=np.float64)[:, None]
+        js = np.arange(m + 1, dtype=np.float64)[None, :]
+        p_plus = (theta / m) * (js * p + (zs - js) * q) + (1.0 - theta) * p
+        p_minus = (theta / m) * ((zs - js) * p + js * q) + (1.0 - theta) * q
+        p_zero = (theta * pq / m) * (m - zs) + r
+        nxt = np.zeros((m + 2, m + 2))
+        nxt[1:, 1:] += tri * p_plus
+        nxt[1:, :-1] += tri * p_minus
+        nxt[:-1, :-1] += tri * p_zero
+        tri = nxt
+        yield m + 1, tri
+
+
+def assert_dp_slices_match_reference(params, n):
+    pairs = zip(exact._dp_slices(params, n), reference_dp_slices(params, n),
+                strict=True)
+    for (m, got), (want_m, want) in pairs:
+        assert (m, got.shape) == (want_m, want.shape)
+        assert np.ascontiguousarray(got).tobytes() == want.tobytes(), (params, m)
+
+
+def edge_point(edge, u, v, theta):
+    """A simplex point on `edge`, built from draws u, v, theta in [0, 1)."""
+    p, q = u, (1.0 - u) * v  # q at most 1 - p, so r >= 0
+    if edge == "theta = 0":
+        theta = 0.0
+    elif edge == "p = q":
+        p = q = u / 2
+    elif edge == "r = 1":
+        p = q = 0.0
+    elif edge == "q = 0":
+        q = 0.0
+    elif edge == "p = q = -0.0":  # the signed zeros reach the first slice
+        p = q = -0.0
+    return lw.ModelParams(p, q, 1.0 - p - q, theta)
+
+
+UNIT = st.floats(0.0, 1.0, exclude_max=True)
+BAND = exact._DP_BAND
+
+
+@pytest.mark.parametrize("edge", ["interior", "theta = 0", "p = q", "r = 1",
+                                  "q = 0", "p = q = -0.0"])
+@settings(max_examples=4, deadline=None, derandomize=True, database=None)
+@given(u=UNIT, v=UNIT, theta=UNIT,
+       n=st.sampled_from((BAND - 1, BAND, BAND + 1, 2 * BAND + 1)))
+def test_dp_slices_match_reference_bits(edge, u, v, theta, n):
+    # every slice byte for byte, on both sides of one and two band edges
+    assert_dp_slices_match_reference(edge_point(edge, u, v, theta), n)
+
+
+def test_dp_slices_match_reference_bits_at_the_cap():
+    assert_dp_slices_match_reference(lw.ModelParams(0.6, 0.2, 0.2, 0.5),
+                                     exact.DP_CAP)
 
 
 # p + q + r = 1 -+ 9e-13: inside SIMPLEX_TOL, so ModelParams accepts both, and

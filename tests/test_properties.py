@@ -58,7 +58,16 @@ def test_scalar_walk_matches_batch_rows(params, n_steps, n_traj, chunk_size,
     ens = lw.run_ensemble(params, n_steps, n_traj, snapshots=snaps,
                           master_seed=master_seed, keep_raw=True,
                           chunk_size=chunk_size)
-    for i in range(n_traj):
-        out = lw.simulate_trajectory(params, n_steps,
-                                     lw.RngStream(master_seed, i), snaps)
+    walks = [lw.simulate_trajectory(params, n_steps,
+                                    lw.RngStream(master_seed, i), snaps)
+             for i in range(n_traj)]
+    for i, out in enumerate(walks):
         assert [row[i] for row in ens.sample_s] == [s for _, s, _ in out]
+    # Z is kept only as accumulators: fold the scalar rows in block order
+    for k, acc in enumerate(ens.acc_z):
+        z = [out[k][2] for out in walks]
+        want = lw.MomentAccumulator()
+        for lo in range(0, n_traj, chunk_size):
+            want = want.merge(lw.MomentAccumulator.from_values(
+                z[lo:lo + chunk_size]))
+        assert acc == want, snaps[k]

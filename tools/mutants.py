@@ -47,6 +47,10 @@ MUTANTS = [
      "elif u < p_plus + p_minus:",
      "elif u < p_minus:",
      "tests/test_ensemble.py::test_keep_raw_rows_match_scalar_walk"),
+    ("trajectory_z_row", "model.py",
+     "out.append((n, n_plus - n_minus, n_plus + n_minus))",
+     "out.append((n, n_plus - n_minus, n_plus - n_minus))",
+     "tests/test_properties.py::test_scalar_walk_matches_batch_rows"),
     ("batch_plus_threshold", "ensemble.py",
      "    np.multiply(n_plus, p, out=a)\n",
      "    np.multiply(n_plus, q, out=a)\n",
@@ -64,9 +68,13 @@ MUTANTS = [
      "rates = (al, ga, 2.0 * al, al)",
      "tests/test_exact.py::test_moment_recursions_match_dp"),
     ("dp_minus_lands_wrong", "exact.py",
-     "nxt[1:, :-1] += tri * p_minus",
-     "nxt[:-1, 1:] += tri * p_minus",
+     "(down, c_minus, stride)",
+     "(down, c_minus, 1)",
      "tests/test_properties.py::test_exact_oracles_agree"),
+    ("dp_band_one_row_short", "exact.py",
+     "z1 = min(z0 + _DP_BAND, rows)",
+     "z1 = min(z0 + _DP_BAND - 1, rows)",
+     "tests/test_exact.py::test_dp_slices_match_reference_bits"),
     ("dp_mass_guard_loosened", "exact.py",
      "_check_mass(float(tri.sum()), n, 1e-10)",
      "_check_mass(float(tri.sum()), n, 1e-3)",
