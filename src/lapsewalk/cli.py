@@ -53,7 +53,7 @@ OPTIONS = {
                   "comma-separated times, or 'dyadic' (default)"),
     "workers": (("--workers",), int, 1, _MC, None),
     "format": (("--format",), str, None, tuple(FORMATS), None),
-    "alphas": (("--alphas",), str, "0.1,0.25,0.5,0.75", ("regime-scan",),
+    "alphas": (("--alphas",), str, "0.1,0.25,0.35", ("regime-scan",),
                "comma list of alpha values to scan"),
     "n_max": (("--n-max",), int, 1 << 20, ("regime-scan", "lil-diagnostic"),
               "horizon: the largest n walked or fitted"),

@@ -74,7 +74,23 @@ def _report(kind, params, results, **config):
             "results": results}
 
 
-def _gate(name, value, bound, ok):
+def _gate(name, value, op, limit, shown="{!r}"):
+    """One gate record; its verdict and its bound text read the same limit.
+
+    op is one of:
+      "<", "<=", ">"  value against the number limit; shown places the
+                      limit in the bound text after the op
+      "in"            limit = (lo, hi): lo <= value <= hi
+      "within"        limit = (center, tol): |value - center| <= tol
+    """
+    if op == "in":
+        ok, bound = limit[0] <= value <= limit[1], "in [{!r}, {!r}]".format(*limit)
+    elif op == "within":
+        ok = abs(value - limit[0]) <= limit[1]
+        bound = "within {1!r} of {0!r}".format(*limit)
+    else:
+        ok = {"<": value < limit, "<=": value <= limit, ">": value > limit}[op]
+        bound = f"{op} {shown.format(limit)}"
     return {"name": name, "value": value, "bound": bound, "pass": bool(ok)}
 
 
@@ -134,12 +150,10 @@ def lln_experiment(params, n_steps, n_traj, master_seed, workers=1) -> dict:
             f"centering_gap_{x}": gap,
         })
         gates += [
-            _gate(f"lln_{x}_sampler", abs(mean - exact),
-                  f"<= {SIGMA_GATE} stderr = {SIGMA_GATE * se!r}",
-                  abs(mean - exact) <= SIGMA_GATE * se),
-            _gate(f"lln_{x}_limit", abs(mean - limit),
-                  f"<= {SIGMA_GATE} stderr + centering gap = {SIGMA_GATE * se + gap!r}",
-                  abs(mean - limit) <= SIGMA_GATE * se + gap),
+            _gate(f"lln_{x}_sampler", abs(mean - exact), "<=", SIGMA_GATE * se,
+                  f"{SIGMA_GATE} stderr = {{!r}}"),
+            _gate(f"lln_{x}_limit", abs(mean - limit), "<=", SIGMA_GATE * se + gap,
+                  f"{SIGMA_GATE} stderr + centering gap = {{!r}}"),
         ]
     report = _report("lln", params, results, n_steps=n_steps, n_traj=n_traj,
                      master_seed=master_seed, workers=workers)
@@ -170,8 +184,7 @@ def _clt_core(params, n_steps, n_traj, master_seed, workers, kind,
     if exact_gate is not None and n_steps <= DP_CAP:
         d_exact = ks_distance_cdf(standardized_exact_cdf(params, n_steps))
         results["exact_cdf_ks"] = d_exact
-        gates.append(_gate("exact_cdf_ks", d_exact, f"< {exact_gate}",
-                           d_exact < exact_gate))
+        gates.append(_gate("exact_cdf_ks", d_exact, "<", exact_gate))
     if gate is not None:
         ens = run_ensemble(params, n_steps, n_traj, snapshots=[n_steps],
                            master_seed=master_seed, keep_raw=True,
@@ -186,7 +199,7 @@ def _clt_core(params, n_steps, n_traj, master_seed, workers, kind,
         qs = np.linspace(0.0, 1.0, 129)
         results["ecdf_x"] = [float(v) for v in np.quantile(sample, qs)]
         results["ecdf_f"] = [float(v) for v in qs]
-        gates.append(_gate("mc_ks", ks.d_stat, f"< {gate}", ks.d_stat < gate))
+        gates.append(_gate("mc_ks", ks.d_stat, "<", gate))
     report = _report(kind, params, results, n_steps=n_steps, n_traj=n_traj,
                      master_seed=master_seed, workers=workers)
     return report, gates
@@ -212,10 +225,8 @@ def critical_experiment(params, n_steps, n_traj, master_seed, workers=1) -> dict
                                  f"phi n log n is 0 at n = {n_steps}")
     report, gates = _clt_core(params, n_steps, n_traj, master_seed, workers,
                               "critical")
-    ratio = report["results"]["var_ratio"]
-    lo, hi = CRITICAL_VAR_BAND
-    gates.insert(0, _gate("variance_law", ratio, f"in [{lo}, {hi}]",
-                          lo <= ratio <= hi))
+    gates.insert(0, _gate("variance_law", report["results"]["var_ratio"], "in",
+                          CRITICAL_VAR_BAND))
     return _finish(report, gates)
 
 
@@ -272,9 +283,8 @@ def superdiffusive_experiment(params, n_steps, n_traj, master_seed, workers=1) -
     if len(ns) >= SLOPE_FIT_MIN:
         vars_at_ns = np.array([var_s[n] for n in ns])
         fit = fit_loglog(np.array(ns), vars_at_ns)
-        slope_gate = _gate("variance_slope", fit.slope,
-                           f"within {SLOPE_TOL} of {2 * c.alpha!r}",
-                           abs(fit.slope - 2.0 * c.alpha) <= SLOPE_TOL)
+        slope_gate = _gate("variance_slope", fit.slope, "within",
+                           (2.0 * c.alpha, SLOPE_TOL))
         slope_results = {"slope": fit.slope, "slope_stderr": fit.stderr_slope,
                          "slope_intercept": fit.intercept,
                          "slope_r2": fit.r2, "slope_ns": ns,
@@ -301,13 +311,11 @@ def superdiffusive_experiment(params, n_steps, n_traj, master_seed, workers=1) -
     }, n_steps=n_steps, n_traj=n_traj, master_seed=master_seed, workers=workers,
         horizon_factor=HORIZON_FACTOR)
     gates = [
-        _gate("w_mean", abs(west.mean_w),
-              f"<= {SIGMA_GATE} stderr = {SIGMA_GATE * west.stderr!r}",
-              abs(west.mean_w) <= SIGMA_GATE * west.stderr),
-        _gate("w_var_positive", ci_lo, "> 0 (99% bootstrap CI)", ci_lo > 0.0),
-        _gate("w_var_vs_exact", var_rel, f"<= {var_bound}", var_rel <= var_bound),
-        _gate("residual_ks", ks_rescaled.d_stat, f"< {gate}",
-              ks_rescaled.d_stat < gate),
+        _gate("w_mean", abs(west.mean_w), "<=", SIGMA_GATE * west.stderr,
+              f"{SIGMA_GATE} stderr = {{!r}}"),
+        _gate("w_var_positive", ci_lo, ">", 0, "{!r} (99% bootstrap CI)"),
+        _gate("w_var_vs_exact", var_rel, "<=", var_bound),
+        _gate("residual_ks", ks_rescaled.d_stat, "<", gate),
     ]
     if slope_gate is not None:
         gates.append(slope_gate)
@@ -335,11 +343,12 @@ def regime_scan_experiment(p, q, r, alphas, n_max=2 ** 20) -> dict:
                            "1024 up; the log-log fit needs 3, so n_max >= 4096")
     beta = p - q
     for alpha in alphas:
+        if alphas.count(alpha) > 1:
+            raise InvalidState(f"--alphas: {alpha!r} is listed more than once")
         if not 0.0 <= alpha / beta < 1.0:
             raise InvalidState(f"--alphas: no theta in [0, 1) gives alpha = "
                                f"{alpha!r} = (p - q) theta at p - q = {beta!r}")
-    rows = []
-    gates = []
+    rows, gates = [], []
     for alpha in alphas:
         theta = alpha / beta
         params = ModelParams(p, q, r, theta)
@@ -353,14 +362,13 @@ def regime_scan_experiment(p, q, r, alphas, n_max=2 ** 20) -> dict:
             ref = 1.0
         else:
             ref = 2.0 * c.alpha
-        ok = abs(fit.slope - ref) <= SCAN_SLOPE_TOL
         rows.append({
             "alpha": c.alpha, "theta": theta, "regime": c.regime.value,
             "phi": c.phi, "slope": fit.slope, "reference_slope": ref,
             "r2": fit.r2,
         })
-        gates.append(_gate(f"slope_alpha_{alpha:g}", fit.slope,
-                           f"within {SCAN_SLOPE_TOL} of {ref!r}", ok))
+        gates.append(_gate(f"slope_alpha_{alpha!r}", fit.slope, "within",
+                           (ref, SCAN_SLOPE_TOL)))
     report = {
         "kind": "regime-scan",
         "params": {"p": p, "q": q, "r": r, "theta": None},

@@ -360,6 +360,34 @@ def test_regime_scan_unreachable_alpha_exit_2(tmp_path, capsys, monkeypatch,
     assert not out.exists()
 
 
+def test_regime_scan_defaults_run(tmp_path):
+    # the default --alphas are all reachable at the default p - q = 0.4
+    out = tmp_path / "scan.json"
+    assert main(["experiment", "regime-scan", "--n-max", "4096", "-o", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["pass"] is True
+    assert [g["name"] for g in rep["gates"]] == [
+        "slope_alpha_0.1", "slope_alpha_0.25", "slope_alpha_0.35"]
+
+
+def test_regime_scan_repeated_alpha_exit_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(experiments, "exact_moments", _refuse_moments)
+    out = tmp_path / "scan.json"
+    code, _, err = run_cli(capsys, "experiment", "regime-scan", "--alphas",
+                           "0.1,0.2,0.2", "--n-max", "4096", "-o", str(out))
+    assert code == 2
+    assert err == "lapsewalk: error: --alphas: 0.2 is listed more than once\n"
+    assert not out.exists()
+
+
+def test_regime_scan_gate_names_tell_close_alphas_apart(tmp_path):
+    out = tmp_path / "scan.json"
+    assert main(["experiment", "regime-scan", "--alphas", "0.2,0.2000001",
+                 "--n-max", "4096", "-o", str(out)]) == 0
+    names = [g["name"] for g in json.loads(out.read_text())["gates"]]
+    assert names == ["slope_alpha_0.2", "slope_alpha_0.2000001"]
+
+
 def test_malformed_alphas_exit_2(capsys):
     code, _, err = run_cli(capsys, "experiment", "regime-scan",
                            "--alphas", "0.1,abc", "--n-max", "1024")

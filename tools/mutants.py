@@ -151,6 +151,38 @@ MUTANTS = [
      "ref = 2.0 * c.alpha\n",
      "ref = 2.0 * c.alpha - 0.05\n",
      "tests/test_gate_oracles.py::test_regime_scan_reference_slopes_closed_forms"),
+    ("lln_sampler_sigma_over_se", "experiments.py",
+     '"<=", SIGMA_GATE * se,',
+     '"<=", SIGMA_GATE / se,',
+     "tests/test_gate_oracles.py::test_lln_gates_recomputed_from_an_independent_walk"),
+    ("lln_limit_sigma_over_se", "experiments.py",
+     "SIGMA_GATE * se + gap",
+     "SIGMA_GATE / se + gap",
+     "tests/test_gate_oracles.py::test_lln_gates_recomputed_from_an_independent_walk"),
+    ("lln_se_times_n", "experiments.py",
+     "acc.stderr / n_steps",
+     "acc.stderr * n_steps",
+     "tests/test_gate_oracles.py::test_lln_gates_recomputed_from_an_independent_walk"),
+    ("gate_lt_as_gt", "experiments.py",
+     '"<": value < limit',
+     '"<": value > limit',
+     "tests/test_gate_oracles.py::test_gate_ops_judge_each_side_of_the_limit"),
+    ("gate_le_as_ge", "experiments.py",
+     '"<=": value <= limit',
+     '"<=": value >= limit',
+     "tests/test_gate_oracles.py::test_gate_ops_judge_each_side_of_the_limit"),
+    ("gate_gt_as_lt", "experiments.py",
+     '">": value > limit',
+     '">": value < limit',
+     "tests/test_gate_oracles.py::test_gate_ops_judge_each_side_of_the_limit"),
+    ("gate_in_upper_only", "experiments.py",
+     "limit[0] <= value <= limit[1]",
+     "value <= limit[1]",
+     "tests/test_gate_oracles.py::test_gate_ops_judge_each_side_of_the_limit"),
+    ("gate_within_without_abs", "experiments.py",
+     "abs(value - limit[0]) <= limit[1]",
+     "value - limit[0] <= limit[1]",
+     "tests/test_gate_oracles.py::test_gate_ops_judge_each_side_of_the_limit"),
 ]
 
 
