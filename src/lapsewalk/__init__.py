@@ -8,7 +8,6 @@ and critical regimes, and the superdiffusive martingale limit.
 from .analytic import (
     RegimePrediction,
     a_sequence,
-    b_sequence,
     expected_s,
     expected_z,
     growth_values,
@@ -35,15 +34,12 @@ from .ensemble import (
 from .errors import (
     CapExceeded,
     Degenerate,
-    DegenerateVariance,
     DomainTooSmall,
     InvalidParams,
     InvalidState,
     LapsewalkError,
-    NonPositive,
     OutOfDomain,
     SampleTooSmall,
-    WrongRegime,
 )
 from .exact import (
     DiscreteCdf,

@@ -17,7 +17,6 @@ from .errors import (
     Degenerate,
     DomainTooSmall,
     OutOfDomain,
-    WrongRegime,
 )
 from .model import ModelParams, Regime, derive_constants
 
@@ -38,9 +37,9 @@ _THOMAE_LEVELS = 3
 _SKIP_MARGIN = 1.001
 
 
-def _check_rate(rate, name="alpha"):
+def _check_rate(rate):
     if not (0.0 <= rate < 1.0):
-        raise OutOfDomain(f"{name} must lie in [0, 1), got {rate!r}")
+        raise OutOfDomain(f"alpha must lie in [0, 1), got {rate!r}")
 
 
 def _growth_table(rate, n_max):
@@ -55,15 +54,9 @@ def _growth_table(rate, n_max):
 
 def a_sequence(alpha: float, n_max: int) -> np.ndarray:
     """Martingale normalizer a_n by its product recurrence, indexed by n
-    (slot 0 is NaN)."""
+    (slot 0 is NaN). At rate gamma it is b_n, which normalizes Z_n."""
     _check_rate(alpha)
     return _growth_table(alpha, n_max)
-
-
-def b_sequence(gamma: float, n_max: int) -> np.ndarray:
-    """Same recurrence with gamma; normalizes the activity count Z_n."""
-    _check_rate(gamma, "gamma")
-    return _growth_table(gamma, n_max)
 
 
 def v_sequence(alpha: float, n_max: int) -> np.ndarray:
@@ -277,28 +270,18 @@ class RegimePrediction:
     phi: float
     lln_limit: float       # a.s. limit of S_n / n
     z_lln_limit: float     # a.s. limit of Z_n / n
-    degenerate: bool       # phi = 0: variance scales collapse
     scale_formula: str
 
     def variance_scale(self, n) -> float:
-        """Predicted Var(S_n) scale; for superdiffusive, the residual scale."""
-        if self.regime is Regime.SUPERDIFFUSIVE:
-            return self.residual_scale(n)
+        """Predicted Var(S_n) scale; for superdiffusive, the Gaussian
+        residual scale phi n / (2 alpha - 1)."""
         n = np.asarray(n, dtype=np.float64)
         if self.regime is Regime.DIFFUSIVE:
             out = self.phi * n / (1.0 - 2.0 * self.alpha)
-        else:
+        elif self.regime is Regime.CRITICAL:
             out = self.phi * n * np.log(n)
-        return out if out.ndim else float(out)
-
-    def residual_scale(self, n):
-        """Gaussian residual scale phi n / (2 alpha - 1) (superdiffusive)."""
-        if self.regime is not Regime.SUPERDIFFUSIVE:
-            raise WrongRegime(
-                f"residual scale is superdiffusive-only, regime is {self.regime.value}"
-            )
-        n = np.asarray(n, dtype=np.float64)
-        out = self.phi * n / (2.0 * self.alpha - 1.0)
+        else:
+            out = self.phi * n / (2.0 * self.alpha - 1.0)
         return out if out.ndim else float(out)
 
 
@@ -306,7 +289,6 @@ def regime_prediction(params: ModelParams) -> RegimePrediction:
     c = derive_constants(params)
     if c.alpha < 0.0:
         raise OutOfDomain("regime predictions require alpha >= 0 (p >= q)")
-    degenerate = c.phi == 0.0
     if c.regime is Regime.DIFFUSIVE:
         formula = f"{c.phi:.6g} * n / {1.0 - 2.0 * c.alpha:.6g}"
     elif c.regime is Regime.CRITICAL:
@@ -322,7 +304,6 @@ def regime_prediction(params: ModelParams) -> RegimePrediction:
         phi=c.phi,
         lln_limit=c.omega / (1.0 - c.alpha),
         z_lln_limit=c.tau / (1.0 - c.gamma),
-        degenerate=degenerate,
         scale_formula=formula,
     )
 

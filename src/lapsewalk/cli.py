@@ -134,7 +134,7 @@ def cmd_predict(o):
     params = _params_from(o)
     c = derive_constants(params)
     pred = regime_prediction(params)  # raises OutOfDomain for alpha < 0
-    if pred.degenerate:
+    if pred.phi == 0.0:
         raise Degenerate("phi = 0: variance predictions are degenerate")
     if c.regime is Regime.DIFFUSIVE:
         vn_asymptote = (f"v_n ~ Gamma(alpha+1)^2 n^(1-2 alpha)/(1-2 alpha)"
@@ -155,7 +155,7 @@ def cmd_predict(o):
     )
     if c.regime is Regime.SUPERDIFFUSIVE:
         report["predictions"]["v_limit"] = v_limit_superdiffusive(c.alpha)
-        report["predictions"]["residual_scale"] = pred.residual_scale(10 ** 6)
+        report["predictions"]["residual_scale"] = pred.variance_scale(10 ** 6)
     if o["format"] == "json":
         _write_text(o["output"], emit_json(report))
     else:
@@ -194,6 +194,9 @@ def cmd_exact(o):
     params = _params_from(o)
     n = o["steps"]
     pred = regime_prediction(params)
+    # the law first: the DP cap refuses it before any moment work
+    law = ([col.tolist() for col in distribution_columns(params, n)]
+           if o["distribution"] else None)
     ns = [1, n, *(2 ** k for k in range(4, 25) if 2 ** k < n)]
     rows = []
     for row in exact_moments(params, n, ns=ns):
@@ -214,7 +217,6 @@ def cmd_exact(o):
         results={"moments": rows},
     )
     if o["distribution"]:
-        law = [col.tolist() for col in distribution_columns(params, n)]
         rep["results"]["distribution"] = []  # JSON rows are spliced in here
     if o["format"] == "json":
         text = emit_json(rep)
@@ -279,7 +281,10 @@ def _plot_lil(res):
 
 def _mc_args(o):
     """params, n_steps, n_traj, master_seed, workers: every Monte Carlo
-    driver's leading arguments."""
+    driver's leading arguments, with the worker count refused before any
+    work."""
+    if o["workers"] < 1:
+        raise InvalidState(f"workers must be >= 1, got {o['workers']}")
     return _params_from(o), o["steps"], o["trajectories"], o["seed"], o["workers"]
 
 

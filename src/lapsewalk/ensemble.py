@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analytic import expected_s, growth_values, lil_envelope
-from .errors import CapExceeded, Degenerate, DomainTooSmall, InvalidState, WrongRegime
+from .errors import CapExceeded, Degenerate, DomainTooSmall, InvalidState, OutOfDomain
 from .model import ModelParams, Regime, derive_constants
 from .rng import Xoshiro256Batch
 
@@ -322,7 +322,7 @@ def estimate_w(params: ModelParams, n_steps: int, n_traj: int,
     """Estimate W by M_{n_steps} per trajectory (superdiffusive only)."""
     c = derive_constants(params)
     if c.regime is not Regime.SUPERDIFFUSIVE:
-        raise WrongRegime(f"W exists only for alpha > 1/2; regime is {c.regime.value}")
+        raise OutOfDomain(f"W exists only for alpha > 1/2; regime is {c.regime.value}")
     ens = run_ensemble(params, n_steps, n_traj, snapshots=[n_steps],
                        master_seed=master_seed, keep_raw=True, workers=workers)
     w = (ens.sample_s[0] - expected_s(params, n_steps)) / growth_values(c.alpha, n_steps)
@@ -353,7 +353,7 @@ def residual_clt_sample(params: ModelParams, n_steps: int, n_traj: int,
     """
     c = derive_constants(params)
     if c.regime is not Regime.SUPERDIFFUSIVE:
-        raise WrongRegime(f"residual CLT needs alpha > 1/2; regime is {c.regime.value}")
+        raise OutOfDomain(f"residual CLT needs alpha > 1/2; regime is {c.regime.value}")
     if c.phi <= 0.0:
         raise Degenerate("phi = 0: residuals cannot be standardized")
     n_far = HORIZON_FACTOR * n_steps

@@ -10,27 +10,21 @@ class InvalidParams(LapsewalkError):
 
 
 class InvalidState(LapsewalkError):
-    """Walk state is unusable for the requested operation."""
+    """Input or walk state unusable for the requested operation."""
 
 
 class OutOfDomain(LapsewalkError):
-    """Analytic quantity requested outside its domain (e.g. alpha < 0)."""
+    """Quantity requested outside its domain: alpha < 0, or a regime the
+    quantity is not defined in."""
 
 
 class CapExceeded(LapsewalkError):
     """Exact computation requested beyond its configured size cap."""
 
 
-class DegenerateVariance(LapsewalkError):
-    """Standardization impossible: variance is (numerically) zero."""
-
-
 class Degenerate(LapsewalkError):
-    """Predictions are degenerate (phi = 0); standardized experiments refuse."""
-
-
-class WrongRegime(LapsewalkError):
-    """Operation only defined in a different scaling regime."""
+    """A variance scale is zero (phi = 0, Var S_n ~ 0, or n log n at n = 1),
+    so nothing can be standardized by it."""
 
 
 class DomainTooSmall(LapsewalkError):
@@ -39,7 +33,3 @@ class DomainTooSmall(LapsewalkError):
 
 class SampleTooSmall(LapsewalkError):
     """Statistical test needs a larger sample."""
-
-
-class NonPositive(LapsewalkError):
-    """Inputs must be strictly positive (log-log fit)."""

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceeded, DegenerateVariance, InvalidState
+from .errors import CapExceeded, Degenerate, InvalidState
 from .model import SIMPLEX_TOL, ModelParams, derive_constants
 
 DP_CAP = 400
@@ -96,29 +96,36 @@ def _check_size(name, n, cap, kind, cost):
 
 def _check_mass(total, n, tol):
     """Refuse a law of n steps whose mass is off 1 by more than `tol` plus
-    the n * SIMPLEX_TOL that n valid step laws may drift."""
-    if abs(total - 1.0) > tol + n * SIMPLEX_TOL:
+    the n * SIMPLEX_TOL that n valid step laws may drift, or a NaN total."""
+    if not abs(total - 1.0) <= tol + n * SIMPLEX_TOL:
         raise InvalidState(f"probability mass drifted to {total!r}")
 
 
-def _carry_block(rate, k, forcing, x1, carry, out):
+def _carry_block(rate, k, forcing, carry, out):
     """x_{n+1} = (1 + rate/n) x_n + f_n over one block of transitions n = k.
 
     Writes x_{n+1} = G_{n+1} (x_1 + P_{n+1}) into `out`, where G is the
     product of the factors and P the prefix sum of f_l / G_{l+1}, and returns
-    the carry (G, P) at the block's end. The carry is folded into the first
-    element of each scan, which is the step a whole-array scan takes there,
-    so the block width does not change the bits. `forcing` is overwritten.
+    the carry (G, P, x_1) at the block's end. G and P are folded into the
+    first element of each scan, which is the step a whole-array scan takes
+    there, so the block width does not change the bits. `forcing` is
+    overwritten.
+
+    The factor at n = 1 is 0 at rate = -1 (2 alpha = -1), and G would be 0
+    from there on. Then x_2 = f_1 exactly, so the row runs with that factor
+    taken as 1 and with x_1 = 0, which the carry keeps for later blocks.
     """
-    growth, prefix = carry
+    growth, prefix, x1 = carry
     fac = 1.0 + rate / k
+    if fac[0] == 0.0:  # only k = 1 at rate = -1
+        fac[0], x1 = 1.0, 0.0
     fac[0] *= growth
     np.multiply.accumulate(fac, out=fac)
     forcing /= fac
     forcing[0] += prefix
     np.add.accumulate(forcing, out=forcing)
     np.multiply(fac, x1 + forcing, out=out)
-    return fac[-1], forcing[-1]
+    return fac[-1], forcing[-1], x1
 
 
 def _moment_blocks(params: ModelParams, n_max: int):
@@ -137,7 +144,8 @@ def _moment_blocks(params: ModelParams, n_max: int):
     buf[:, 0] = np.add(x1, 0.0)  # G_1 (x_1 + P_1) with G_1 = 1, P_1 = 0
     yield 1, buf[:, :1]
     rates = (al, ga, 2.0 * al, al + ga)
-    carries = [(1.0, -0.0)] * 4  # -0.0 + f == f for every f, even f = -0.0
+    # G_1 = 1, and P_1 = -0.0: -0.0 + f == f for every f, even f = -0.0
+    carries = [(1.0, -0.0, x) for x in x1]
 
     ks = np.arange(1.0, block + 1.0)  # transitions n -> n+1 of the next block
     for lo in range(1, n_max, block):
@@ -151,8 +159,8 @@ def _moment_blocks(params: ModelParams, n_max: int):
                 forcing = (ga / k) * mz + ta - ((al / k) * ms + om) ** 2
             else:
                 forcing = (ta + al / k) * ms + om * mz + om
-            carries[row] = _carry_block(rates[row], k, forcing, x1[row],
-                                        carries[row], buf[row, 1:w + 1])
+            carries[row] = _carry_block(rates[row], k, forcing, carries[row],
+                                        buf[row, 1:w + 1])
         yield lo + 1, buf[:, 1:w + 1]
         buf[:, 0] = buf[:, w]
         ks += w
@@ -350,6 +358,6 @@ def standardized_exact_cdf(params: ModelParams, n: int) -> DiscreteCdf:
     mean = float(np.dot(svals, probs))
     var = float(np.dot(svals * svals, probs)) - mean * mean
     if var <= 1e-14:
-        raise DegenerateVariance(f"Var(S_{n}) = {var!r}; cannot standardize")
+        raise Degenerate(f"Var(S_{n}) = {var!r}; cannot standardize")
     pts = (svals - mean) / np.sqrt(var)
     return DiscreteCdf(points=pts, probs=probs, cdf=np.cumsum(probs))

@@ -25,8 +25,8 @@ from .ensemble import (
     residual_clt_sample,
     run_ensemble,
 )
-from .errors import (Degenerate, DegenerateVariance, InvalidState,
-                     SampleTooSmall, WrongRegime)
+from .errors import (CapExceeded, Degenerate, InvalidState, OutOfDomain,
+                     SampleTooSmall)
 from .exact import DP_CAP, exact_moments, standardized_exact_cdf
 from .model import ModelParams, Regime, derive_constants
 from .stats import KS_MIN_POINTS, fit_loglog, ks_distance_cdf, ks_test_normal
@@ -209,7 +209,10 @@ def clt_experiment(params, n_steps, n_traj, master_seed, workers=1) -> dict:
     """Diffusive CLT: standardized S_n against N(0,1)."""
     c = derive_constants(params)
     if c.regime is not Regime.DIFFUSIVE:
-        raise WrongRegime(f"clt experiment needs alpha < 1/2, regime is {c.regime.value}")
+        raise OutOfDomain(f"clt experiment needs alpha < 1/2, regime is {c.regime.value}")
+    # at t = 0 the exact-law KS gate is the only gate, and it needs the DP
+    if n_traj == 0 and n_steps > DP_CAP:
+        raise CapExceeded(f"n = {n_steps} above the DP cap {DP_CAP}: no gate at t = 0")
     report, gates = _clt_core(params, n_steps, n_traj, master_seed, workers,
                               "clt", EXACT_KS_GATE)
     return _finish(report, gates)
@@ -219,10 +222,10 @@ def critical_experiment(params, n_steps, n_traj, master_seed, workers=1) -> dict
     """Critical regime: Var(S_n)/(phi n log n) band plus the CLT check."""
     c = derive_constants(params)
     if c.regime is not Regime.CRITICAL:
-        raise WrongRegime(f"critical experiment needs alpha = 1/2, got {c.alpha!r}")
+        raise OutOfDomain(f"critical experiment needs alpha = 1/2, got {c.alpha!r}")
     if n_steps < 2:
-        raise DegenerateVariance(f"critical experiment needs n >= 2: the scale "
-                                 f"phi n log n is 0 at n = {n_steps}")
+        raise Degenerate(f"critical experiment needs n >= 2: the scale "
+                         f"phi n log n is 0 at n = {n_steps}")
     report, gates = _clt_core(params, n_steps, n_traj, master_seed, workers,
                               "critical")
     gates.insert(0, _gate("variance_law", report["results"]["var_ratio"], "in",
@@ -243,7 +246,7 @@ def superdiffusive_experiment(params, n_steps, n_traj, master_seed, workers=1) -
     """
     c = derive_constants(params)
     if c.regime is not Regime.SUPERDIFFUSIVE:
-        raise WrongRegime(f"superdiffusive experiment needs alpha > 1/2, got {c.alpha!r}")
+        raise OutOfDomain(f"superdiffusive experiment needs alpha > 1/2, got {c.alpha!r}")
     _require_nondegenerate(params)
     gate = _mc_ks_gate("superdiffusive", n_traj)
     # before the Monte Carlo work, so a bad alpha fails before any sampling
@@ -273,7 +276,7 @@ def superdiffusive_experiment(params, n_steps, n_traj, master_seed, workers=1) -
     var_bound = max(W_VAR_TOL, SIGMA_GATE * var_se_rel)
 
     ks_raw = ks_test_normal(residuals)
-    theorem_scale = math.sqrt(pred.residual_scale(n_steps))
+    theorem_scale = math.sqrt(pred.variance_scale(n_steps))
     exact_resid_sd = float(norm[0]) * math.sqrt(var_m_far - var_m_n)
     rescaled = residuals * (theorem_scale / exact_resid_sd)
     ks_rescaled = ks_test_normal(rescaled)

@@ -31,7 +31,8 @@ def csv_lines(header, rows):
 
 
 def emit_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """The report as JSON; a NaN or infinite float raises ValueError."""
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def base_report(command: str, **sections) -> dict:

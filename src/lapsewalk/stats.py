@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositive, SampleTooSmall
+from .errors import InvalidState, SampleTooSmall
 
 _SQRT2 = math.sqrt(2.0)
 # fewest sample points a KS test accepts
@@ -20,10 +20,9 @@ def normal_cdf(x: float) -> float:
 
 
 def normal_cdf_array(xs) -> np.ndarray:
+    """normal_cdf at every element, bit for bit."""
     xs = np.asarray(xs, dtype=np.float64)
-    out = np.fromiter((0.5 * math.erfc(-v / _SQRT2) for v in xs.ravel()),
-                      dtype=np.float64, count=xs.size)
-    return out.reshape(xs.shape)
+    return np.array([normal_cdf(v) for v in xs.ravel().tolist()]).reshape(xs.shape)
 
 
 @dataclass(frozen=True)
@@ -90,7 +89,7 @@ def fit_loglog(xs, ys) -> SlopeFit:
     if xs.size != ys.size or xs.size < 3:
         raise SampleTooSmall("log-log fit needs >= 3 points")
     if (xs <= 0).any() or (ys <= 0).any():
-        raise NonPositive("log-log fit needs strictly positive xs and ys")
+        raise InvalidState("log-log fit needs strictly positive xs and ys")
     lx = np.log(xs)
     ly = np.log(ys)
     mx = lx.mean()
@@ -98,7 +97,7 @@ def fit_loglog(xs, ys) -> SlopeFit:
     dx = lx - mx
     sxx = float(np.dot(dx, dx))
     if sxx == 0.0:
-        raise NonPositive("xs are all equal; slope undefined")
+        raise InvalidState("xs are all equal; slope undefined")
     slope = float(np.dot(dx, ly - my)) / sxx
     intercept = my - slope * mx
     resid = ly - (intercept + slope * lx)

@@ -112,7 +112,7 @@ def test_criterion_02_closed_forms():
     for params in GRID:
         c = lw.derive_constants(params)
         a = lw.a_sequence(c.alpha, n_max)
-        b = lw.b_sequence(c.gamma, n_max)
+        b = lw.a_sequence(c.gamma, n_max)
         ns = np.arange(1, n_max + 1, dtype=np.float64)
         closed_s = c.beta * a[1:] + c.omega * (ns - a[1:]) / (1.0 - c.alpha)
         closed_z = c.psi * b[1:] + c.tau * (ns - b[1:]) / (1.0 - c.gamma)

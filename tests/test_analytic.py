@@ -68,12 +68,6 @@ def test_growth_values_matches_table_and_handles_order():
         assert math.isclose(v, t[int(n)], rel_tol=1e-14)
 
 
-def test_b_sequence_uses_gamma_rate():
-    tb = lw.b_sequence(0.4, 10)
-    ta = lw.a_sequence(0.4, 10)
-    assert np.allclose(tb[1:], ta[1:])
-
-
 def test_v_sequence_alpha_zero_counts():
     t = lw.v_sequence(0.0, 30)
     assert np.allclose(t[1:], np.arange(1, 31))
@@ -237,7 +231,7 @@ def test_regime_prediction_superdiffusive_threshold():
     pred = lw.regime_prediction(p)
     assert pred.regime is lw.Regime.SUPERDIFFUSIVE
     assert math.isclose(pred.alpha, 0.81)
-    assert pred.residual_scale(100) > 0
+    assert pred.variance_scale(100) == pred.phi * 100 / (2 * pred.alpha - 1)
 
 
 def test_regime_prediction_rejects_negative_alpha():
@@ -245,14 +239,9 @@ def test_regime_prediction_rejects_negative_alpha():
         lw.regime_prediction(lw.ModelParams(0.2, 0.6, 0.2, 0.5))
 
 
-def test_residual_scale_wrong_regime():
-    with pytest.raises(lw.WrongRegime):
-        lw.regime_prediction(PARAMS).residual_scale(10)
-
-
 def test_degenerate_prediction_flag():
     pred = lw.regime_prediction(lw.ModelParams(1.0, 0.0, 0.0, 0.3))
-    assert pred.degenerate
+    assert pred.phi == 0.0
     assert pred.variance_scale(100) == 0.0
 
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from lapsewalk import ensemble, exact, experiments
+from lapsewalk import cli, ensemble, exact, experiments
 from lapsewalk.cli import build_parser, main
 from lapsewalk.errors import OutOfDomain
 from lapsewalk.exact import distribution_dp
@@ -144,6 +144,19 @@ def test_exact_oversized_n_exit_2(capsys):
     assert "1000000000000" in err
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_exact_distribution_above_dp_cap_refused_before_moments(
+        capsys, monkeypatch, tmp_path, fmt):
+    monkeypatch.setattr(cli, "exact_moments", _refuse_moments)
+    out = tmp_path / "law"
+    code, _, err = run_cli(capsys, "exact", "-n", str(exact.DP_CAP + 1),
+                           "--distribution", "--format", fmt, "-o", str(out))
+    assert code == 2
+    assert err == (f"lapsewalk: error: n = {exact.DP_CAP + 1} above the DP cap "
+                   f"{exact.DP_CAP} (O(n^3) cost)\n")
+    assert not out.exists()
+
+
 def test_exact_distribution_json(capsys):
     code, out, _ = run_cli(capsys, "exact", "-n", "3", "--distribution",
                            "--format", "json")
@@ -273,9 +286,15 @@ def test_experiment_superdiffusive_series_fails_before_sampling(capsys,
     ("superdiffusive", ["-p", "1", "-q", "0", "-r", "0", "--theta", "0.8"],
      "phi = 0"),
     ("lln", ["-n", "100", "-t", "1"], "trajectories >= 2, got 1"),
+    ("superdiffusive", [*super_flags(0.75), "-n", "100", "-t", "50",
+                        "--workers", "0"], "workers must be >= 1, got 0"),
+    ("clt", ["-n", "100", "-t", "0", "--workers", "0"],
+     "workers must be >= 1, got 0"),
+    ("clt", ["-n", "1000", "-t", "0"], "n = 1000 above the DP cap 400"),
 ], ids=["superdiffusive-t1", "superdiffusive-t9", "clt-t1", "clt-t9",
         "critical-t1", "critical-t9", "critical-n1", "clt-t-5", "critical-t-1",
-        "clt-phi0", "critical-phi0", "superdiffusive-phi0", "lln-t1"])
+        "clt-phi0", "critical-phi0", "superdiffusive-phi0", "lln-t1",
+        "superdiffusive-workers0", "clt-t0-workers0", "clt-t0-above-dp-cap"])
 def test_experiment_refused_before_any_work(capsys, monkeypatch, tmp_path,
                                             kind, flags, why):
     monkeypatch.setattr(ensemble, "run_ensemble", _refuse_moments)
@@ -638,6 +657,34 @@ def test_readme_command_lines_parse(tmp_path):
 def test_json_roundtrip():
     obj = {"schema_version": "1", "x": 0.1 + 0.2, "nested": {"k": [1, 2.5]}}
     assert json.loads(emit_json(obj)) == obj
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_emit_json_refuses_non_finite(value):
+    with pytest.raises(ValueError):
+        emit_json({"results": {"nested": [1.0, value]}})
+
+
+def test_non_finite_report_exit_2_and_no_file(capsys, monkeypatch, tmp_path):
+    def nan_report(*args, **kwargs):
+        return {"kind": "lln", "results": {"mean_s_over_n": float("nan")},
+                "gates": [], "pass": True}
+
+    monkeypatch.setattr(experiments, "lln_experiment", nan_report)
+    out = tmp_path / "r.json"
+    code, _, err = run_cli(capsys, "experiment", "lln", "-o", str(out))
+    assert code == 2
+    assert err.startswith("lapsewalk: error:") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_regime_scan_at_two_alpha_minus_one(tmp_path):
+    # the Var S recursion's n = 1 factor 1 + 2 alpha is exactly 0 here
+    out = tmp_path / "scan.json"
+    assert main(["experiment", "regime-scan", "-p", "0", "-q", "1", "-r", "0",
+                 "--alphas=-0.5", "--n-max", "4096", "-o", str(out)]) == 0
+    (gate,) = json.loads(out.read_text())["gates"]
+    assert gate["pass"] is True and abs(gate["value"] - 1.0) < 1e-4
 
 
 def test_regime_scan_cli(tmp_path):

@@ -312,7 +312,7 @@ def test_martingale_variance_clock_ratio():
 
 
 def test_estimate_w_requires_superdiffusive():
-    with pytest.raises(lw.WrongRegime):
+    with pytest.raises(lw.OutOfDomain):
         lw.estimate_w(PARAMS, 100, 10)
 
 
@@ -330,7 +330,7 @@ def test_estimate_w_small_scale():
 
 
 def test_residual_clt_guard_and_sample():
-    with pytest.raises(lw.WrongRegime):
+    with pytest.raises(lw.OutOfDomain):
         lw.residual_clt_sample(PARAMS, 100, 50)
     w, res = lw.residual_clt_sample(SUPER, 250, 600, master_seed=5)
     assert w.size == res.size == 600

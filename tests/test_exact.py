@@ -90,6 +90,14 @@ def test_dp_mass_guard_trips_on_a_leaking_kernel():
             oracle(leaking, 10)
 
 
+def test_mass_guard_refuses_a_nan_law():
+    # a NaN total is off 1 by more than any tolerance
+    nan_kernel = SimpleNamespace(p=math.nan, q=0.3, r=0.2, theta=0.5)
+    for oracle in (lw.distribution_dp, lw.enumerate_paths, lw.dp_moment_scan):
+        with pytest.raises(lw.InvalidState, match="drifted to nan"):
+            oracle(nan_kernel, 10)
+
+
 def reference_dp_slices(params, n):
     """The dense-triangle DP that `exact._dp_slices` replaced, kept as its
     oracle: a fresh zero triangle per step and three shifted whole-array adds."""
@@ -251,7 +259,7 @@ def test_standardized_cdf_matches_dict_route_bits(params):
 
 
 def test_standardized_cdf_degenerate():
-    with pytest.raises(lw.DegenerateVariance):
+    with pytest.raises(lw.Degenerate):
         lw.standardized_exact_cdf(lw.ModelParams(0.0, 0.0, 1.0, 0.5), 50)
 
 

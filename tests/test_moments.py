@@ -112,6 +112,26 @@ def test_moments_match_reference_bits_at_default_block(n_max):
                       reference_exact_moments(params, n_max))
 
 
+@pytest.mark.parametrize("params", [
+    ModelParams(0.0, 1.0, 0.0, 0.5),
+    ModelParams(0.1, 0.9, 0.0, 0.625),
+    ModelParams(0.0, 1.0, 0.0, 0.5 + 1e-12),
+], ids=["2alpha=-1", "2alpha=-1-interior", "2alpha+1=-2e-12"])
+def test_var_s_through_a_zero_first_factor_matches_dp(params):
+    # at 2 alpha = -1 the Var S recursion's n = 1 factor 1 + 2 alpha / 1 is
+    # exactly 0; block 7 puts eight block edges in the 60 steps
+    with np.errstate(all="raise"):
+        whole = exact.exact_moments(params, 60)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(exact, "_MOMENT_BLOCK", 7)
+            blocked = exact.exact_moments(params, 60)
+    assert_same_bytes(blocked, whole)
+    for row in exact.dp_moment_scan(params, 60):
+        for name in FIELDS:
+            got, want = getattr(whole, name)[row.n], getattr(row, name)
+            assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (row.n, name)
+
+
 def test_moments_peak_memory_is_five_arrays():
     n_max = 1 << 20
     params = ModelParams(0.6, 0.2, 0.2, 0.5)

@@ -143,7 +143,7 @@ def test_fit_loglog_scale_invariance():
 
 
 def test_fit_loglog_errors():
-    with pytest.raises(lw.NonPositive):
+    with pytest.raises(lw.InvalidState):
         lw.fit_loglog([1, 2, 3], [1.0, -1.0, 2.0])
     with pytest.raises(lw.SampleTooSmall):
         lw.fit_loglog([1, 2], [1.0, 2.0])

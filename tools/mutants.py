@@ -88,9 +88,21 @@ MUTANTS = [
      "_check_mass(dist.total_mass(), n, 1e-3)",
      "tests/test_exact.py::test_dp_mass_guard_trips_on_a_leaking_kernel"),
     ("mass_guard_without_step_drift", "exact.py",
-     "if abs(total - 1.0) > tol + n * SIMPLEX_TOL:",
-     "if abs(total - 1.0) > tol:",
+     "if not abs(total - 1.0) <= tol + n * SIMPLEX_TOL:",
+     "if not abs(total - 1.0) <= tol:",
      "tests/test_exact.py::test_exact_oracles_accept_the_simplex_edge"),
+    ("mass_guard_nan_blind", "exact.py",
+     "if not abs(total - 1.0) <= tol + n * SIMPLEX_TOL:",
+     "if abs(total - 1.0) > tol + n * SIMPLEX_TOL:",
+     "tests/test_exact.py::test_mass_guard_refuses_a_nan_law"),
+    ("moment_zero_factor_not_restarted", "exact.py",
+     "if fac[0] == 0.0:",
+     "if False:",
+     "tests/test_moments.py::test_var_s_through_a_zero_first_factor_matches_dp"),
+    ("json_allows_nan", "report.py",
+     "allow_nan=False",
+     "allow_nan=True",
+     "tests/test_cli.py::test_emit_json_refuses_non_finite"),
     ("thomae_two_levels", "analytic.py",
      "_THOMAE_LEVELS = 3",
      "_THOMAE_LEVELS = 2",
