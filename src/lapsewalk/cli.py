@@ -182,11 +182,8 @@ def cmd_simulate(o):
     return 0
 
 
-# one (s, z, probability) cell of the joint law, as emit_json would write the
-# dict {"s": s, "z": z, "probability": w} in a report's results.distribution
-# list, and as csv_lines would write the row [s, z, w]
-_LAW_JSON_ROW = ('      {{\n        "probability": {2!r},\n        "s": {0},\n'
-                 '        "z": {1}\n      }}')
+# one (s, z, probability) cell of the joint law, as csv_lines would write the
+# row [s, z, w]
 _LAW_CSV_ROW = "{0},{1},{2:.17g}\r\n"
 
 
@@ -221,7 +218,11 @@ def cmd_exact(o):
     if o["format"] == "json":
         text = emit_json(rep)
         if o["distribution"]:
-            rows_text = ",\n".join(map(_LAW_JSON_ROW.format, *law))
+            # each cell as emit_json would write the dict {"s": s, "z": z,
+            # "probability": w} in the results.distribution list
+            rows_text = ",\n".join(
+                f'      {{\n        "probability": {w!r},\n        "s": {s},\n'
+                f'        "z": {z}\n      }}' for s, z, w in zip(*law))
             text = text.replace('"distribution": []',
                                 f'"distribution": [\n{rows_text}\n    ]', 1)
         _write_text(o["output"], text)

@@ -5,14 +5,13 @@ in blocks of chunk_size, one accumulator per block and snapshot, folded in
 block order, so an ensemble result is a pure function of (params, n_steps,
 n_traj, master_seed, snapshots, keep_raw, chunk_size). The block size
 fixes the last-ulp bits of the folded moments; the lane width a task
-simulates at once (whole blocks, up to LANES_MAX lanes) and the worker
-count can only change wall time, never a bit of the output. Tasks run the
-walk in lockstep over numpy arrays (one lane per trajectory), updated in
-place, which is what makes 1e9 total steps feasible without leaving float64
-determinism.
+simulates at once (whole blocks, up to LANES_MAX lanes), the number of steps
+whose uniforms it draws at once and the worker count can only change wall
+time, never a bit of the output. Tasks run the walk in lockstep over numpy
+arrays (one lane per trajectory), updated in place, which is what makes 1e9
+total steps feasible without leaving float64 determinism.
 """
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +33,7 @@ BOOTSTRAP_LEVEL = 0.99
 BOOTSTRAP_SEED = 20210905
 # the kernel counts steps in float64, exact only up to 2**53
 STEPS_CAP = 2 ** 53
+_DRAW_WINDOW = 256  # most steps of uniforms a walk draws at once; speed only
 
 
 def dyadic_snapshots(n_max: int):
@@ -151,39 +151,42 @@ def _simulate_chunk(params: ModelParams, n_steps, snaps, master_seed, lo, hi):
     """Lockstep walk of trajectories [lo, hi); yields (S, Z) at each snapshot.
 
     snaps is sorted; the walk stops once the last snapshot has been yielded.
+    Uniforms are drawn a window of steps at a time into one reused array.
     """
     p, q, theta = params.p, params.q, params.theta
     rng = Xoshiro256Batch(master_seed, np.arange(lo, hi, dtype=np.uint64))
     width = hi - lo
-    n_plus = np.zeros(width)
-    n_minus = np.zeros(width)
+    # at most 2**16 deviates (512 KiB) a window
+    window = np.empty((max(1, min(_DRAW_WINDOW, 2 ** 16 // width)), width))
+    counts = np.zeros((2, width))  # rows n_plus, n_minus
+    steps = np.empty((2, width), dtype=bool)  # rows plus, minus
+    n_plus, n_minus = counts
+    plus, minus = steps
     a = np.full(width, p, dtype=np.float64)  # step 1 has no memory to recall
     cum = np.full(width, p + q, dtype=np.float64)
     tmp = np.empty(width)
-    plus = np.empty(width, dtype=bool)
-    below = np.empty(width, dtype=bool)
     pending = iter(snaps)
     next_snap = next(pending)
 
     const_plus = (1.0 - theta) * p
     const_minus = (1.0 - theta) * q
-    for m in range(1, n_steps + 1):
-        u = rng.uniforms()
-        np.less(u, a, out=plus)
-        np.less(u, cum, out=below)
-        # cum >= a always (both added terms are >= 0 and float addition is
-        # monotone), so plus implies below and below - plus is the minus step
-        n_plus += plus
-        n_minus += below
-        n_minus -= plus
-        if m == next_snap:
-            yield n_plus - n_minus, n_plus + n_minus
-            next_snap = next(pending, None)
-            if next_snap is None:
-                return
-        if theta:  # at theta = 0 the update rewrites a = p and cum = p + q
-            _thresholds(n_plus, n_minus, p, q, theta / m, const_plus,
-                        const_minus, a, cum, tmp)
+    for start in range(0, n_steps, len(window)):
+        for m, u in enumerate(rng.uniforms(window[:n_steps - start]), start + 1):
+            np.less(u, a, out=plus)
+            np.less(u, cum, out=minus)
+            # cum >= a always (both added terms are >= 0 and float addition
+            # is monotone), so plus implies u < cum, and the minus step is
+            # (u < cum) XOR plus
+            minus ^= plus
+            counts += steps
+            if m == next_snap:
+                yield n_plus - n_minus, n_plus + n_minus
+                next_snap = next(pending, None)
+                if next_snap is None:
+                    return
+            if theta:  # at theta = 0 the update rewrites a = p and cum = p + q
+                _thresholds(n_plus, n_minus, p, q, theta / m, const_plus,
+                            const_minus, a, cum, tmp)
 
 
 def _chunk_job(task):
@@ -243,6 +246,9 @@ def run_ensemble(params: ModelParams, n_steps: int, n_traj: int,
         for lo in range(0, n_traj, width)
     ]
     if workers > 1 and len(tasks) > 1:
+        # imported here, so that a CLI start that runs no pool does not
+        # pay for importing multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             results = list(pool.map(_chunk_job, tasks))
     else:

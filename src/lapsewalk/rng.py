@@ -13,6 +13,8 @@
 
 import numpy as np
 
+from .errors import InvalidState
+
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
 _U53 = 2.0 ** -53
@@ -81,7 +83,10 @@ class Xoshiro256Batch:
 
     Lane j steps exactly the same sequence as
     ``RngStream(master_seed, stream_indices[j])``. The state words advance
-    in place, through two scratch words allocated once per instance.
+    in place. Word s1 lives in row 0 of a (rows + 1, width) buffer: a draw
+    of `rows` steps writes each step's s1 into the next row, scrambles all
+    of those rows into output words at once, and carries the last row back
+    to row 0.
     """
 
     _C5 = np.uint64(5)
@@ -97,12 +102,13 @@ class Xoshiro256Batch:
         for _ in range(4):
             state = state + np.uint64(GOLDEN)
             words.append(self._mix(state))
-        self.s0, self.s1, self.s2, self.s3 = words
-        dead = (self.s0 | self.s1 | self.s2 | self.s3) == 0
+        s0, s1, s2, s3 = words
+        dead = (s0 | s1 | s2 | s3) == 0
         if dead.any():
-            self.s0[dead] = np.uint64(GOLDEN)
-        self._r = np.empty_like(self.s0)
-        self._t = np.empty_like(self.s0)
+            s0[dead] = np.uint64(GOLDEN)
+        self.s0, self.s2, self.s3 = s0, s2, s3
+        self._s1 = s1[np.newaxis]
+        self._t = np.empty_like(s0)
 
     @staticmethod
     def _mix(z):
@@ -114,32 +120,57 @@ class Xoshiro256Batch:
         z ^= z >> np.uint64(31)
         return z
 
-    def _step(self):
-        """Advance every lane once; the output word is left in self._r."""
-        s0, s1, s2, s3, r, t = self.s0, self.s1, self.s2, self.s3, self._r, self._t
-        np.multiply(s1, self._C5, out=r)
-        np.left_shift(r, np.uint64(7), out=t)
-        r >>= np.uint64(57)
-        r |= t
-        r *= self._C9
-        np.left_shift(s1, np.uint64(17), out=t)
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        np.left_shift(s3, np.uint64(45), out=t)
-        s3 >>= np.uint64(19)
-        s3 |= t
-        return r
+    def _words(self, scratch):
+        """Step every lane once per row of scratch, a (rows, width) uint64
+        work array; returns the (rows, width) output words, one step a row,
+        as a view that the next draw overwrites."""
+        rows = len(scratch)
+        if len(self._s1) <= rows:
+            grown = np.empty((rows + 1, scratch.shape[1]), dtype=np.uint64)
+            grown[0] = self._s1[0]
+            self._s1 = grown
+        s1 = self._s1[:rows + 1]
+        s0, s2, s3, t = self.s0, self.s2, self.s3, self._t
+        k17, k45, k19 = np.uint64(17), np.uint64(45), np.uint64(19)
+        for cur, nxt in zip(s1[:-1], s1[1:]):
+            np.left_shift(cur, k17, out=t)
+            s2 ^= s0
+            s3 ^= cur
+            np.bitwise_xor(cur, s2, out=nxt)
+            s0 ^= s3
+            s2 ^= t
+            np.left_shift(s3, k45, out=t)
+            s3 >>= k19
+            s3 |= t
+        # the ** scrambler, rotl(s1 * 5, 7) * 9, on every step's s1 at once
+        np.multiply(s1[:-1], self._C5, out=scratch)
+        s1[0] = s1[rows]  # carry the state word back before rows 1.. are reused
+        words = s1[1:]
+        np.right_shift(scratch, np.uint64(57), out=words)
+        scratch <<= np.uint64(7)
+        words |= scratch
+        words *= self._C9
+        return words
 
     def next_uint64(self):
-        return self._step().copy()
+        """The next output word of every lane, as a new uint64 array."""
+        return self._words(np.empty((1, self.s0.size), dtype=np.uint64))[0].copy()
 
-    def uniforms(self):
-        """One deviate per lane, as a new float64 array in [0, 1)."""
-        r = self._step()
-        r >>= np.uint64(11)
-        u = r.astype(np.float64)
-        u *= _U53
-        return u
+    def uniforms(self, out=None):
+        """Deviates in [0, 1), from the top 53 bits of each output word.
+
+        With out, a (rows, width) float64 array, row i gets the deviates of
+        the i-th step from here and out is returned; without it, one new
+        (width,) row.
+        """
+        if out is None:
+            return self.uniforms(np.empty((1, self.s0.size)))[0]
+        if out.dtype != np.float64 or out.shape[1:] != self.s0.shape:
+            raise InvalidState(f"out must be a (rows, {self.s0.size}) float64 array, "
+                               f"got {out.dtype} {out.shape}")
+        words = self._words(out.view(np.uint64))
+        words >>= np.uint64(11)
+        # below 2**53, so int64 holds them, and converts faster than uint64
+        np.copyto(out, words.view(np.int64), casting="safe")
+        out *= _U53
+        return out

@@ -1,18 +1,25 @@
 """Property test: the in-place lockstep kernel keeps the bits of the plain one.
 
 `reference_chunk` is the allocate-per-step kernel that `_simulate_chunk`
-replaced, kept here as the oracle. Both draw from `Xoshiro256Batch`, whose
-lanes test_rng.py checks against the scalar generator. A last-ulp change in
-a threshold almost never flips a comparison at the sizes a test can walk,
-so the thresholds are also compared directly, at counts up to ~1e12.
+replaced, kept here as the oracle. It draws one row of uniforms per step;
+the kernel draws a window of steps at a time, so the walks are also compared
+with the window patched down to 1, 2, 3 and 7 rows, which puts snapshots on
+the first, a middle and the last row of a window and ends walks mid-window.
+Both draw from `Xoshiro256Batch`, whose lanes test_rng.py checks against the
+scalar generator. A last-ulp change in a threshold almost never flips a
+comparison at the sizes a test can walk, so the thresholds are also compared
+directly, at counts up to ~1e12.
 """
 
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lapsewalk import ensemble
 from lapsewalk.ensemble import _simulate_chunk, _thresholds
 from lapsewalk.rng import Xoshiro256Batch
 
@@ -67,6 +74,7 @@ def kernel_params(draw):
     p, q = draw(st.sampled_from([
         (x, (1.0 - x) * draw(st.floats(0.0, 1.0))),  # interior of the simplex
         (x / 2.0, x / 2.0),                           # p = q
+        (x, 0.0),                                     # q = 0
         (0.0, 0.0),                                   # r = 1
     ]))
     theta = draw(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)))
@@ -82,17 +90,45 @@ def walk_layout(draw):
     return n_steps, snaps, lo, lo + width
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(params=kernel_params(), layout=walk_layout(),
-       master_seed=st.integers(0, 2 ** 64 - 1))
-def test_kernel_matches_reference_bits(params, layout, master_seed):
-    n_steps, snaps, lo, hi = layout
+def assert_walk_matches_reference(params, n_steps, snaps, master_seed, lo, hi):
     want_s, want_z = reference_chunk(params, n_steps, snaps, master_seed, lo, hi)
     got = list(_simulate_chunk(params, n_steps, snaps, master_seed, lo, hi))
     assert len(got) == len(snaps)
     for i, (s, z) in enumerate(got):
         assert s.tobytes() == want_s[i].tobytes()
         assert z.tobytes() == want_z[i].tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(params=kernel_params(), layout=walk_layout(),
+       master_seed=st.integers(0, 2 ** 64 - 1),
+       window=st.sampled_from([1, 2, 3, 7, ensemble._DRAW_WINDOW]))
+def test_kernel_matches_reference_bits(params, layout, master_seed, window):
+    n_steps, snaps, lo, hi = layout
+    with mock.patch.object(ensemble, "_DRAW_WINDOW", window):
+        assert_walk_matches_reference(params, n_steps, snaps, master_seed, lo, hi)
+
+
+@pytest.mark.parametrize("window", [1, 2, 3, 7])
+@pytest.mark.parametrize("p, q, theta", [
+    (0.5, 0.3, 0.0),    # theta = 0
+    (0.35, 0.35, 0.6),  # p = q
+    (0.8, 0.0, 0.9),    # q = 0
+    (0.0, 0.0, 0.5),    # r = 1
+    (0.45, 0.25, 0.8),
+])
+def test_kernel_bits_across_window_edges(window, p, q, theta):
+    # window k holds steps k*window + 1 .. (k + 1)*window. The snapshots lie
+    # on first, middle and last rows; the walk stops at the last one, in the
+    # middle of the fifth window, short of an n_steps that is not a multiple
+    # of the window.
+    mid = (window + 1) // 2
+    snaps = sorted({1, window + mid, 2 * window, 3 * window + 1, 4 * window + mid})
+    n_steps = 6 * window + 1
+    with mock.patch.object(ensemble, "_DRAW_WINDOW", window):
+        assert_walk_matches_reference(SimpleNamespace(p=p, q=q, theta=theta),
+                                      n_steps, snaps, 2021, 2 ** 33 + 5,
+                                      2 ** 33 + 42)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -1,6 +1,10 @@
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lapsewalk as lw
+from lapsewalk.errors import InvalidState
 from lapsewalk.rng import MASK64, splitmix64_mix, stream_seed
 
 # Regression freeze of this build's streams (master_seed=1, index 0..2):
@@ -62,6 +66,36 @@ def test_batch_matches_scalar_lanes():
         st = lw.RngStream(987654321, int(stream_index))
         expect = np.array([st.uniform() for _ in range(32)])
         assert np.array_equal(cols[:, lane], expect)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(master_seed=st.integers(0, 2 ** 64 - 1),
+       indices=st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=5),
+       fills=st.lists(st.sampled_from([1, 2, 5]), min_size=1, max_size=4))
+def test_window_fills_continue_each_lane(master_seed, indices, fills):
+    idx = np.array(indices, dtype=np.uint64)
+    batch = lw.Xoshiro256Batch(master_seed, idx)
+    rows = []
+    for n_rows in fills:
+        out = np.empty((n_rows, idx.size))
+        assert batch.uniforms(out) is out
+        rows.extend(out)
+    rows.append(batch.uniforms())  # drawing on after a fill
+    word = batch.next_uint64()
+    one_row = lw.Xoshiro256Batch(master_seed, idx)
+    assert np.array(rows).tobytes() == np.array(
+        [one_row.uniforms() for _ in rows]).tobytes()
+    for lane, stream_index in enumerate(indices):
+        stream = lw.RngStream(master_seed, stream_index)
+        assert [row[lane] for row in rows] == [stream.uniform() for _ in rows]
+        assert int(word[lane]) == stream.next_uint64()
+
+
+def test_window_fill_refuses_a_mismatched_out():
+    batch = lw.Xoshiro256Batch(3, np.arange(4, dtype=np.uint64))
+    for out in (np.empty((2, 4), dtype=np.float32), np.empty((2, 5)), np.empty(4)):
+        with pytest.raises(InvalidState, match="out must be a"):
+            batch.uniforms(out)
 
 
 def test_batch_uint64_matches_scalar_and_is_fresh():

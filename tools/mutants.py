@@ -55,6 +55,14 @@ MUTANTS = [
      "    np.multiply(n_plus, p, out=a)\n",
      "    np.multiply(n_plus, q, out=a)\n",
      "tests/test_ensemble.py::test_keep_raw_rows_match_scalar_walk"),
+    ("window_step_count_restarts", "ensemble.py",
+     "enumerate(rng.uniforms(window[:n_steps - start]), start + 1)",
+     "enumerate(rng.uniforms(window[:n_steps - start]), 1)",
+     "tests/test_kernel.py::test_kernel_bits_across_window_edges"),
+    ("kernel_minus_step_keeps_plus", "ensemble.py",
+     "            minus ^= plus\n",
+     "",
+     "tests/test_kernel.py::test_kernel_matches_reference_bits"),
     ("merge_m2_drops_between_term", "ensemble.py",
      "m2 = self.m2 + other.m2 + delta * d_n * na * nb",
      "m2 = self.m2 + other.m2",
@@ -115,6 +123,10 @@ MUTANTS = [
      "s[3] = _rotl(s[3], 45)",
      "s[3] = _rotl(s[3], 44)",
      "tests/test_rng.py::test_batch_matches_scalar_lanes"),
+    ("xoshiro_s1_not_carried", "rng.py",
+     "        s1[0] = s1[rows]  # carry the state word back before rows 1.. are reused\n",
+     "",
+     "tests/test_rng.py::test_window_fills_continue_each_lane"),
     ("ks_sf_without_factor_2", "stats.py",
      "max(0.0, 2.0 * total)",
      "max(0.0, total)",
