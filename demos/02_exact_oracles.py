@@ -15,12 +15,13 @@ params = lw.ModelParams(0.6, 0.2, 0.2, 0.5)
 print("== full law at n = 10: brute-force paths vs dynamic program ==")
 de = lw.enumerate_paths(params, 10)
 dd = lw.distribution_dp(params, 10)
-keys = sorted(set(de.mass) | set(dd.mass))
-worst = max(abs(de.mass.get(k, 0) - dd.mass.get(k, 0)) for k in keys)
-print(f"atoms: {len(keys)}, worst difference: {worst:.3e}")
+# both laws are (s, z, probability) columns sorted by (s, z), on one support
+assert np.array_equal(de.s, dd.s) and np.array_equal(de.z, dd.z)
+worst = np.max(np.abs(de.probability - dd.probability))
+print(f"atoms: {dd.s.size}, worst difference: {worst:.3e}")
 print("a few atoms (s, z) -> probability:")
-for k in keys[:3] + keys[-3:]:
-    print(f"  {k}: {dd.mass[k]:.10f}")
+for i in (0, 1, 2, -3, -2, -1):
+    print(f"  ({dd.s[i]}, {dd.z[i]}): {dd.probability[i]:.10f}")
 
 print()
 print("== moment recursions vs the DP, n = 1..150 ==")

@@ -21,7 +21,7 @@ import sys
 from . import experiments
 from .analytic import regime_prediction, v_limit_superdiffusive
 from .errors import Degenerate, InvalidState, LapsewalkError
-from .exact import distribution_columns, exact_moments
+from .exact import distribution_dp, exact_moments
 from .model import ModelParams, Regime, derive_constants
 from .report import base_report, csv_lines, emit_json, fmt_float
 from .stats import normal_cdf
@@ -101,6 +101,14 @@ def _add_options(sp, command):
     sp.add_argument("--output", "-o", help="output path (default stdout)")
 
 
+def _arg_file_words(line):
+    """One line of an argument file as shell words; `#` starts a comment."""
+    try:
+        return shlex.split(line, comments=True)
+    except ValueError as exc:  # an unclosed quote
+        raise InvalidState(f"argument file: {exc}: {line.rstrip()}") from None
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="lapsewalk",
@@ -108,7 +116,7 @@ def build_parser():
                     "predictions, simulation, exact oracles, experiments.",
         fromfile_prefix_chars="@",
     )
-    ap.convert_arg_line_to_args = lambda line: shlex.split(line, comments=True)
+    ap.convert_arg_line_to_args = _arg_file_words
     sub = ap.add_subparsers(dest="command", required=True)
     for name, about in (
             ("predict", "derived constants, regime, limit predictions"),
@@ -182,18 +190,14 @@ def cmd_simulate(o):
     return 0
 
 
-# one (s, z, probability) cell of the joint law, as csv_lines would write the
-# row [s, z, w]
-_LAW_CSV_ROW = "{0},{1},{2:.17g}\r\n"
-
-
 def cmd_exact(o):
     params = _params_from(o)
     n = o["steps"]
     pred = regime_prediction(params)
     # the law first: the DP cap refuses it before any moment work
-    law = ([col.tolist() for col in distribution_columns(params, n)]
-           if o["distribution"] else None)
+    if o["distribution"]:
+        law = distribution_dp(params, n)
+        cells = zip(law.s.tolist(), law.z.tolist(), law.probability.tolist())
     ns = [1, n, *(2 ** k for k in range(4, 25) if 2 ** k < n)]
     rows = []
     for row in exact_moments(params, n, ns=ns):
@@ -222,16 +226,16 @@ def cmd_exact(o):
             # "probability": w} in the results.distribution list
             rows_text = ",\n".join(
                 f'      {{\n        "probability": {w!r},\n        "s": {s},\n'
-                f'        "z": {z}\n      }}' for s, z, w in zip(*law))
+                f'        "z": {z}\n      }}' for s, z, w in cells)
             text = text.replace('"distribution": []',
                                 f'"distribution": [\n{rows_text}\n    ]', 1)
-        _write_text(o["output"], text)
     else:
-        lines = _dict_rows_csv(rows)
+        text = _dict_rows_csv(rows)
         if o["distribution"]:
-            lines += "s,z,probability\r\n" + "".join(
-                map(_LAW_CSV_ROW.format, *law))
-        _write_text(o["output"], lines)
+            # each cell as csv_lines would write the row [s, z, w]
+            text += "s,z,probability\r\n" + "".join(
+                f"{s},{z},{w:.17g}\r\n" for s, z, w in cells)
+    _write_text(o["output"], text)
     return 0
 
 
@@ -347,11 +351,11 @@ COMMANDS = {"predict": cmd_predict, "simulate": cmd_simulate, "exact": cmd_exact
 
 def main(argv=None) -> int:
     try:
-        # inside the try: shlex refuses an argument file's unclosed quote
-        # with ValueError
+        # inside the try: an argument file's unclosed quote raises
+        # InvalidState while the arguments are parsed
         o = vars(build_parser().parse_args(argv))
         return COMMANDS[o["command"]](o)
-    except (LapsewalkError, ValueError, OSError) as exc:
+    except (LapsewalkError, OSError) as exc:
         print(f"lapsewalk: error: {exc}", file=sys.stderr)
         return 2
 

@@ -35,6 +35,12 @@ tests, demos and the benchmark's oracle check read that.
 `exact` command, the CLT, superdiffusive and regime-scan experiments) reads
 its rows that way. Both refuse n_max above `MOMENT_CAP`.
 
+The enumeration and the DP return one record, `ExactDistribution`: the
+reachable (s, z) cells of the law at n as numpy columns `s`, `z` and
+`probability`, sorted by (s, z). Both build it from their (z, n_plus) grid
+through one helper, which also checks the mass; `standardized_exact_cdf`
+sums the DP's rows into the law of S_n.
+
 Sizes outside [1, cap], for the module constants `PATH_CAP`, `DP_CAP` and
 `MOMENT_CAP`, raise `CapExceeded`. The enumeration and the DP check that
 their law holds unit mass: every cell's step law sums to p + q + r, which a
@@ -203,15 +209,28 @@ def _moment_rows(params, n_max, ns):
     return [ExactMoments(*vals) for vals in zip(want.tolist(), *rows.tolist())]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExactDistribution:
-    """Joint law of (S_n, Z_n): probability mass per reachable (s, z) pair."""
+    """Joint law of (S_n, Z_n): one row per reachable (s, z) cell, sorted by
+    (s, z), in three numpy columns."""
 
     n: int
-    mass: dict
+    s: np.ndarray
+    z: np.ndarray
+    probability: np.ndarray
 
     def total_mass(self) -> float:
-        return float(sum(self.mass.values()))
+        return float(self.probability.sum())
+
+
+def _law(n, cells, tol):
+    """The law of n steps held as cells[z, n_plus], checked to hold unit mass
+    within `tol`: its nonzero cells as rows sorted by (s, z), s = 2 n_plus - z."""
+    _check_mass(float(cells.sum()), n, tol)
+    zs, js = np.nonzero(cells)
+    ss = 2 * js - zs
+    order = np.lexsort((zs, ss))
+    return ExactDistribution(n, ss[order], zs[order], cells[zs, js][order])
 
 
 def _dp_slices(params: ModelParams, n: int):
@@ -263,24 +282,11 @@ def _dp_slices(params: ModelParams, n: int):
         yield m + 1, cur.reshape(stride, stride)[:m + 2, :m + 2]
 
 
-def distribution_columns(params: ModelParams, n: int):
-    """The reachable cells of the joint law of (S_n, Z_n) as three arrays
-    (s, z, probability), sorted by (s, z), from the DP triangle at step n
-    checked to hold unit mass."""
+def distribution_dp(params: ModelParams, n: int) -> ExactDistribution:
+    """Exact joint law of (S_n, Z_n): the DP triangle at step n."""
     for _, tri in _dp_slices(params, n):
         pass
-    _check_mass(float(tri.sum()), n, 1e-10)
-    zs, js = np.nonzero(tri)
-    ss = 2 * js - zs
-    order = np.lexsort((zs, ss))
-    return ss[order], zs[order], tri[zs, js][order]
-
-
-def distribution_dp(params: ModelParams, n: int) -> ExactDistribution:
-    """Exact joint law of (S_n, Z_n) by DP over (z, n_plus) triangles."""
-    ss, zs, probs = distribution_columns(params, n)
-    return ExactDistribution(n=n, mass=dict(zip(
-        zip(ss.tolist(), zs.tolist()), probs.tolist())))
+    return _law(n, tri, 1e-10)
 
 
 def dp_moment_scan(params: ModelParams, n_max: int):
@@ -325,16 +331,9 @@ def enumerate_paths(params: ModelParams, n: int) -> ExactDistribution:
         n_plus = np.concatenate((n_plus + 1, n_plus, n_plus))
         n_minus = np.concatenate((n_minus, n_minus + 1, n_minus))
 
-    z = n_plus + n_minus
-    keys = z * (n + 1) + n_plus
+    keys = (n_plus + n_minus) * (n + 1) + n_plus
     tally = np.bincount(keys, weights=weight, minlength=(n + 1) * (n + 1))
-    mass = {}
-    for key in np.nonzero(tally)[0].tolist():
-        zz, jj = divmod(key, n + 1)
-        mass[(2 * jj - zz, zz)] = float(tally[key])
-    dist = ExactDistribution(n=n, mass=mass)
-    _check_mass(dist.total_mass(), n, 1e-12)
-    return dist
+    return _law(n, tally.reshape(n + 1, n + 1), 1e-12)
 
 
 @dataclass(frozen=True)
@@ -348,13 +347,12 @@ class DiscreteCdf:
 
 def standardized_exact_cdf(params: ModelParams, n: int) -> DiscreteCdf:
     """Exact CDF of (S_n - E S_n) / sqrt(Var S_n) on its finite support."""
-    ss, _, cells = distribution_columns(params, n)
-    # P(S_n = s) in bin s + n; bincount adds a bin's cells in the columns'
+    law = distribution_dp(params, n)
+    reached = np.unique(law.s)
+    # P(S_n = s) in bin s + n; bincount adds a bin's cells in the rows'
     # order, i.e. by increasing z, which fixes the bits
-    sums = np.bincount(ss + n, weights=cells)
-    reached = np.unique(ss)
+    probs = np.bincount(law.s + n, weights=law.probability)[reached + n]
     svals = reached.astype(np.float64)
-    probs = sums[reached + n]
     mean = float(np.dot(svals, probs))
     var = float(np.dot(svals * svals, probs)) - mean * mean
     if var <= 1e-14:

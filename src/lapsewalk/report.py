@@ -8,6 +8,8 @@ byte-identical output.
 
 import json
 
+from .errors import InvalidState
+
 SCHEMA_VERSION = "1"
 
 
@@ -31,11 +33,12 @@ def csv_lines(header, rows):
 
 
 def emit_json(obj) -> str:
-    """The report as JSON; a NaN or infinite float raises ValueError."""
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """The report as JSON; a NaN or infinite float raises InvalidState."""
+    try:
+        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise InvalidState(f"report not written: {exc}") from None
 
 
 def base_report(command: str, **sections) -> dict:
-    out = {"schema_version": SCHEMA_VERSION, "command": command}
-    out.update(sections)
-    return out
+    return {"schema_version": SCHEMA_VERSION, "command": command, **sections}

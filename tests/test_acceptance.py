@@ -88,9 +88,10 @@ def test_criterion_01_oracle_self_consistency():
     for params in GRID:
         de = lw.enumerate_paths(params, 12)
         dd = lw.distribution_dp(params, 12)
-        keys = set(de.mass) | set(dd.mass)
-        worst_atom = max(worst_atom, max(
-            abs(de.mass.get(k, 0.0) - dd.mass.get(k, 0.0)) for k in keys))
+        # one support, row for row: the worst atom compares every cell
+        assert np.array_equal(de.s, dd.s) and np.array_equal(de.z, dd.z)
+        worst_atom = max(worst_atom, float(np.max(np.abs(
+            de.probability - dd.probability))))
     worst_mom = 0.0
     for params in GRID:
         tab = lw.exact_moments(params, 200)

@@ -79,3 +79,21 @@ def test_install_trace_and_uninstall(tmp_path):
     assert tracer.counts["ensemble.bootstrap_resamples"] == 1000
     assert tracer.counts["stats.ks_points"] > 0
 
+
+
+def test_dp_span_counts_both_exact_laws(tmp_path):
+    # `exact --distribution` and the clt's exact CDF each run one DP at n
+    tracer = spans.Tracer()
+    undo = spans.install(tracer, layers.targets())
+    try:
+        assert cli.main(["exact", "-n", "40", "--distribution",
+                         "-o", str(tmp_path / "law.csv")]) == 0
+        assert cli.main(["experiment", "clt", "-n", "40", "-t", "0",
+                         "-o", str(tmp_path / "clt.json")]) in (0, 1)
+    finally:
+        spans.uninstall(undo)
+    calls = {name: n for name, (n, _, _) in tracer.durations().items()}
+    assert calls.get("exact.dp") == 2
+    assert tracer.counts["exact.dp_cells"] == 2 * sum((m + 2) ** 2
+                                                      for m in range(1, 40))
+    assert 0.0 <= tracer.counts["exact.dp_mass_error"] <= 1e-10

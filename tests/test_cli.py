@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import shlex
@@ -7,7 +8,7 @@ import pytest
 
 from lapsewalk import cli, ensemble, exact, experiments
 from lapsewalk.cli import build_parser, main
-from lapsewalk.errors import OutOfDomain
+from lapsewalk.errors import InvalidState, OutOfDomain
 from lapsewalk.exact import distribution_dp
 from lapsewalk.model import ModelParams
 from lapsewalk.report import csv_lines, emit_json
@@ -116,6 +117,23 @@ def test_exact_csv_and_cap(capsys, tmp_path):
     assert "cap" in err.lower()
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_exact_first_row_has_no_scale(tmp_path, fmt):
+    # the n = 1 row carries no variance scale (the critical n log n is 0
+    # there): null in JSON, an empty field in CSV; every later row has one
+    out = tmp_path / f"exact.{fmt}"
+    assert main(["exact", "-n", "64", "--format", fmt, "-o", str(out)]) == 0
+    if fmt == "json":
+        rows, blank = json.loads(out.read_text())["results"]["moments"], None
+    else:
+        rows, blank = list(csv.DictReader(out.read_text().splitlines())), ""
+    first, *later = rows
+    assert str(first["n"]) == "1"
+    assert first["predicted_scale"] == first["var_over_scale"] == blank
+    assert later and all(row[key] not in (None, "") for row in later
+                         for key in ("predicted_scale", "var_over_scale"))
+
+
 # r = 0.2 + 9e-13: p + q + r is inside SIMPLEX_TOL of 1, so ModelParams
 # accepts it, and 400 steps drift the DP's mass by 3.6e-10
 EDGE_FLAGS = ["-p", "0.6", "-q", "0.2", "-r", "0.2000000000009", "-n", "400"]
@@ -178,7 +196,8 @@ def test_exact_distribution_matches_dict_route_bytes(tmp_path, params, n):
     """The row-formatted law has the bytes of the list of dicts it replaced."""
     flags = ["exact", "-p", repr(params.p), "-q", repr(params.q),
              "-r", repr(params.r), "--theta", repr(params.theta), "-n", str(n)]
-    cells = sorted(distribution_dp(params, n).mass.items())
+    d = distribution_dp(params, n)
+    cells = sorted(zip(d.s.tolist(), d.z.tolist(), d.probability.tolist()))
     for fmt in ("json", "csv"):
         base, law = tmp_path / f"base.{fmt}", tmp_path / f"law.{fmt}"
         assert main([*flags, "--format", fmt, "-o", str(base)]) == 0
@@ -187,12 +206,12 @@ def test_exact_distribution_matches_dict_route_bytes(tmp_path, params, n):
         if fmt == "json":
             rep = json.loads(base.read_text())
             rep["results"]["distribution"] = [
-                {"s": s, "z": z, "probability": w} for (s, z), w in cells]
+                {"s": s, "z": z, "probability": w} for s, z, w in cells]
             want = emit_json(rep)
         else:
             want = base.read_bytes().decode() + "\r\n".join(csv_lines(
                 ["s", "z", "probability"],
-                [[s, z, w] for (s, z), w in cells])) + "\r\n"
+                [list(cell) for cell in cells])) + "\r\n"
         assert law.read_bytes() == want.encode()
 
 
@@ -661,8 +680,20 @@ def test_json_roundtrip():
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
 def test_emit_json_refuses_non_finite(value):
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidState):
         emit_json({"results": {"nested": [1.0, value]}})
+
+
+def test_bare_value_error_in_an_experiment_is_not_exit_2(monkeypatch, tmp_path):
+    # only typed failures exit 2: a ValueError from a bug stays a traceback
+    def broken(*args, **kwargs):
+        raise ValueError("math domain error")
+
+    monkeypatch.setattr(experiments, "lln_experiment", broken)
+    out = tmp_path / "r.json"
+    with pytest.raises(ValueError, match="math domain error"):
+        main(["experiment", "lln", "-o", str(out)])
+    assert not out.exists()
 
 
 def test_non_finite_report_exit_2_and_no_file(capsys, monkeypatch, tmp_path):

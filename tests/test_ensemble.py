@@ -274,8 +274,9 @@ def test_batch_kernel_law_matches_dp(params):
     # separate code path: chi-square of the (S_n, Z_n) histogram of 1e5 lanes
     n, lanes = 24, 100_000
     (s, z), = ensemble._simulate_chunk(params, n, [n], 11, 0, lanes)
-    ss, zs, probs = exact.distribution_columns(params, n)
-    keys = (ss + n) * (n + 1) + zs  # increasing in (s, z), as the columns are
+    law = exact.distribution_dp(params, n)
+    probs = law.probability
+    keys = (law.s + n) * (n + 1) + law.z  # increasing in (s, z), as the rows are
     drawn = ((s + n) * (n + 1) + z).astype(np.int64)
     cell = np.minimum(np.searchsorted(keys, drawn), keys.size - 1)
     assert np.array_equal(keys[cell], drawn)  # no draw off the support

@@ -17,9 +17,16 @@ GRID = [
 ]
 
 
+def cells(law):
+    """The law's rows as an {(s, z): probability} dict."""
+    return dict(zip(zip(law.s.tolist(), law.z.tolist()),
+                    law.probability.tolist()))
+
+
 def dists_close(a, b, tol):
-    keys = set(a.mass) | set(b.mass)
-    return max(abs(a.mass.get(k, 0.0) - b.mass.get(k, 0.0)) for k in keys) <= tol
+    """Every (s, z) cell of either law within `tol`, a missing cell as 0."""
+    ca, cb = cells(a), cells(b)
+    return max(abs(ca.get(k, 0.0) - cb.get(k, 0.0)) for k in ca | cb) <= tol
 
 
 @pytest.mark.parametrize("params", GRID)
@@ -29,42 +36,52 @@ def test_dp_matches_enumeration(params):
                            lw.enumerate_paths(params, n), 1e-12)
 
 
+@pytest.mark.parametrize("params", GRID)
+def test_dp_rows_sorted_and_equal_to_enumeration(params):
+    # the same reachable cells in the same (s, z) order, strictly increasing
+    for n in (1, 2, 5, 12):
+        dp, paths = lw.distribution_dp(params, n), lw.enumerate_paths(params, n)
+        key = dp.s * (n + 1) + dp.z  # increasing in (s, z)
+        assert np.all(np.diff(key) > 0), (params, n)
+        assert np.array_equal(dp.s, paths.s) and np.array_equal(dp.z, paths.z)
+        assert dp.n == paths.n == n
+
+
 def test_enumeration_hand_value():
     # P(S_2 = 2) = p * (theta p + (1 - theta) p) = 0.36, by the chain rule
     d = lw.enumerate_paths(lw.ModelParams(0.6, 0.2, 0.2, 0.5), 2)
-    assert math.isclose(d.mass[(2, 2)], 0.36)
+    assert math.isclose(cells(d)[(2, 2)], 0.36)
 
 
 def test_enumeration_mass_and_support():
     for params in GRID[:4]:
         d = lw.enumerate_paths(params, 7)
         assert abs(d.total_mass() - 1.0) <= 1e-12
-        for (s, z) in d.mass:
+        for s, z in zip(d.s.tolist(), d.z.tolist()):
             assert abs(s) <= z <= 7 and (z - s) % 2 == 0
 
 
 def test_delay_only_walk_is_point_mass():
     d = lw.distribution_dp(lw.ModelParams(0.0, 0.0, 1.0, 0.3), 25)
-    assert d.mass == {(0, 0): 1.0}
+    assert cells(d) == {(0, 0): 1.0}
 
 
 def test_dp_n1_is_first_step_law():
     d = lw.distribution_dp(lw.ModelParams(0.6, 0.2, 0.2, 0.5), 1)
-    assert math.isclose(d.mass[(1, 1)], 0.6)
-    assert math.isclose(d.mass[(-1, 1)], 0.2)
-    assert math.isclose(d.mass[(0, 0)], 0.2)
+    assert d.s.tolist() == [-1, 0, 1] and d.z.tolist() == [1, 0, 1]
+    assert d.probability.tolist() == [0.2, 0.2, 0.6]  # q, r and p, unrounded
 
 
 def test_theta_zero_matches_trinomial():
     # i.i.d. case: P(n_plus = i, n_minus = j) is multinomial
     p, q, r, n = 0.3, 0.3, 0.4, 6
-    d = lw.distribution_dp(lw.ModelParams(p, q, r, 0.0), n)
+    d = cells(lw.distribution_dp(lw.ModelParams(p, q, r, 0.0), n))
     for i in range(n + 1):
         for j in range(n + 1 - i):
             coeff = math.comb(n, i) * math.comb(n - i, j)
             want = coeff * p ** i * q ** j * r ** (n - i - j)
             # (i, j) <-> (s, z) = (i - j, i + j) is a bijection
-            got = d.mass.get((i - j, i + j), 0.0)
+            got = d.get((i - j, i + j), 0.0)
             assert abs(got - want) <= 1e-12
 
 
@@ -239,7 +256,7 @@ def test_standardized_cdf_normalization():
 def dict_route_cdf(params, n):
     """The standardized CDF summed through an (s, z) dict, as it used to be."""
     agg = {}
-    for (s, _z), w in lw.distribution_dp(params, n).mass.items():
+    for (s, _z), w in cells(lw.distribution_dp(params, n)).items():
         agg[s] = agg.get(s, 0.0) + w
     svals = np.array(sorted(agg), dtype=np.float64)
     probs = np.array([agg[int(s)] for s in svals])

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lapsewalk as lw
+from test_exact import dists_close
 
 MOMENTS = ("mean_s", "mean_z", "var_s", "mean_sz")
 
@@ -32,8 +33,7 @@ def simplex_points(draw):
 def test_exact_oracles_agree(params, n):
     dp = lw.distribution_dp(params, n)
     paths = lw.enumerate_paths(params, n)
-    for cell in set(dp.mass) | set(paths.mass):
-        assert abs(dp.mass.get(cell, 0.0) - paths.mass.get(cell, 0.0)) <= 1e-14
+    assert dists_close(dp, paths, 1e-14)
     assert abs(dp.total_mass() - 1.0) <= 1e-12
     # relative to the moment's size, floored at 1 where it is near 0
     table = lw.exact_moments(params, n)

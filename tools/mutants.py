@@ -84,17 +84,21 @@ MUTANTS = [
      "z1 = min(z0 + _DP_BAND - 1, rows)",
      "tests/test_exact.py::test_dp_slices_match_reference_bits"),
     ("dp_mass_guard_loosened", "exact.py",
-     "_check_mass(float(tri.sum()), n, 1e-10)",
-     "_check_mass(float(tri.sum()), n, 1e-3)",
+     "return _law(n, tri, 1e-10)",
+     "return _law(n, tri, 1e-3)",
      "tests/test_exact.py::test_dp_mass_guard_trips_on_a_leaking_kernel"),
     ("dp_scan_mass_guard_loosened", "exact.py",
      "_check_mass(float(tri.sum()), m, 1e-10)",
      "_check_mass(float(tri.sum()), m, 1e-3)",
      "tests/test_exact.py::test_dp_mass_guard_trips_on_a_leaking_kernel"),
     ("path_mass_guard_loosened", "exact.py",
-     "_check_mass(dist.total_mass(), n, 1e-12)",
-     "_check_mass(dist.total_mass(), n, 1e-3)",
+     "return _law(n, tally.reshape(n + 1, n + 1), 1e-12)",
+     "return _law(n, tally.reshape(n + 1, n + 1), 1e-3)",
      "tests/test_exact.py::test_dp_mass_guard_trips_on_a_leaking_kernel"),
+    ("law_rows_unsorted", "exact.py",
+     "order = np.lexsort((zs, ss))",
+     "order = np.arange(ss.size)",
+     "tests/test_exact.py::test_dp_rows_sorted_and_equal_to_enumeration"),
     ("mass_guard_without_step_drift", "exact.py",
      "if not abs(total - 1.0) <= tol + n * SIMPLEX_TOL:",
      "if not abs(total - 1.0) <= tol:",
@@ -159,6 +163,18 @@ MUTANTS = [
      "derive_constants(params).phi <= 0.0",
      "derive_constants(params).phi < 0.0",
      "tests/test_cli.py::test_experiment_refused_before_any_work"),
+    ("exact_first_row_gets_scale", "cli.py",
+     "if row.n > 1 else None",
+     "if row.n >= 1 else None",
+     "tests/test_cli.py::test_exact_first_row_has_no_scale"),
+    ("cli_catches_bare_value_error", "cli.py",
+     "except (LapsewalkError, OSError) as exc:",
+     "except (LapsewalkError, ValueError, OSError) as exc:",
+     "tests/test_cli.py::test_bare_value_error_in_an_experiment_is_not_exit_2"),
+    ("arg_file_quote_error_untyped", "cli.py",
+     "ap.convert_arg_line_to_args = _arg_file_words",
+     "ap.convert_arg_line_to_args = lambda line: shlex.split(line, comments=True)",
+     "tests/test_cli.py::test_argument_file_refused_exit_2"),
     ("clt_takes_n_max", "cli.py",
      '("regime-scan", "lil-diagnostic"),',
      '("regime-scan", "lil-diagnostic", "clt"),',
