@@ -38,6 +38,9 @@ _MC = ("simulate", *_WALKS, "lil-diagnostic")
 _MODEL = ("predict", "exact", *_MC)
 _ALL = (*_MODEL, "regime-scan")
 _STEPS = ("simulate", "exact", *_WALKS)
+# exact-law rows formatted and written at a time: a speed constant that also
+# bounds the law text held in memory, never a byte of the output
+_LAW_BATCH = 4096
 # key -> (flags, type, default, commands with the flag, help). A command is a
 # subcommand or an experiment kind, and takes only the flags it reads; a
 # format of None is the subcommand's first FORMATS choice
@@ -78,11 +81,37 @@ def _parse_list(text, typ, flag):
 
 
 def _write_text(path, text):
+    """Write text: a str, or an iterable of str pieces, each written as it
+    is produced."""
+    pieces = [text] if isinstance(text, str) else text
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
+
+
+def _law_text(head, law, rows, sep, tail):
+    """head, the law's rows, then tail, as pieces of text: rows(cells)
+    formats up to _LAW_BATCH (s, z, w) cells, and sep joins two batches."""
+    yield head
+    for i in range(0, len(law.s), _LAW_BATCH):
+        cut = slice(i, i + _LAW_BATCH)
+        yield (sep if i else "") + rows(zip(
+            law.s[cut].tolist(), law.z[cut].tolist(), law.probability[cut].tolist()))
+    yield tail
+
+
+def _json_law_rows(cells):
+    # each cell as emit_json would write the dict {"s": s, "z": z,
+    # "probability": w} in the results.distribution list
+    return ",\n".join(f'      {{\n        "probability": {w!r},\n        "s": {s},\n'
+                      f'        "z": {z}\n      }}' for s, z, w in cells)
+
+
+def _csv_law_rows(cells):
+    # each cell as csv_lines would write the row [s, z, w]
+    return "".join(f"{s},{z},{w:.17g}\r\n" for s, z, w in cells)
 
 
 def _dict_rows_csv(rows):
@@ -197,7 +226,6 @@ def cmd_exact(o):
     # the law first: the DP cap refuses it before any moment work
     if o["distribution"]:
         law = distribution_dp(params, n)
-        cells = zip(law.s.tolist(), law.z.tolist(), law.probability.tolist())
     ns = [1, n, *(2 ** k for k in range(4, 25) if 2 ** k < n)]
     rows = []
     for row in exact_moments(params, n, ns=ns):
@@ -219,22 +247,19 @@ def cmd_exact(o):
     )
     if o["distribution"]:
         rep["results"]["distribution"] = []  # JSON rows are spliced in here
+    # every refusal (the DP cap, the mass check, a non-finite report) comes
+    # before _write_text opens the output
     if o["format"] == "json":
         text = emit_json(rep)
         if o["distribution"]:
-            # each cell as emit_json would write the dict {"s": s, "z": z,
-            # "probability": w} in the results.distribution list
-            rows_text = ",\n".join(
-                f'      {{\n        "probability": {w!r},\n        "s": {s},\n'
-                f'        "z": {z}\n      }}' for s, z, w in cells)
-            text = text.replace('"distribution": []',
-                                f'"distribution": [\n{rows_text}\n    ]', 1)
+            head, tail = text.split('"distribution": []', 1)
+            text = _law_text(head + '"distribution": [\n', law, _json_law_rows,
+                             ",\n", "\n    ]" + tail)
     else:
         text = _dict_rows_csv(rows)
         if o["distribution"]:
-            # each cell as csv_lines would write the row [s, z, w]
-            text += "s,z,probability\r\n" + "".join(
-                f"{s},{z},{w:.17g}\r\n" for s, z, w in cells)
+            text = _law_text(text + "s,z,probability\r\n", law, _csv_law_rows,
+                             "", "")
     _write_text(o["output"], text)
     return 0
 

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import shlex
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -213,6 +214,37 @@ def test_exact_distribution_matches_dict_route_bytes(tmp_path, params, n):
                 ["s", "z", "probability"],
                 [list(cell) for cell in cells])) + "\r\n"
         assert law.read_bytes() == want.encode()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_exact_distribution_streams_its_rows(tmp_path, fmt):
+    # the n = 400 law is 80,601 rows and 6.4 MB of JSON text; written a batch
+    # at a time, the peak is the DP grid, the law's columns and one batch
+    argv = ["exact", "-n", "400", "--distribution", "--format", fmt,
+            "-o", str(tmp_path / "law")]
+    assert main(argv) == 0  # warm-up: imports and first-call caches
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 2 ** 20
+
+
+def test_exact_distribution_non_finite_report_exit_2_and_no_file(
+        capsys, monkeypatch, tmp_path):
+    def nan_moments(params, n_max, ns):
+        return [exact.ExactMoments(n=k, mean_s=float("nan"), mean_z=0.0,
+                                   var_s=1.0, mean_sz=0.0) for k in ns]
+
+    monkeypatch.setattr(cli, "exact_moments", nan_moments)
+    out = tmp_path / "law.json"
+    code, _, err = run_cli(capsys, "exact", "-n", "40", "--distribution",
+                           "--format", "json", "-o", str(out))
+    assert code == 2
+    assert err.startswith("lapsewalk: error: report not written:")
+    assert not out.exists()
 
 
 def test_experiment_lln_report(tmp_path):

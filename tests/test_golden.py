@@ -67,6 +67,9 @@ CASES = {
     "exact-distribution-json": (
         ["exact", "-n", "40", "--distribution", "--format", "json"], (),
         {"output": "cd494659d6323dc433c76ff397c366f5a099e834e98333bc517a8cc7b537d2dc"}),
+    "exact-distribution-csv": (
+        ["exact", "-n", "40", "--distribution"], (),
+        {"output": "43227fc646c28c167bac085a331c8c0c1de5f1e4ff831318b1f019db49fdab5c"}),
     "lil-diagnostic": (
         ["experiment", "lil-diagnostic", "--theta", "0", "--n-max", "2048",
          "-t", "100", "--seed", "9"],
@@ -77,6 +80,11 @@ CASES = {
         ["simulate", "-n", "300", "-t", "400", "--seed", "9", "--snapshots", "100,300"],
         (),
         {"output": "b048035ccdd9500b06991de17370aec4d00fb8a287a7a8045b1bb0479fd22080"}),
+    # 9000 trajectories fill three 4096-lane accumulation blocks
+    "simulate-csv-three-blocks": (
+        ["simulate", "-n", "32", "-t", "9000", "--seed", "3", "--snapshots", "16,32"],
+        (),
+        {"output": "925d82ae9bc14b5e203414c693c6d5c4451019e6f607f8e26ab5419722a7e950"}),
     # alpha < 0: no martingale columns
     "simulate-csv-negative-alpha": (
         ["simulate", "-p", "0.2", "-q", "0.6", "-r", "0.2", "-n", "300", "-t", "400",

@@ -2,10 +2,10 @@
 
 A module constant whose comment says "speed only" or "speed constant" sets
 how the work is cut up (lanes a task, draw rows a window, DP rows a band,
-terms a block), never a result. This test finds each such constant by
-reading the package source, so a new one fails here until it is listed
-below; for each listed constant it patches in a small value and requires the
-pinned bytes of the golden cases that reach it. The per-constant
+terms a block, law rows a batch), never a result. This test finds each such
+constant by reading the package source, so a new one fails here until it is
+listed below; for each listed constant it patches in a small value and
+requires the pinned bytes of the golden cases that reach it. The per-constant
 reference-bits tests compare against the implementations these constants
 replaced; this one compares the code against itself.
 """
@@ -23,14 +23,16 @@ SPEED = re.compile(r"speed (only|constant)")
 
 # (module, name) -> (small value, golden cases that read the constant)
 CONSTANTS = {
-    # below the chunk size, so one block a task; the golden walks hold one
-    # block each, and test_ensemble.py splits many blocks across tasks
-    ("ensemble", "LANES_MAX"): (7, ["simulate-csv"]),
+    # below the chunk size, so one block a task: the three-block walk runs
+    # as three tasks instead of one
+    ("ensemble", "LANES_MAX"): (7, ["simulate-csv", "simulate-csv-three-blocks"]),
     ("ensemble", "_DRAW_WINDOW"): (3, ["simulate-csv", "lln"]),
     ("exact", "_DP_BAND"): (3, ["exact-distribution-json", "clt"]),
     ("exact", "_MOMENT_BLOCK"): (7, ["regime-scan", "clt"]),
     # sub-blocks that do not divide the direct scan's 2^16-term chunks
     ("analytic", "_SERIES_BLOCK"): (5000, ["predict-text-superdiffusive"]),
+    # the n = 40 law has 861 rows: hundreds of batch edges in each format
+    ("cli", "_LAW_BATCH"): (3, ["exact-distribution-json", "exact-distribution-csv"]),
 }
 
 

@@ -175,6 +175,10 @@ MUTANTS = [
      "ap.convert_arg_line_to_args = _arg_file_words",
      "ap.convert_arg_line_to_args = lambda line: shlex.split(line, comments=True)",
      "tests/test_cli.py::test_argument_file_refused_exit_2"),
+    ("law_batch_separator_dropped", "cli.py",
+     'yield (sep if i else "") + rows(zip(',
+     "yield rows(zip(",
+     "tests/test_cli.py::test_exact_distribution_matches_dict_route_bytes"),
     ("clt_takes_n_max", "cli.py",
      '("regime-scan", "lil-diagnostic"),',
      '("regime-scan", "lil-diagnostic", "clt"),',
