@@ -43,6 +43,8 @@ def _check_rate(rate):
 
 
 def _growth_table(rate, n_max):
+    if n_max < 1:
+        raise OutOfDomain("sequence indices start at n = 1")
     vals = np.empty(n_max + 1)
     vals[0] = np.nan
     vals[1] = 1.0

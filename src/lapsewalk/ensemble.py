@@ -9,7 +9,9 @@ simulates at once (whole blocks, up to LANES_MAX lanes), the number of steps
 whose uniforms it draws at once and the worker count can only change wall
 time, never a bit of the output. Tasks run the walk in lockstep over numpy
 arrays (one lane per trajectory), updated in place, which is what makes 1e9
-total steps feasible without leaving float64 determinism.
+total steps feasible without leaving float64 determinism. A walk at q = 0
+can never step down, so it runs one-sided: one comparison and one count a
+step, no minus threshold, with the same output bits.
 """
 
 from dataclasses import dataclass, field
@@ -17,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analytic import expected_s, growth_values, lil_envelope
-from .errors import CapExceeded, Degenerate, DomainTooSmall, InvalidState, OutOfDomain
+from .errors import (CapExceeded, Degenerate, DomainTooSmall, InvalidState,
+                     OutOfDomain, SampleTooSmall)
 from .model import ModelParams, Regime, derive_constants
 from .rng import Xoshiro256Batch
 
@@ -133,8 +136,16 @@ def _thresholds(n_plus, n_minus, p, q, th_m, const_plus, const_minus,
     Same float operations, in the same order, as
         a = (n_plus*p + n_minus*q)*th_m + const_plus
         cum = a + (n_minus*p + n_plus*q)*th_m + const_minus
+    With cum None (the one-sided walk: q = 0, n_minus = 0) only
+        a = n_plus*p*th_m + const_plus
+    which drops a term n_minus*q = ±0.0: the same threshold, its bits equal
+    but for the sign of a zero at p = -0.0, which no u >= 0 can see.
     """
     np.multiply(n_plus, p, out=a)
+    if cum is None:
+        a *= th_m
+        a += const_plus
+        return
     np.multiply(n_minus, q, out=tmp)
     a += tmp
     a *= th_m
@@ -154,6 +165,10 @@ def _simulate_chunk(params: ModelParams, n_steps, snaps, master_seed, lo, hi):
     Uniforms are drawn a window of steps at a time into one reused array.
     """
     p, q, theta = params.p, params.q, params.theta
+    # at q = 0 no -1 step can happen: every term that turns a into cum is
+    # ±0.0, so cum == a, minus is never set and n_minus stays 0. That walk
+    # runs one-sided, with no cum, and keeps the same bits
+    one_sided = q == 0
     rng = Xoshiro256Batch(master_seed, np.arange(lo, hi, dtype=np.uint64))
     width = hi - lo
     # at most 2**16 deviates (512 KiB) a window
@@ -163,7 +178,7 @@ def _simulate_chunk(params: ModelParams, n_steps, snaps, master_seed, lo, hi):
     n_plus, n_minus = counts
     plus, minus = steps
     a = np.full(width, p, dtype=np.float64)  # step 1 has no memory to recall
-    cum = np.full(width, p + q, dtype=np.float64)
+    cum = None if one_sided else np.full(width, p + q, dtype=np.float64)
     tmp = np.empty(width)
     pending = iter(snaps)
     next_snap = next(pending)
@@ -173,12 +188,15 @@ def _simulate_chunk(params: ModelParams, n_steps, snaps, master_seed, lo, hi):
     for start in range(0, n_steps, len(window)):
         for m, u in enumerate(rng.uniforms(window[:n_steps - start]), start + 1):
             np.less(u, a, out=plus)
-            np.less(u, cum, out=minus)
-            # cum >= a always (both added terms are >= 0 and float addition
-            # is monotone), so plus implies u < cum, and the minus step is
-            # (u < cum) XOR plus
-            minus ^= plus
-            counts += steps
+            if one_sided:
+                n_plus += plus
+            else:
+                np.less(u, cum, out=minus)
+                # cum >= a always (both added terms are >= 0 and float
+                # addition is monotone), so plus implies u < cum, and the
+                # minus step is (u < cum) XOR plus
+                minus ^= plus
+                counts += steps
             if m == next_snap:
                 yield n_plus - n_minus, n_plus + n_minus
                 next_snap = next(pending, None)
@@ -305,6 +323,11 @@ def martingale_track(params: ModelParams, ensemble: EnsembleResult):
     ]
 
 
+def _check_variance_sample(size):
+    if size < 2:  # the ddof=1 variance of fewer values is NaN
+        raise SampleTooSmall(f"a sample variance needs >= 2 values, got {size}")
+
+
 @dataclass
 class WEstimate:
     """Monte Carlo estimate of the superdiffusive limit variable W."""
@@ -318,6 +341,7 @@ class WEstimate:
     @classmethod
     def from_sample(cls, w: np.ndarray) -> "WEstimate":
         """Estimate from a sample of M_n, one value per trajectory."""
+        _check_variance_sample(w.size)
         var_w = float(w.var(ddof=1))
         return cls(n_used=w.size, mean_w=float(w.mean()), var_w=var_w,
                    stderr=(var_w / w.size) ** 0.5, sample=w)
@@ -329,6 +353,7 @@ def estimate_w(params: ModelParams, n_steps: int, n_traj: int,
     c = derive_constants(params)
     if c.regime is not Regime.SUPERDIFFUSIVE:
         raise OutOfDomain(f"W exists only for alpha > 1/2; regime is {c.regime.value}")
+    _check_variance_sample(n_traj)
     ens = run_ensemble(params, n_steps, n_traj, snapshots=[n_steps],
                        master_seed=master_seed, keep_raw=True, workers=workers)
     w = (ens.sample_s[0] - expected_s(params, n_steps)) / growth_values(c.alpha, n_steps)
@@ -338,7 +363,10 @@ def estimate_w(params: ModelParams, n_steps: int, n_traj: int,
 def bootstrap_variance_ci(sample, n_boot: int = 1000):
     """Percentile bootstrap CI at BOOTSTRAP_LEVEL for the sample variance,
     drawn from its own fixed seed BOOTSTRAP_SEED."""
+    if n_boot < 1:
+        raise InvalidState(f"n_boot must be >= 1, got {n_boot}")
     x = np.asarray(sample, dtype=np.float64)
+    _check_variance_sample(x.size)
     rng = np.random.default_rng(BOOTSTRAP_SEED)
     vs = np.empty(n_boot)
     for b in range(n_boot):

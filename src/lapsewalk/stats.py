@@ -55,6 +55,8 @@ def ks_test_normal(sample) -> KsResult:
     k = xs.size
     if k < KS_MIN_POINTS:
         raise SampleTooSmall(f"KS test needs >= {KS_MIN_POINTS} points, got {k}")
+    if not np.isfinite(xs).all():
+        raise InvalidState("KS test needs a finite sample")
     phi = normal_cdf_array(xs)
     i = np.arange(1, k + 1, dtype=np.float64)
     d = float(max((i / k - phi).max(), (phi - (i - 1.0) / k).max()))
@@ -88,6 +90,8 @@ def fit_loglog(xs, ys) -> SlopeFit:
     ys = np.asarray(ys, dtype=np.float64)
     if xs.size != ys.size or xs.size < 3:
         raise SampleTooSmall("log-log fit needs >= 3 points")
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise InvalidState("log-log fit needs finite xs and ys")
     if (xs <= 0).any() or (ys <= 0).any():
         raise InvalidState("log-log fit needs strictly positive xs and ys")
     lx = np.log(xs)

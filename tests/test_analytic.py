@@ -43,6 +43,15 @@ def test_a_sequence_domain():
         lw.a_sequence(1.0, 10)
 
 
+@pytest.mark.parametrize("table", [lw.a_sequence, lw.v_sequence])
+@pytest.mark.parametrize("n_max", [0, -1])
+def test_sequence_tables_refuse_no_index(table, n_max):
+    # a table indexed by n needs the slot n = 1; growth_values says the same
+    with pytest.raises(lw.OutOfDomain, match="sequence indices start at n = 1"):
+        table(0.3, n_max)
+    assert table(0.3, 1)[1] == 1.0
+
+
 @pytest.mark.parametrize("alpha", [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
 def test_a_recurrence_matches_loggamma(alpha):
     n_max = 10 ** 6

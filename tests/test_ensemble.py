@@ -317,6 +317,33 @@ def test_estimate_w_requires_superdiffusive():
         lw.estimate_w(PARAMS, 100, 10)
 
 
+def test_w_estimate_refuses_one_value():
+    # the ddof=1 variance of one value is NaN, and so would be the stderr
+    with pytest.raises(lw.SampleTooSmall, match="got 1"):
+        lw.WEstimate.from_sample(np.array([1.0]))
+
+
+def test_estimate_w_refuses_one_trajectory_before_walking(monkeypatch):
+    def walked(*args, **kwargs):
+        raise AssertionError("walked before one trajectory was refused")
+
+    monkeypatch.setattr(ensemble, "run_ensemble", walked)
+    with pytest.raises(lw.SampleTooSmall, match="got 1"):
+        lw.estimate_w(SUPER, 10, 1)
+
+
+def test_bootstrap_ci_refuses_one_value():
+    with pytest.raises(lw.SampleTooSmall, match="got 1"):
+        lw.bootstrap_variance_ci([1.0])
+    lo, hi = lw.bootstrap_variance_ci([1.0, 2.0], n_boot=1)
+    assert lo == hi and lo in (0.0, 0.5)
+
+
+def test_bootstrap_ci_refuses_no_resamples():
+    with pytest.raises(lw.InvalidState, match="n_boot"):
+        lw.bootstrap_variance_ci([1.0, 2.0, 4.0], n_boot=0)
+
+
 def test_estimate_w_small_scale():
     n = 2 * 10 ** 4
     west = lw.estimate_w(SUPER, n, 2000, master_seed=11)

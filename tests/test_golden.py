@@ -85,6 +85,13 @@ CASES = {
         ["simulate", "-n", "32", "-t", "9000", "--seed", "3", "--snapshots", "16,32"],
         (),
         {"output": "925d82ae9bc14b5e203414c693c6d5c4451019e6f607f8e26ab5419722a7e950"}),
+    # the same three blocks at q = 0, where the walk runs one-sided
+    "simulate-csv-three-blocks-one-sided": (
+        ["simulate", "-p", "0.9", "-q", "0", "-r", "0.1", "--theta",
+         "0.8333333333333334", "-n", "32", "-t", "9000", "--seed", "3",
+         "--snapshots", "16,32"],
+        (),
+        {"output": "252e602bee08bcf6d87e936cf2111b631918effc1ccf6301bc3e54da87d91aca"}),
     # alpha < 0: no martingale columns
     "simulate-csv-negative-alpha": (
         ["simulate", "-p", "0.2", "-q", "0.6", "-r", "0.2", "-n", "300", "-t", "400",

@@ -5,12 +5,16 @@ replaced, kept here as the oracle. It draws one row of uniforms per step;
 the kernel draws a window of steps at a time, so the walks are also compared
 with the window patched down to 1, 2, 3 and 7 rows, which puts snapshots on
 the first, a middle and the last row of a window and ends walks mid-window.
-Both draw from `Xoshiro256Batch`, whose lanes test_rng.py checks against the
-scalar generator. A last-ulp change in a threshold almost never flips a
+At q = 0 the kernel walks one-sided (no minus threshold, no minus count);
+the reference has no such path, so the same comparison covers it, at the
+zero edges q = -0.0, p = -0.0 and p = q = 0 too. Both draw from
+`Xoshiro256Batch`, whose lanes test_rng.py checks against the scalar
+generator. A last-ulp change in a threshold almost never flips a
 comparison at the sizes a test can walk, so the thresholds are also compared
 directly, at counts up to ~1e12.
 """
 
+import math
 from types import SimpleNamespace
 from unittest import mock
 
@@ -109,15 +113,7 @@ def test_kernel_matches_reference_bits(params, layout, master_seed, window):
         assert_walk_matches_reference(params, n_steps, snaps, master_seed, lo, hi)
 
 
-@pytest.mark.parametrize("window", [1, 2, 3, 7])
-@pytest.mark.parametrize("p, q, theta", [
-    (0.5, 0.3, 0.0),    # theta = 0
-    (0.35, 0.35, 0.6),  # p = q
-    (0.8, 0.0, 0.9),    # q = 0
-    (0.0, 0.0, 0.5),    # r = 1
-    (0.45, 0.25, 0.8),
-])
-def test_kernel_bits_across_window_edges(window, p, q, theta):
+def assert_window_edge_walk_matches_reference(window, p, q, theta):
     # window k holds steps k*window + 1 .. (k + 1)*window. The snapshots lie
     # on first, middle and last rows; the walk stops at the last one, in the
     # middle of the fifth window, short of an n_steps that is not a multiple
@@ -129,6 +125,32 @@ def test_kernel_bits_across_window_edges(window, p, q, theta):
         assert_walk_matches_reference(SimpleNamespace(p=p, q=q, theta=theta),
                                       n_steps, snaps, 2021, 2 ** 33 + 5,
                                       2 ** 33 + 42)
+
+
+@pytest.mark.parametrize("window", [1, 2, 3, 7])
+@pytest.mark.parametrize("p, q, theta", [
+    (0.5, 0.3, 0.0),    # theta = 0
+    (0.35, 0.35, 0.6),  # p = q
+    (0.8, 0.0, 0.9),    # q = 0
+    (0.0, 0.0, 0.5),    # r = 1
+    (0.45, 0.25, 0.8),
+])
+def test_kernel_bits_across_window_edges(window, p, q, theta):
+    assert_window_edge_walk_matches_reference(window, p, q, theta)
+
+
+@pytest.mark.parametrize("window", [1, 2, 3, 7])
+@pytest.mark.parametrize("theta", [0.0, 5.0 / 6.0, 1.0])
+@pytest.mark.parametrize("p, q", [
+    (0.9, 0.0),
+    (0.37, -0.0),
+    (1.0, 0.0),     # every step +1
+    (-0.0, 0.0),    # p = -0.0: the one-sided a is -0.0 where the two-sided is 0.0
+    (-0.0, -0.0),
+    (0.0, 0.0),     # p = q = 0: the walk never moves
+])
+def test_one_sided_walk_bits_across_window_edges(window, p, q, theta):
+    assert_window_edge_walk_matches_reference(window, p, q, theta)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -150,3 +172,30 @@ def test_thresholds_match_reference_bits(params, m, splits):
     assert a.tobytes() == want_a.tobytes()
     assert cum.tobytes() == want_cum.tobytes()
     assert np.all(cum >= a)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(p=st.one_of(st.sampled_from([0.9, 0.37, 1.0, 0.0, -0.0, 1e-300]),
+                   st.floats(0.0, 1.0)),
+       q=st.sampled_from([0.0, -0.0]),
+       theta=st.one_of(st.sampled_from([0.0, 0.3, 5.0 / 6.0, 1.0]),
+                       st.floats(0.0, 1.0)),
+       m=st.integers(1, 2 ** 40),
+       fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=16))
+def test_one_sided_thresholds_match_two_sided(p, q, theta, m, fracs):
+    # at q = 0 the walk never steps down, so n_minus = 0 after m steps
+    n_plus = np.floor(np.array(fracs) * m)
+    n_minus = np.zeros_like(n_plus)
+    th_m = theta / m
+    const_plus, const_minus = (1.0 - theta) * p, (1.0 - theta) * q
+    want_a = (n_plus * p + n_minus * q) * th_m + const_plus
+    want_cum = want_a + (n_minus * p + n_plus * q) * th_m + const_minus
+    assert np.array_equal(want_cum, want_a)  # so no u can take a minus step
+    a, tmp = np.empty(n_plus.size), np.empty(n_plus.size)
+    _thresholds(n_plus, n_minus, p, q, th_m, const_plus, const_minus, a, None, tmp)
+    assert np.array_equal(a, want_a)
+    if math.copysign(1.0, p) < 0:
+        # p = -0.0: every threshold is a zero, whose sign may differ
+        assert not a.any()
+    else:
+        assert a.tobytes() == want_a.tobytes()

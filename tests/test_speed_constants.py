@@ -23,10 +23,14 @@ SPEED = re.compile(r"speed (only|constant)")
 
 # (module, name) -> (small value, golden cases that read the constant)
 CONSTANTS = {
-    # below the chunk size, so one block a task: the three-block walk runs
-    # as three tasks instead of one
-    ("ensemble", "LANES_MAX"): (7, ["simulate-csv", "simulate-csv-three-blocks"]),
-    ("ensemble", "_DRAW_WINDOW"): (3, ["simulate-csv", "lln"]),
+    # below the chunk size, so one block a task: the three-block walks run
+    # as three tasks instead of one, two-sided and one-sided (q = 0)
+    ("ensemble", "LANES_MAX"): (7, ["simulate-csv", "simulate-csv-three-blocks",
+                                    "simulate-csv-three-blocks-one-sided"]),
+    # superdiffusive, critical and the three-block case walk one-sided
+    ("ensemble", "_DRAW_WINDOW"): (3, ["simulate-csv", "lln", "superdiffusive",
+                                       "critical",
+                                       "simulate-csv-three-blocks-one-sided"]),
     ("exact", "_DP_BAND"): (3, ["exact-distribution-json", "clt"]),
     ("exact", "_MOMENT_BLOCK"): (7, ["regime-scan", "clt"]),
     # sub-blocks that do not divide the direct scan's 2^16-term chunks

@@ -66,6 +66,16 @@ def test_ks_sample_too_small():
         lw.ks_test_normal(list(range(9)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_ks_refuses_non_finite(bad):
+    sample = np.linspace(-2.0, 2.0, 20)
+    sample[7] = bad
+    with pytest.raises(lw.InvalidState, match="finite"):
+        lw.ks_test_normal(sample)
+    with pytest.raises(lw.InvalidState, match="finite"):
+        lw.ks_test_normal([bad] * 20)
+
+
 def test_ks_pvalue_monotone_in_d():
     k = 1000
     ps = [lw.stats._kolmogorov_sf(d * (math.sqrt(k) + 0.12 + 0.11 / math.sqrt(k)))
@@ -147,6 +157,15 @@ def test_fit_loglog_errors():
         lw.fit_loglog([1, 2, 3], [1.0, -1.0, 2.0])
     with pytest.raises(lw.SampleTooSmall):
         lw.fit_loglog([1, 2], [1.0, 2.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_fit_loglog_refuses_non_finite(bad):
+    # (ys <= 0).any() is False for NaN, so NaN needs its own check
+    with pytest.raises(lw.InvalidState, match="finite"):
+        lw.fit_loglog([1, 2, 3], [1.0, bad, 3.0])
+    with pytest.raises(lw.InvalidState, match="finite"):
+        lw.fit_loglog([1, bad, 3], [1.0, 2.0, 3.0])
 
 
 @pytest.mark.parametrize("t", [0.05, 0.3, 0.5, 0.8, 1.0, 1.36, 1.63, 2.0, 3.0])

@@ -5,8 +5,9 @@ with the test expected to kill it. The tool copies the repository to a
 temporary directory per mutant, applies the edit there, and runs the fast
 suite: `tests/` without `test_acceptance.py`, and with the report digests
 (`test_golden.py` and `test_predict_json_bytes_pinned`) deselected, so that a
-kill shows a correctness check and not merely a changed byte. The working
-tree is never edited.
+kill shows a correctness check and not merely a changed byte, and without
+`test_mutant_sites.py`, which fails under every mutant because the edit
+removes the mutant's own site. The working tree is never edited.
 
 A mutant marked equivalent gives the same answers at the tests' tolerance;
 it is expected to survive and is listed so that nobody adds it again.
@@ -28,6 +29,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 FAST_SUITE = ["tests", "--ignore=tests/test_acceptance.py",
               "--ignore=tests/test_golden.py",
+              "--ignore=tests/test_mutant_sites.py",
               "--deselect=tests/test_cli.py::test_predict_json_bytes_pinned"]
 COPY_IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",
                                      ".hypothesis", ".bench_out_*", ".bench_build")
@@ -60,9 +62,25 @@ MUTANTS = [
      "enumerate(rng.uniforms(window[:n_steps - start]), 1)",
      "tests/test_kernel.py::test_kernel_bits_across_window_edges"),
     ("kernel_minus_step_keeps_plus", "ensemble.py",
-     "            minus ^= plus\n",
+     "                minus ^= plus\n",
      "",
      "tests/test_kernel.py::test_kernel_matches_reference_bits"),
+    ("one_sided_below_half", "ensemble.py",
+     "one_sided = q == 0",
+     "one_sided = q < 0.5",
+     "tests/test_kernel.py::test_kernel_bits_across_window_edges"),
+    ("one_sided_never_taken", "ensemble.py",
+     "one_sided = q == 0",
+     "one_sided = False",
+     None),  # speed only: the two-sided walk at q = 0 has the same bits
+    ("one_sided_threshold_without_const", "ensemble.py",
+     "        a += const_plus\n        return\n",
+     "        return\n",
+     "tests/test_kernel.py::test_one_sided_walk_bits_across_window_edges"),
+    ("one_sided_step_not_counted", "ensemble.py",
+     "                n_plus += plus\n",
+     "                pass\n",
+     "tests/test_kernel.py::test_one_sided_walk_bits_across_window_edges"),
     ("merge_m2_drops_between_term", "ensemble.py",
      "m2 = self.m2 + other.m2 + delta * d_n * na * nb",
      "m2 = self.m2 + other.m2",
