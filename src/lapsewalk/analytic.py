@@ -5,7 +5,8 @@ The normalizer a_n (a_1 = 1, a_{n+1} = a_n (1 + alpha/n)) turns the centered
 position into a martingale; its variance clock v_n = sum 1/a_k^2 diverges for
 alpha <= 1/2 and converges for alpha > 1/2, which is exactly the
 diffusive/superdiffusive transition. Everything here is computed by forward
-recurrence in float64; log-gamma forms are reserved for tests.
+recurrence in float64; log-gamma forms are reserved for tests. Indices n
+pass `errors.counts`: they are integers from 1 up to `INDEX_CAP`.
 """
 
 import math
@@ -13,14 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    Degenerate,
-    DomainTooSmall,
-    OutOfDomain,
-)
+from .errors import Degenerate, DomainTooSmall, OutOfDomain, counts, finite_sample
 from .model import ModelParams, Regime, derive_constants
 
 _CHUNK = 1 << 19
+# the recurrences count n in float64, exact only up to 2**53
+INDEX_CAP = 2 ** 53
 # sub-block width of the v_limit series scans: speed only, never the bits
 _SERIES_BLOCK = 1 << 15
 # the direct v_limit scan stops once a term is below _SCAN_TOL times the
@@ -43,8 +42,7 @@ def _check_rate(rate):
 
 
 def _growth_table(rate, n_max):
-    if n_max < 1:
-        raise OutOfDomain("sequence indices start at n = 1")
+    counts("n_max", n_max, cap=INDEX_CAP, kind="index", cost="float64 indices")
     vals = np.empty(n_max + 1)
     vals[0] = np.nan
     vals[1] = 1.0
@@ -78,11 +76,8 @@ def growth_values(rate, ns):
     Runs the product recurrence in chunks; O(max n) time, O(chunk) memory.
     """
     _check_rate(rate)
-    ns_arr = np.atleast_1d(np.asarray(ns, dtype=np.int64))
-    if ns_arr.size == 0:
-        return np.empty(0)
-    if ns_arr.min() < 1:
-        raise OutOfDomain("sequence indices start at n = 1")
+    ns_arr = np.atleast_1d(counts("n", ns, cap=INDEX_CAP, kind="index",
+                                  cost="float64 indices"))
     order = np.argsort(ns_arr, kind="stable")
     out = np.empty(ns_arr.size)
     running = 1.0
@@ -326,7 +321,7 @@ def lil_envelope(params: ModelParams, n):
     if c.phi <= 0.0:
         raise Degenerate("LIL envelope undefined for phi = 0")
     scalar = np.ndim(n) == 0
-    ns = np.atleast_1d(np.asarray(n, dtype=np.float64))
+    ns = np.atleast_1d(finite_sample(n, 0, "LIL envelope"))
     if (ns < 2).any():
         raise DomainTooSmall("envelope needs n >= 2")
     g2 = math.gamma(c.alpha + 1.0) ** 2

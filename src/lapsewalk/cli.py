@@ -20,7 +20,7 @@ import sys
 
 from . import experiments
 from .analytic import regime_prediction, v_limit_superdiffusive
-from .errors import Degenerate, InvalidState, LapsewalkError
+from .errors import Degenerate, InvalidState, LapsewalkError, counts
 from .exact import distribution_dp, exact_moments
 from .model import ModelParams, Regime, derive_constants
 from .report import base_report, csv_lines, emit_json, fmt_float
@@ -313,9 +313,8 @@ def _mc_args(o):
     """params, n_steps, n_traj, master_seed, workers: every Monte Carlo
     driver's leading arguments, with the worker count refused before any
     work."""
-    if o["workers"] < 1:
-        raise InvalidState(f"workers must be >= 1, got {o['workers']}")
-    return _params_from(o), o["steps"], o["trajectories"], o["seed"], o["workers"]
+    return (_params_from(o), o["steps"], o["trajectories"], o["seed"],
+            counts("workers", o["workers"]))
 
 
 # kind -> (run, plot, key of the results list --csv writes, or None).

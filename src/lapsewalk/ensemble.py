@@ -12,6 +12,12 @@ arrays (one lane per trajectory), updated in place, which is what makes 1e9
 total steps feasible without leaving float64 determinism. A walk at q = 0
 can never step down, so it runs one-sided: one comparison and one count a
 step, no minus threshold, with the same output bits.
+
+Sizes, counts and snapshot times pass `errors.counts` before any walk:
+n_steps up to STEPS_CAP, n_traj up to one rng stream per trajectory, and
+workers, chunk_size and n_boot from 1. Samples (the W sample, the
+bootstrap's and every accumulator's values) pass `errors.finite_sample`,
+so a NaN is refused with InvalidState instead of spreading into the moments.
 """
 
 from dataclasses import dataclass, field
@@ -19,10 +25,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analytic import expected_s, growth_values, lil_envelope
-from .errors import (CapExceeded, Degenerate, DomainTooSmall, InvalidState,
-                     OutOfDomain, SampleTooSmall)
-from .model import ModelParams, Regime, derive_constants
-from .rng import Xoshiro256Batch
+from .errors import (Degenerate, DomainTooSmall, InvalidState, OutOfDomain,
+                     SampleTooSmall, counts, finite_sample)
+from .model import STEPS_CAP, ModelParams, Regime, derive_constants
+from .rng import STREAMS, Xoshiro256Batch
 
 CHUNK_SIZE_DEFAULT = 4096
 # widest lockstep walk one task runs; a speed constant, not part of the output
@@ -34,23 +40,13 @@ HORIZON_FACTOR = 16
 # the bootstrap CI of Var(W): its level and its own fixed seed
 BOOTSTRAP_LEVEL = 0.99
 BOOTSTRAP_SEED = 20210905
-# the kernel counts steps in float64, exact only up to 2**53
-STEPS_CAP = 2 ** 53
 _DRAW_WINDOW = 256  # most steps of uniforms a walk draws at once; speed only
 
 
 def dyadic_snapshots(n_max: int):
-    """Default snapshot grid {16, 32, ...} up to and including n_max."""
-    if n_max < 16:
-        return [n_max]
-    out = []
-    m = 16
-    while m <= n_max:
-        out.append(m)
-        m *= 2
-    if out[-1] != n_max:
-        out.append(n_max)
-    return out
+    """Default snapshot grid {16, 32, ...} up to and including n_max >= 1."""
+    out = [2 ** k for k in range(4, int(counts("n_max", n_max)).bit_length())]
+    return out if out and out[-1] == n_max else out + [n_max]
 
 
 @dataclass
@@ -69,7 +65,7 @@ class MomentAccumulator:
 
     @classmethod
     def from_values(cls, values) -> "MomentAccumulator":
-        x = np.asarray(values, dtype=np.float64)
+        x = finite_sample(values, 0, "a moment accumulator")
         if x.size == 0:
             return cls()
         mean = float(x.mean())
@@ -237,21 +233,17 @@ def run_ensemble(params: ModelParams, n_steps: int, n_traj: int,
     trajectory, as sample_s. workers > 1 fans runs of consecutive blocks out
     to a process pool; the result is identical for any worker count.
     """
-    if n_steps < 1 or n_traj < 1:
-        raise InvalidState("n_steps and n_traj must be >= 1")
-    if n_steps > STEPS_CAP:
-        raise CapExceeded(f"n_steps = {n_steps} above the step cap {STEPS_CAP} "
-                          "(float64 step counts)")
-    if workers < 1:
-        raise InvalidState(f"workers must be >= 1, got {workers}")
-    if chunk_size < 1:
-        raise InvalidState(f"chunk_size must be >= 1, got {chunk_size}")
+    counts("n_steps", n_steps, cap=STEPS_CAP, kind="step", cost="float64 step counts")
+    counts("n_traj", n_traj, cap=STREAMS, kind="stream", cost="one per trajectory")
+    counts("workers", workers)
+    counts("chunk_size", chunk_size)
     if snapshots is None:
         snaps = dyadic_snapshots(n_steps)
     else:
-        snaps = sorted(set(int(m) for m in snapshots))
+        snaps = sorted(set(np.asarray(snapshots).tolist()))
     if not snaps or snaps[0] < 1 or snaps[-1] > n_steps:
         raise InvalidState("snapshots must be one or more times in [1, n_steps]")
+    counts("snapshots", snaps)
 
     # a task walks up to LANES_MAX lanes of whole blocks at once, with at
     # least min(workers, n_blocks) tasks so that every worker gets one
@@ -323,11 +315,6 @@ def martingale_track(params: ModelParams, ensemble: EnsembleResult):
     ]
 
 
-def _check_variance_sample(size):
-    if size < 2:  # the ddof=1 variance of fewer values is NaN
-        raise SampleTooSmall(f"a sample variance needs >= 2 values, got {size}")
-
-
 @dataclass
 class WEstimate:
     """Monte Carlo estimate of the superdiffusive limit variable W."""
@@ -341,7 +328,7 @@ class WEstimate:
     @classmethod
     def from_sample(cls, w: np.ndarray) -> "WEstimate":
         """Estimate from a sample of M_n, one value per trajectory."""
-        _check_variance_sample(w.size)
+        w = finite_sample(w, 2, "a sample variance")  # ddof=1 needs 2
         var_w = float(w.var(ddof=1))
         return cls(n_used=w.size, mean_w=float(w.mean()), var_w=var_w,
                    stderr=(var_w / w.size) ** 0.5, sample=w)
@@ -353,7 +340,8 @@ def estimate_w(params: ModelParams, n_steps: int, n_traj: int,
     c = derive_constants(params)
     if c.regime is not Regime.SUPERDIFFUSIVE:
         raise OutOfDomain(f"W exists only for alpha > 1/2; regime is {c.regime.value}")
-    _check_variance_sample(n_traj)
+    if n_traj < 2:  # from_sample's floor, refused before the walk
+        raise SampleTooSmall(f"a sample variance needs >= 2 points, got {n_traj}")
     ens = run_ensemble(params, n_steps, n_traj, snapshots=[n_steps],
                        master_seed=master_seed, keep_raw=True, workers=workers)
     w = (ens.sample_s[0] - expected_s(params, n_steps)) / growth_values(c.alpha, n_steps)
@@ -363,10 +351,8 @@ def estimate_w(params: ModelParams, n_steps: int, n_traj: int,
 def bootstrap_variance_ci(sample, n_boot: int = 1000):
     """Percentile bootstrap CI at BOOTSTRAP_LEVEL for the sample variance,
     drawn from its own fixed seed BOOTSTRAP_SEED."""
-    if n_boot < 1:
-        raise InvalidState(f"n_boot must be >= 1, got {n_boot}")
-    x = np.asarray(sample, dtype=np.float64)
-    _check_variance_sample(x.size)
+    counts("n_boot", n_boot)
+    x = finite_sample(sample, 2, "a sample variance")
     rng = np.random.default_rng(BOOTSTRAP_SEED)
     vs = np.empty(n_boot)
     for b in range(n_boot):
@@ -390,7 +376,7 @@ def residual_clt_sample(params: ModelParams, n_steps: int, n_traj: int,
         raise OutOfDomain(f"residual CLT needs alpha > 1/2; regime is {c.regime.value}")
     if c.phi <= 0.0:
         raise Degenerate("phi = 0: residuals cannot be standardized")
-    n_far = HORIZON_FACTOR * n_steps
+    n_far = HORIZON_FACTOR * counts("n_steps", n_steps)
     ens = run_ensemble(params, n_far, n_traj, snapshots=[n_steps, n_far],
                        master_seed=master_seed, keep_raw=True, workers=workers)
     s_near, s_far = ens.sample_s

@@ -41,8 +41,10 @@ reachable (s, z) cells of the law at n as numpy columns `s`, `z` and
 through one helper, which also checks the mass; `standardized_exact_cdf`
 sums the DP's rows into the law of S_n.
 
-Sizes outside [1, cap], for the module constants `PATH_CAP`, `DP_CAP` and
-`MOMENT_CAP`, raise `CapExceeded`. The enumeration and the DP check that
+Every size and row index passes `errors.counts`: one that is not an integer,
+or is below 1, raises `InvalidState`, and a size above its cap, the module
+constants `PATH_CAP`, `DP_CAP` and `MOMENT_CAP` read when the call runs,
+raises `CapExceeded`. The enumeration and the DP check that
 their law holds unit mass: every cell's step law sums to p + q + r, which a
 valid `ModelParams` holds only within `SIMPLEX_TOL` of 1, so n steps may
 drift by n * SIMPLEX_TOL beyond the rounding tolerance; more raises
@@ -53,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceeded, Degenerate, InvalidState
+from .errors import CapExceeded, Degenerate, InvalidState, counts
 from .model import SIMPLEX_TOL, ModelParams, derive_constants
 
 DP_CAP = 400
@@ -90,14 +92,6 @@ class MomentTable:
             var_s=float(self.var_s[n]),
             mean_sz=float(self.mean_sz[n]),
         )
-
-
-def _check_size(name, n, cap, kind, cost):
-    """Refuse a size below 1 or above its cap before any work."""
-    if n < 1:
-        raise CapExceeded(f"{name} must be >= 1")
-    if n > cap:
-        raise CapExceeded(f"{name} = {n} above the {kind} cap {cap} ({cost})")
 
 
 def _check_mass(total, n, tol):
@@ -179,7 +173,7 @@ def exact_moments(params: ModelParams, n_max: int, ns=None):
     of `ExactMoments` at the sorted distinct n of `ns` (each in 1..n_max),
     the same bits as the table's rows, in O(block) memory.
     """
-    _check_size("n_max", n_max, MOMENT_CAP, "moment", "O(n) cost")
+    counts("n_max", n_max, cap=MOMENT_CAP, kind="moment", cost="O(n) cost")
     if ns is not None:
         return _moment_rows(params, n_max, ns)
     try:
@@ -194,10 +188,11 @@ def exact_moments(params: ModelParams, n_max: int, ns=None):
 
 
 def _moment_rows(params, n_max, ns):
-    want = np.unique(np.asarray(ns, dtype=np.int64))
-    if want.size and (want[0] < 1 or want[-1] > n_max):
+    want = np.unique(ns)
+    if want.size and not 1 <= want[0] <= want[-1] <= n_max:
         raise InvalidState(f"moment rows must lie in [1, {n_max}], "
                            f"got {want[0]}..{want[-1]}")
+    want = counts("moment rows", want).astype(np.int64)
     rows = np.empty((4, want.size))
     done = 0
     for n0, cols in _moment_blocks(params, n_max):
@@ -247,7 +242,7 @@ def _dp_slices(params: ModelParams, n: int):
     bits do not depend on the band. tri is an (m + 1, m + 1) view, valid
     until the next step.
     """
-    _check_size("n", n, DP_CAP, "DP", "O(n^3) cost")
+    counts("n", n, cap=DP_CAP, kind="DP", cost="O(n^3) cost")
     p, q, r, theta = params.p, params.q, params.r, params.theta
     pq = p + q
     c_plus, c_minus = (1.0 - theta) * p, (1.0 - theta) * q
@@ -315,7 +310,7 @@ def enumerate_paths(params: ModelParams, n: int) -> ExactDistribution:
     Every path keeps its own probability; nothing is merged until the final
     tally, so this is a genuinely independent check on the DP.
     """
-    _check_size("n", n, PATH_CAP, "enumeration", "3^n paths")
+    counts("n", n, cap=PATH_CAP, kind="enumeration", cost="3^n paths")
     p, q, r, theta = params.p, params.q, params.r, params.theta
 
     # the first step's three paths, then each step splits every path in three

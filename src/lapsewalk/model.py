@@ -16,11 +16,14 @@ superdiffusive.
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import InvalidParams, InvalidState
+from .errors import InvalidParams, InvalidState, counts
 from .rng import RngStream
 
 SIMPLEX_TOL = 1e-12
 CRITICAL_TOL = 1e-12
+# a walk's step counts and step index pass through float64, exact only up
+# to 2**53
+STEPS_CAP = 2 ** 53
 
 
 class Regime(str, Enum):
@@ -144,12 +147,11 @@ def simulate_trajectory(params, n_steps, stream: RngStream, snapshots):
     The two walks can part only where a uniform lies within one ulp of a
     threshold.
     """
-    if n_steps < 1:
-        raise InvalidState("n_steps must be >= 1")
-    snaps = sorted(set(int(m) for m in snapshots))
+    counts("n_steps", n_steps, cap=STEPS_CAP, kind="step", cost="float64 step counts")
+    snaps = sorted(set(snapshots))
     if snaps and (snaps[0] < 1 or snaps[-1] > n_steps):
         raise InvalidState("snapshots must lie in [1, n_steps]")
-    wanted = set(snaps)
+    wanted = set(counts("snapshots", snaps))
 
     out = []
     n_plus = n_minus = n_zero = 0

@@ -6,6 +6,7 @@
 #
 #     seed_i = splitmix64_mix(master_seed XOR (i * 0x9E3779B97F4A7C15))
 #
+# Stream indices lie in [0, 2**64); any other index raises InvalidState.
 # Uniform deviates take the top 53 bits of each output word. The scalar and
 # batch implementations below step the identical sequence; the batch form
 # advances one lane per trajectory so ensembles stay reproducible no matter
@@ -13,9 +14,10 @@
 
 import numpy as np
 
-from .errors import InvalidState
+from .errors import InvalidState, counts
 
 MASK64 = (1 << 64) - 1
+STREAMS = 1 << 64  # stream indices are 64-bit words
 GOLDEN = 0x9E3779B97F4A7C15
 _U53 = 2.0 ** -53
 
@@ -59,6 +61,8 @@ class RngStream:
     """
 
     def __init__(self, master_seed, stream_index):
+        if counts("stream index", stream_index, low=0) >= STREAMS:
+            raise InvalidState(f"stream index must lie below 2**64, got {stream_index}")
         self.s = _state_words(stream_seed(master_seed, stream_index))
 
     def next_uint64(self):
@@ -93,7 +97,12 @@ class Xoshiro256Batch:
     _C9 = np.uint64(9)
 
     def __init__(self, master_seed, stream_indices):
-        idx = np.asarray(stream_indices, dtype=np.uint64)
+        try:  # counts refuses what is not an index >= 0, the cast one >= 2**64
+            idx = np.asarray(counts("stream indices", stream_indices, low=0),
+                             dtype=np.uint64)
+        except OverflowError:
+            raise InvalidState(f"stream indices must lie below 2**64, got "
+                               f"{stream_indices!r}") from None
         seeds = self._mix(
             np.uint64(master_seed & MASK64) ^ (idx * np.uint64(GOLDEN))
         )

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidState, SampleTooSmall
+from .errors import InvalidState, SampleTooSmall, finite_sample
 
 _SQRT2 = math.sqrt(2.0)
 # fewest sample points a KS test accepts
@@ -51,12 +51,8 @@ def ks_test_normal(sample) -> KsResult:
     """Two-sided KS distance of a sample to N(0,1), with Stephens' small-
     sample correction t = d (sqrt(k) + 0.12 + 0.11/sqrt(k)) in the p-value.
     """
-    xs = np.sort(np.asarray(sample, dtype=np.float64))
+    xs = np.sort(finite_sample(sample, KS_MIN_POINTS, "KS test"))
     k = xs.size
-    if k < KS_MIN_POINTS:
-        raise SampleTooSmall(f"KS test needs >= {KS_MIN_POINTS} points, got {k}")
-    if not np.isfinite(xs).all():
-        raise InvalidState("KS test needs a finite sample")
     phi = normal_cdf_array(xs)
     i = np.arange(1, k + 1, dtype=np.float64)
     d = float(max((i / k - phi).max(), (phi - (i - 1.0) / k).max()))
@@ -70,8 +66,8 @@ def ks_distance_cdf(exact_cdf) -> float:
 
     Evaluates both sides of every jump; exact for lattice distributions.
     """
-    phi = normal_cdf_array(exact_cdf.points)
-    cdf = exact_cdf.cdf
+    phi = normal_cdf_array(finite_sample(exact_cdf.points, 1, "KS distance"))
+    cdf = finite_sample(exact_cdf.cdf, phi.size, "KS distance")
     left = np.concatenate(([0.0], cdf[:-1]))
     return float(np.maximum(np.abs(cdf - phi), np.abs(left - phi)).max())
 
@@ -86,12 +82,9 @@ class SlopeFit:
 
 def fit_loglog(xs, ys) -> SlopeFit:
     """OLS of ln(y) on ln(x): scaling exponent with its standard error."""
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
-    if xs.size != ys.size or xs.size < 3:
-        raise SampleTooSmall("log-log fit needs >= 3 points")
-    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
-        raise InvalidState("log-log fit needs finite xs and ys")
+    xs, ys = (finite_sample(v, 3, "log-log fit") for v in (xs, ys))
+    if xs.size != ys.size:
+        raise SampleTooSmall(f"log-log fit needs one y per x, got {ys.size} ys")
     if (xs <= 0).any() or (ys <= 0).any():
         raise InvalidState("log-log fit needs strictly positive xs and ys")
     lx = np.log(xs)

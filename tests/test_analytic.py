@@ -47,8 +47,10 @@ def test_a_sequence_domain():
 @pytest.mark.parametrize("n_max", [0, -1])
 def test_sequence_tables_refuse_no_index(table, n_max):
     # a table indexed by n needs the slot n = 1; growth_values says the same
-    with pytest.raises(lw.OutOfDomain, match="sequence indices start at n = 1"):
+    with pytest.raises(lw.InvalidState, match=f"^n_max must be >= 1, got {n_max}$"):
         table(0.3, n_max)
+    with pytest.raises(lw.InvalidState, match=f"^n must be >= 1, got {n_max}$"):
+        lw.growth_values(0.3, [3, n_max])
     assert table(0.3, 1)[1] == 1.0
 
 

@@ -112,3 +112,39 @@ def test_batch_uniform_moments():
     us = np.concatenate([batch.uniforms() for _ in range(100)])
     assert abs(us.mean() - 0.5) < 4.0 * (1.0 / 12.0 / us.size) ** 0.5
     assert abs(us.var() - 1.0 / 12.0) < 1e-3
+
+
+# the first two deviates under master_seed 1 at the ends of the index range
+EDGE_STREAMS = {
+    0: [0.9861157839950154, 0.12447460035223423],
+    1: [0.03715712795920367, 0.5773163843105135],
+    2 ** 63: [0.14389100425193135, 0.27310788311012046],
+    2 ** 64 - 1: [0.9485129941551508, 0.7991931827068066],
+}
+
+
+@pytest.mark.parametrize("as_indices", [
+    list, lambda ids: np.array(ids, dtype=np.uint64),
+    lambda ids: np.array(ids, dtype=object)], ids=["list", "uint64", "object"])
+def test_valid_stream_indices_keep_their_bits(as_indices):
+    ids = list(EDGE_STREAMS)
+    for i, expect in EDGE_STREAMS.items():
+        st = lw.RngStream(1, i)
+        assert [st.uniform(), st.uniform()] == expect
+    batch = lw.Xoshiro256Batch(1, as_indices(ids))
+    first, second = batch.uniforms(), batch.uniforms()
+    assert [[a, b] for a, b in zip(first.tolist(), second.tolist())] == list(
+        EDGE_STREAMS.values())
+    small = lw.Xoshiro256Batch(1, np.array([0, 1], dtype=np.int64)).uniforms()
+    assert small.tolist() == [EDGE_STREAMS[0][0], EDGE_STREAMS[1][0]]
+
+
+@pytest.mark.parametrize("index", [-1, 2 ** 64, 2 ** 70, 1.0, 2.5, float("nan")])
+def test_stream_indices_outside_the_64_bit_range_refused(index):
+    with pytest.raises(InvalidState):
+        lw.RngStream(0, index)
+    with pytest.raises(InvalidState):
+        lw.Xoshiro256Batch(0, [3, index])
+    # an int64 array would wrap -1 to 2**64 - 1 in a uint64 cast
+    with pytest.raises(InvalidState, match=">= 0"):
+        lw.Xoshiro256Batch(0, np.array([4, -1], dtype=np.int64))

@@ -245,6 +245,14 @@ MUTANTS = [
      "abs(value - limit[0]) <= limit[1]",
      "value - limit[0] <= limit[1]",
      "tests/test_gate_oracles.py::test_gate_ops_judge_each_side_of_the_limit"),
+    ("counts_accepts_floats", "errors.py",
+     '        raise InvalidState(f"{name} must be an integer, got {values!r}")\n',
+     "        pass\n",
+     "tests/test_boundaries.py::test_boundary_table_refused_typed"),
+    ("sample_accepts_nan", "errors.py",
+     '        raise InvalidState(f"{what} needs a finite sample")\n',
+     "        pass\n",
+     "tests/test_boundaries.py::test_boundary_table_refused_typed"),
 ]
 
 
