@@ -126,10 +126,10 @@ def v_limit_superdiffusive(alpha: float) -> float:
 
     The direct route's chunk schedule fixes its bits: chunks of 2^16 terms
     doubling up to 2^22, each computing term * cumprod(r) and
-    total + cumsum(terms) from its own start. A chunk is scanned in
-    sub-blocks of `_SERIES_BLOCK` terms in four preallocated buffers,
-    carrying both scans across sub-block edges; the sub-block width sets
-    speed and memory only.
+    total + cumsum(terms) from its own start. One loop scans the chunks in
+    sub-blocks of at most `_SERIES_BLOCK` terms, cut at every chunk edge,
+    in three preallocated buffers, carrying both scans across sub-block
+    edges; the sub-block width sets speed and memory only.
     """
     if not (0.5 < alpha <= 1.0):
         raise OutOfDomain(f"series converges only for alpha in (1/2, 1], got {alpha!r}")
@@ -152,43 +152,41 @@ def v_limit_superdiffusive(alpha: float) -> float:
 
 def _v_limit_direct(alpha):
     """The direct scan: the value, or None if it does not stop in _SCAN_TERMS."""
-    block = _SERIES_BLOCK
-    ks = np.arange(1.0, block + 1.0)  # indices k of the next sub-block
-    prods = np.empty(block)
-    terms = np.empty(block)
-    partials = np.empty(block)
-    total = 1.0  # k = 0 term
-    term = 1.0
-    k = 0
-    chunk = 1 << 16
+    ks = np.arange(1.0, _SERIES_BLOCK + 1.0)  # indices k of the next sub-block
+    terms = np.empty(_SERIES_BLOCK)
+    partials = np.empty(_SERIES_BLOCK)
+    total = term = 1.0  # the k = 0 term, and the partial sum through it
+    prod, cum = 1.0, 0.0  # both scans restart at each chunk
+    k, chunk, chunk_end = 0, 1 << 16, 1 << 16
     while k < _SCAN_TERMS:
-        prod, cum = 1.0, 0.0  # both scans restart at each chunk
-        for lo in range(0, chunk, block):
-            b = min(block, chunk - lo)
-            kb, pb, tb, sb = ks[:b], prods[:b], terms[:b], partials[:b]
-            np.add(kb, alpha, out=pb)
-            np.divide(kb, pb, out=pb)
-            np.multiply(pb, pb, out=pb)
-            pb[0] *= prod
-            np.multiply.accumulate(pb, out=pb)
-            prod = pb[-1]
-            np.multiply(pb, term, out=tb)
-            np.copyto(sb, tb)
-            sb[0] += cum
-            np.add.accumulate(sb, out=sb)
-            cum = sb[-1]
-            np.add(sb, total, out=sb)
-            # along a chunk the terms fall and the partial sums rise, so
-            # the stop test holds somewhere in a sub-block iff at its end
-            if tb[-1] < _SCAN_TOL * sb[-1] and kb[-1] > 10:
-                stop = int(np.argmax((tb < _SCAN_TOL * sb) & (kb > 10)))
-                return _series_with_tail(alpha, int(kb[stop]),
-                                         float(tb[stop]), float(sb[stop]))
-            ks += b
-        total = float(sb[-1])
-        term = float(tb[-1])
-        k += chunk
-        chunk = min(chunk * 2, 1 << 22)
+        b = min(_SERIES_BLOCK, chunk_end - k)
+        kb, tb, sb = ks[:b], terms[:b], partials[:b]
+        np.add(kb, alpha, out=tb)
+        np.divide(kb, tb, out=tb)
+        np.multiply(tb, tb, out=tb)
+        tb[0] *= prod
+        np.multiply.accumulate(tb, out=tb)
+        prod = tb[-1]
+        tb *= term
+        first = tb[0]
+        tb[0] += cum
+        np.add.accumulate(tb, out=sb)
+        tb[0] = first
+        cum = sb[-1]
+        # along a chunk the terms fall and the partial sums rise, so the
+        # stop test holds somewhere in a sub-block iff at its end
+        if tb[-1] < _SCAN_TOL * (cum + total) and kb[-1] > 10:
+            sb += total
+            stop = int(np.argmax((tb < _SCAN_TOL * sb) & (kb > 10)))
+            return _series_with_tail(alpha, int(kb[stop]),
+                                     float(tb[stop]), float(sb[stop]))
+        ks += b
+        k += b
+        if k == chunk_end:
+            total, term = float(cum + total), float(tb[-1])
+            prod, cum = 1.0, 0.0
+            chunk = min(chunk * 2, 1 << 22)
+            chunk_end += chunk
     return None
 
 

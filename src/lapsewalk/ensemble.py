@@ -14,10 +14,11 @@ can never step down, so it runs one-sided: one comparison and one count a
 step, no minus threshold, with the same output bits.
 
 Sizes, counts and snapshot times pass `errors.counts` before any walk:
-n_steps up to STEPS_CAP, n_traj up to one rng stream per trajectory, and
-workers, chunk_size and n_boot from 1. Samples (the W sample, the
-bootstrap's and every accumulator's values) pass `errors.finite_sample`,
-so a NaN is refused with InvalidState instead of spreading into the moments.
+n_steps up to STEPS_CAP, n_traj up to one rng stream per trajectory,
+n_boot up to BOOTSTRAP_CAP, and workers and chunk_size from 1. Samples
+(the W sample, the bootstrap's and every accumulator's values) pass
+`errors.finite_sample`, so a NaN is refused with InvalidState instead of
+spreading into the moments.
 """
 
 from dataclasses import dataclass, field
@@ -37,9 +38,11 @@ LANES_MAX = 16384
 # residuals are identically zero, and small factors leave most of the limit
 # variable unresolved
 HORIZON_FACTOR = 16
-# the bootstrap CI of Var(W): its level and its own fixed seed
+# the bootstrap CI of Var(W): its level, its own fixed seed, and the most
+# resamples it draws (8 bytes and one resample each)
 BOOTSTRAP_LEVEL = 0.99
 BOOTSTRAP_SEED = 20210905
+BOOTSTRAP_CAP = 10 ** 6
 _DRAW_WINDOW = 256  # most steps of uniforms a walk draws at once; speed only
 
 
@@ -351,7 +354,8 @@ def estimate_w(params: ModelParams, n_steps: int, n_traj: int,
 def bootstrap_variance_ci(sample, n_boot: int = 1000):
     """Percentile bootstrap CI at BOOTSTRAP_LEVEL for the sample variance,
     drawn from its own fixed seed BOOTSTRAP_SEED."""
-    counts("n_boot", n_boot)
+    counts("n_boot", n_boot, cap=BOOTSTRAP_CAP, kind="bootstrap",
+           cost="one resample each")
     x = finite_sample(sample, 2, "a sample variance")
     rng = np.random.default_rng(BOOTSTRAP_SEED)
     vs = np.empty(n_boot)

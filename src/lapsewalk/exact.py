@@ -84,15 +84,6 @@ class MomentTable:
     var_s: np.ndarray
     mean_sz: np.ndarray
 
-    def row(self, n: int) -> ExactMoments:
-        return ExactMoments(
-            n=n,
-            mean_s=float(self.mean_s[n]),
-            mean_z=float(self.mean_z[n]),
-            var_s=float(self.var_s[n]),
-            mean_sz=float(self.mean_sz[n]),
-        )
-
 
 def _check_mass(total, n, tol):
     """Refuse a law of n steps whose mass is off 1 by more than `tol` plus

@@ -63,7 +63,8 @@ class RngStream:
     def __init__(self, master_seed, stream_index):
         if counts("stream index", stream_index, low=0) >= STREAMS:
             raise InvalidState(f"stream index must lie below 2**64, got {stream_index}")
-        self.s = _state_words(stream_seed(master_seed, stream_index))
+        # as a Python int: a numpy integer index would overflow with warnings
+        self.s = _state_words(stream_seed(master_seed, int(stream_index)))
 
     def next_uint64(self):
         s = self.s

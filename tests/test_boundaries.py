@@ -60,6 +60,9 @@ TABLE = [
      lw.InvalidState),
     ("bootstrap-n_boot-2.5",
      lambda: lw.bootstrap_variance_ci([1.0, 2.0, 3.0], n_boot=2.5), lw.InvalidState),
+    ("bootstrap-n_boot-10**20",
+     lambda: lw.bootstrap_variance_ci([1.0, 2.0, 3.0], n_boot=10 ** 20),
+     lw.CapExceeded),
     ("growth_values-nan", lambda: lw.growth_values(0.3, NAN), lw.InvalidState),
     ("ks_distance_cdf-empty", lambda: lw.ks_distance_cdf(EMPTY_CDF),
      lw.SampleTooSmall),
@@ -107,12 +110,12 @@ SIZED = {
     "lil_diagnostic-n_traj": lambda n: lw.lil_diagnostic(P, 1024, n),
     "simulate_trajectory": lambda n: lw.simulate_trajectory(
         P, n, lw.RngStream(0, 0), [1]),
+    "bootstrap-n_boot": lambda n: lw.bootstrap_variance_ci([1.0, 2.0, 3.0], n_boot=n),
 }
 # count options and grids: any integer >= 1 is a valid answer, 10**20 too
 COUNT_OPTIONS = {
     "run_ensemble-workers": lambda n: lw.run_ensemble(P, 10, 5, workers=n),
     "run_ensemble-chunk_size": lambda n: lw.run_ensemble(P, 10, 5, chunk_size=n),
-    "bootstrap-n_boot": lambda n: lw.bootstrap_variance_ci([1.0, 2.0, 3.0], n_boot=n),
     "dyadic_snapshots": lambda n: lw.dyadic_snapshots(n),
     "run_ensemble-snapshots": lambda n: lw.run_ensemble(P, 10, 5, snapshots=[n]),
     "simulate_trajectory-snapshots": lambda n: lw.simulate_trajectory(

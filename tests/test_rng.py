@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -148,3 +150,16 @@ def test_stream_indices_outside_the_64_bit_range_refused(index):
     # an int64 array would wrap -1 to 2**64 - 1 in a uint64 cast
     with pytest.raises(InvalidState, match=">= 0"):
         lw.Xoshiro256Batch(0, np.array([4, -1], dtype=np.int64))
+
+
+@pytest.mark.parametrize("index", [np.uint64(5), np.int64(5), np.uint8(5)],
+                         ids=["uint64", "int64", "uint8"])
+def test_numpy_integer_stream_index_is_the_python_int_stream(index):
+    # the scalar stream runs in Python ints whatever integer type indexes it:
+    # no numpy overflow warning, and the deviates of the int index
+    want = lw.RngStream(1, 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        st = lw.RngStream(1, index)
+        got = [st.uniform() for _ in range(16)]
+    assert got == [want.uniform() for _ in range(16)]

@@ -137,6 +137,10 @@ MUTANTS = [
      "_THOMAE_LEVELS = 3",
      "_THOMAE_LEVELS = 2",
      None),  # still within 3.0e-15 of mpmath on the tested alphas
+    ("direct_scan_keeps_prod_across_chunks", "analytic.py",
+     "            prod, cum = 1.0, 0.0\n",
+     "            cum = 0.0\n",
+     "tests/test_series.py::test_series_matches_reference_bits_over_many_chunks"),
     ("sum_inv_a_sign", "analytic.py",
      "+ 1.0 / (alpha - 1.0)",
      "- 1.0 / (alpha - 1.0)",
