@@ -24,7 +24,6 @@ from .ensemble import (
     WEstimate,
     bootstrap_variance_ci,
     dyadic_snapshots,
-    ensembles_identical,
     estimate_w,
     lil_diagnostic,
     martingale_track,

@@ -13,12 +13,12 @@ total steps feasible without leaving float64 determinism. A walk at q = 0
 can never step down, so it runs one-sided: one comparison and one count a
 step, no minus threshold, with the same output bits.
 
-Sizes, counts and snapshot times pass `errors.counts` before any walk:
-n_steps up to STEPS_CAP, n_traj up to one rng stream per trajectory,
-n_boot up to BOOTSTRAP_CAP, and workers and chunk_size from 1. Samples
-(the W sample, the bootstrap's and every accumulator's values) pass
-`errors.finite_sample`, so a NaN is refused with InvalidState instead of
-spreading into the moments.
+Sizes, counts, seeds and snapshot times pass `errors.counts` before any
+walk: n_steps up to STEPS_CAP, n_traj up to one rng stream per trajectory,
+n_boot up to BOOTSTRAP_CAP, workers and chunk_size from 1, and master_seed
+in [0, 2**64). Samples (the W sample, the bootstrap's and every
+accumulator's values) pass `errors.finite_sample`, so a NaN is refused with
+InvalidState instead of spreading into the moments.
 """
 
 from dataclasses import dataclass, field
@@ -29,7 +29,7 @@ from .analytic import expected_s, growth_values, lil_envelope
 from .errors import (Degenerate, DomainTooSmall, InvalidState, OutOfDomain,
                      SampleTooSmall, counts, finite_sample)
 from .model import STEPS_CAP, ModelParams, Regime, derive_constants
-from .rng import STREAMS, Xoshiro256Batch
+from .rng import MASK64, STREAMS, Xoshiro256Batch
 
 CHUNK_SIZE_DEFAULT = 4096
 # widest lockstep walk one task runs; a speed constant, not part of the output
@@ -240,6 +240,8 @@ def run_ensemble(params: ModelParams, n_steps: int, n_traj: int,
     counts("n_traj", n_traj, cap=STREAMS, kind="stream", cost="one per trajectory")
     counts("workers", workers)
     counts("chunk_size", chunk_size)
+    master_seed = int(counts("master_seed", master_seed, low=0, cap=MASK64,
+                             kind="seed", cost="a 64-bit word"))
     if snapshots is None:
         snaps = dyadic_snapshots(n_steps)
     else:
@@ -286,20 +288,6 @@ def run_ensemble(params: ModelParams, n_steps: int, n_traj: int,
         n_steps=n_steps, n_traj=n_traj, snapshots=snaps,
         acc_s=acc_s, acc_z=acc_z, sample_s=sample_s,
     )
-
-
-def ensembles_identical(a: EnsembleResult, b: EnsembleResult) -> bool:
-    """Bitwise equality of two ensemble results (determinism checks)."""
-    if (a.snapshots != b.snapshots or a.n_steps != b.n_steps
-            or a.n_traj != b.n_traj):
-        return False
-    if a.acc_s != b.acc_s or a.acc_z != b.acc_z:
-        return False
-    if (a.sample_s is None) != (b.sample_s is None):
-        return False
-    if a.sample_s is not None:
-        return all(np.array_equal(x, y) for x, y in zip(a.sample_s, b.sample_s))
-    return True
 
 
 def martingale_track(params: ModelParams, ensemble: EnsembleResult):

@@ -6,7 +6,8 @@
 #
 #     seed_i = splitmix64_mix(master_seed XOR (i * 0x9E3779B97F4A7C15))
 #
-# Stream indices lie in [0, 2**64); any other index raises InvalidState.
+# The master seed and the stream indices lie in [0, 2**64): any other seed
+# is refused by errors.counts, any other index raises InvalidState.
 # Uniform deviates take the top 53 bits of each output word. The scalar and
 # batch implementations below step the identical sequence; the batch form
 # advances one lane per trajectory so ensembles stay reproducible no matter
@@ -38,14 +39,12 @@ def stream_seed(master_seed, stream_index):
 
 
 def _state_words(seed):
-    # four successive splitmix64 outputs; guard the all-zero state
+    # splitmix64_mix of four distinct inputs is a bijection: never all zero
     words = []
     state = seed & MASK64
     for _ in range(4):
         state = (state + GOLDEN) & MASK64
         words.append(splitmix64_mix(state))
-    if not any(words):
-        words[0] = GOLDEN
     return words
 
 
@@ -63,8 +62,10 @@ class RngStream:
     def __init__(self, master_seed, stream_index):
         if counts("stream index", stream_index, low=0) >= STREAMS:
             raise InvalidState(f"stream index must lie below 2**64, got {stream_index}")
-        # as a Python int: a numpy integer index would overflow with warnings
-        self.s = _state_words(stream_seed(master_seed, int(stream_index)))
+        seed = int(counts("master seed", master_seed, low=0, cap=MASK64,
+                          kind="seed", cost="a 64-bit word"))
+        # as Python ints: numpy integers would overflow with warnings
+        self.s = _state_words(stream_seed(seed, int(stream_index)))
 
     def next_uint64(self):
         s = self.s
@@ -104,18 +105,15 @@ class Xoshiro256Batch:
         except OverflowError:
             raise InvalidState(f"stream indices must lie below 2**64, got "
                                f"{stream_indices!r}") from None
-        seeds = self._mix(
-            np.uint64(master_seed & MASK64) ^ (idx * np.uint64(GOLDEN))
-        )
-        state = seeds
+        seed = int(counts("master seed", master_seed, low=0, cap=MASK64,
+                          kind="seed", cost="a 64-bit word"))
+        state = self._mix(np.uint64(seed) ^ (idx * np.uint64(GOLDEN)))
+        # as in _state_words, the four words are never all zero
         words = []
         for _ in range(4):
             state = state + np.uint64(GOLDEN)
             words.append(self._mix(state))
         s0, s1, s2, s3 = words
-        dead = (s0 | s1 | s2 | s3) == 0
-        if dead.any():
-            s0[dead] = np.uint64(GOLDEN)
         self.s0, self.s2, self.s3 = s0, s2, s3
         self._s1 = s1[np.newaxis]
         self._t = np.empty_like(s0)

@@ -33,9 +33,8 @@ class KsResult:
 
 
 def _kolmogorov_sf(t: float) -> float:
-    """P(sup |B(t)| > t) series: 2 sum_{j>=1} (-1)^(j-1) exp(-2 j^2 t^2)."""
-    if t <= 0.0:
-        return 1.0
+    """P(sup |B(t)| > t) series: 2 sum_{j>=1} (-1)^(j-1) exp(-2 j^2 t^2),
+    at t > 0 (a KS distance over k points is at least 1/(2k))."""
     total = 0.0
     sign = 1.0
     for j in range(1, 1000):

@@ -12,8 +12,8 @@ _ML, _MR, _MT, _MB = 70, 20, 40, 55
 
 
 def _ticks(lo, hi, n=6):
-    if hi <= lo:
-        hi = lo + 1.0
+    """About n round tick values in [lo, hi]; lo < hi, since line_plot
+    widens an equal range first."""
     raw = (hi - lo) / n
     mag = 10.0 ** math.floor(math.log10(raw))
     for m in (1.0, 2.0, 2.5, 5.0, 10.0):

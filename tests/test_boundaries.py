@@ -1,13 +1,16 @@
-"""Every bad size, index or sample that enters the package is refused with a
-`LapsewalkError` subclass, before any work: no NaN result, no silently
-truncated size and no bare TypeError, ValueError or OverflowError.
+"""Every bad size, index, seed or sample that enters the package, and every
+point outside a quantity's domain, is refused with a `LapsewalkError`
+subclass, before any work: no NaN result, no silently truncated size or
+wrapped seed, and no bare TypeError, ValueError or OverflowError.
 
-Sizes and indices pass `errors.counts` and samples `errors.finite_sample`.
-The table pins one call per entry point that each gate covers; the
-properties draw a bad size for every sized entry point.
+Sizes, indices and seeds pass `errors.counts` and samples
+`errors.finite_sample`. The table pins one call per entry point that each
+gate covers; the properties draw a bad size for every sized entry point.
 """
 
 import math
+import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -15,12 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lapsewalk as lw
-from lapsewalk import ensemble
+from lapsewalk import ensemble, experiments
 from lapsewalk.cli import main
 from lapsewalk.errors import counts, finite_sample
 
 P = lw.ModelParams(0.6, 0.2, 0.2, 0.5)
 SUPER = lw.ModelParams(0.9, 0.0, 0.1, 0.8)
+NEG = lw.ModelParams(0.2, 0.6, 0.2, 0.5)  # alpha = -0.2
 NAN, INF = float("nan"), float("inf")
 EMPTY_CDF = lw.DiscreteCdf(points=np.empty(0), probs=np.empty(0), cdf=np.empty(0))
 
@@ -71,6 +75,17 @@ TABLE = [
     ("batch-index--1", lambda: lw.Xoshiro256Batch(0, [-1]), lw.InvalidState),
     ("batch-index-2**64", lambda: lw.Xoshiro256Batch(0, [2 ** 64]), lw.InvalidState),
     ("stream-index--1", lambda: lw.RngStream(0, -1), lw.InvalidState),
+    ("fit_loglog-extra-y", lambda: lw.fit_loglog([1, 2, 3], [1, 2, 3, 4]),
+     lw.SampleTooSmall),
+    ("fit_loglog-equal-xs", lambda: lw.fit_loglog([2, 2, 2], [1, 2, 3]),
+     lw.InvalidState),
+    ("expected_z-alpha<0", lambda: lw.expected_z(NEG, 10), lw.OutOfDomain),
+    ("lil_envelope-alpha<0", lambda: lw.lil_envelope(NEG, 10 ** 6), lw.OutOfDomain),
+    ("lil_envelope-1.5", lambda: lw.lil_envelope(P, 1.5), lw.DomainTooSmall),
+    ("clt_experiment-superdiffusive",
+     lambda: experiments.clt_experiment(SUPER, 10, 5, 0), lw.OutOfDomain),
+    ("superdiffusive_experiment-diffusive",
+     lambda: experiments.superdiffusive_experiment(P, 10, 5, 0), lw.OutOfDomain),
 ]
 
 
@@ -148,6 +163,36 @@ def test_bad_sizes_refused_before_any_walk(monkeypatch):
             lw.run_ensemble(P, 10, n)
 
 
+# a master seed is a 64-bit word: a float is refused, and an int outside
+# [0, 2**64) instead of running as the stream of its residue mod 2**64
+BAD_SEEDS = [(1.5, lw.InvalidState), (-1, lw.InvalidState),
+             (2 ** 64, lw.CapExceeded)]
+SEEDED = {
+    "run_ensemble": lambda s: lw.run_ensemble(P, 10, 5, master_seed=s),
+    "batch": lambda s: lw.Xoshiro256Batch(s, [0]),
+    "stream": lambda s: lw.RngStream(s, 0),
+}
+
+
+@pytest.mark.parametrize("seed, cls", BAD_SEEDS, ids=["1.5", "-1", "2**64"])
+@pytest.mark.parametrize("entry", sorted(SEEDED))
+def test_bad_seed_refused_before_any_walk(monkeypatch, entry, seed, cls):
+    monkeypatch.setattr(ensemble, "_chunk_job", _walked)
+    with pytest.raises(cls):
+        SEEDED[entry](seed)
+
+
+def test_numpy_integer_seed_same_bits():
+    ref = pickle.dumps(lw.run_ensemble(P, 10, 5, master_seed=3))
+    assert pickle.dumps(lw.run_ensemble(P, 10, 5, master_seed=np.int64(3))) == ref
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warning either
+        assert lw.RngStream(np.uint64(1), 5).s == lw.RngStream(1, 5).s
+    top = 2 ** 64 - 1
+    assert (lw.Xoshiro256Batch(np.uint64(top), [5]).next_uint64()[0]
+            == lw.RngStream(top, 5).next_uint64())
+
+
 def test_counts_messages_and_classes():
     assert counts("n", 3) == 3
     ns = np.array([1, 5], dtype=np.uint64)
@@ -189,6 +234,11 @@ def test_cli_huge_size_reaches_its_cap(capsys):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert why in err and str(10 ** 20) in err, err
+
+
+def test_cli_negative_seed_refused(capsys):
+    assert main(["simulate", "-n", "10", "-t", "5", "--seed", "-1"]) == 2
+    assert "master_seed must be >= 0, got -1" in capsys.readouterr().err
 
 
 def test_valid_sizes_unchanged():

@@ -257,6 +257,10 @@ MUTANTS = [
      '        raise InvalidState(f"{what} needs a finite sample")\n',
      "        pass\n",
      "tests/test_boundaries.py::test_boundary_table_refused_typed"),
+    ("seed_gate_lets_minus_one", "ensemble.py",
+     '"master_seed", master_seed, low=0,',
+     '"master_seed", master_seed, low=-1,',
+     "tests/test_boundaries.py::test_bad_seed_refused_before_any_walk"),
 ]
 
 
