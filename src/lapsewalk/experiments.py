@@ -69,8 +69,14 @@ def model_sections(params: ModelParams) -> dict:
     return {"params": asdict(params), "derived": derived}
 
 
+def _ints(**config):
+    """A report's sizes, counts and seed as Python ints: a numpy integer
+    argument would leave the report unwritable as JSON."""
+    return {key: int(value) for key, value in config.items()}
+
+
 def _report(kind, params, results, **config):
-    return {"kind": kind, **model_sections(params), "config": config,
+    return {"kind": kind, **model_sections(params), "config": _ints(**config),
             "results": results}
 
 
@@ -134,6 +140,9 @@ def lln_experiment(params, n_steps, n_traj, master_seed, workers=1) -> dict:
     pred = regime_prediction(params)
     ens = run_ensemble(params, n_steps, n_traj, master_seed=master_seed,
                        workers=workers)
+    # run_ensemble checked it; a numpy int would make the gates' bounds
+    # numpy floats, whose text reads np.float64(...)
+    n_steps = int(n_steps)
     results = {"predicted": pred.lln_limit, "z_predicted": pred.z_lln_limit,
                "snapshots": _snapshot_stats(ens)}
     gates = []
@@ -171,7 +180,7 @@ def _clt_core(params, n_steps, n_traj, master_seed, workers, kind,
     _require_nondegenerate(params)
     gate = _mc_ks_gate(kind, n_traj) if n_traj != 0 else None
     pred = regime_prediction(params)
-    (row,) = exact_moments(params, n_steps, ns=[n_steps])
+    (row,) = exact_moments(params, n_steps, ns=[n_steps], cross=False)
     mean_n, var_n = row.mean_s, row.var_s
     results = {
         "exact_mean": mean_n,
@@ -256,7 +265,8 @@ def superdiffusive_experiment(params, n_steps, n_traj, master_seed, workers=1) -
 
     ns = slope_fit_ns(n_far)
     var_s = {row.n: row.var_s
-             for row in exact_moments(params, n_far, ns=[n_steps, n_far, *ns])}
+             for row in exact_moments(params, n_far, ns=[n_steps, n_far, *ns],
+                                      cross=False)}
     norm = growth_values(c.alpha, np.array([n_steps, n_far], dtype=np.int64))
     var_m_n = var_s[n_steps] / norm[0] ** 2
     var_m_far = var_s[n_far] / norm[1] ** 2
@@ -356,7 +366,7 @@ def regime_scan_experiment(p, q, r, alphas, n_max=2 ** 20) -> dict:
         theta = alpha / beta
         params = ModelParams(p, q, r, theta)
         c = derive_constants(params)
-        moments = exact_moments(params, int(ns[-1]), ns=ns)
+        moments = exact_moments(params, int(ns[-1]), ns=ns, cross=False)
         fit = fit_loglog(ns, np.array([row.var_s for row in moments]))
         if c.regime is Regime.CRITICAL:
             lo, hi = float(ns[0]), float(ns[-1])
@@ -412,5 +422,5 @@ def simulate_report(params, n_steps, n_traj, master_seed, snapshots=None,
             row["mean_m"] = acc.mean
             row["var_m"] = acc.variance
     return {**model_sections(params), "results": {"snapshots": rows},
-            "config": {"n_steps": n_steps, "n_traj": n_traj,
-                       "master_seed": master_seed, "workers": workers}}
+            "config": _ints(n_steps=n_steps, n_traj=n_traj,
+                            master_seed=master_seed, workers=workers)}

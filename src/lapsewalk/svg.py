@@ -6,6 +6,8 @@ overlays and diagnostic traces, which a few hundred bytes of SVG cover.
 
 import math
 
+from .errors import InvalidState, finite_sample
+
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 _W, _H = 720, 480
 _ML, _MR, _MT, _MB = 70, 20, 40, 55
@@ -38,22 +40,30 @@ def _fmt(v):
 
 
 def line_plot(series, title="", xlabel="", ylabel="", logx=False, logy=False):
-    """Render `series` = [(xs, ys, label), ...] to an SVG document string."""
+    """Render `series` = [(xs, ys, label), ...] to an SVG document string.
 
-    def tx(values, log):
+    An empty series raises SampleTooSmall; a NaN or an infinity, or a value
+    <= 0 on a log axis, raises InvalidState."""
+
+    def tx(values, log, what):
+        finite_sample(values, 1, f"a plotted {what}")
+        if log and min(values) <= 0:
+            raise InvalidState(f"a log {what} axis needs values > 0")
         return [math.log10(v) for v in values] if log else list(values)
 
     pts = []
     for xs, ys, _label in series:
-        pts.append((tx(xs, logx), tx(ys, logy)))
+        pts.append((tx(xs, logx, "x"), tx(ys, logy, "y")))
     xmin = min(min(x) for x, _ in pts)
     xmax = max(max(x) for x, _ in pts)
     ymin = min(min(y) for _, y in pts)
     ymax = max(max(y) for _, y in pts)
+    # an equal range widens by 1, or above 2^40 by 2^-40 of its value: at
+    # 2^53, v + 1 == v would leave the ticks no range
     if xmax == xmin:
-        xmax += 1.0
+        xmax += max(1.0, abs(xmax) * 2.0 ** -40)
     if ymax == ymin:
-        ymax += 1.0
+        ymax += max(1.0, abs(ymax) * 2.0 ** -40)
     ypad = 0.05 * (ymax - ymin)
     ymin -= ypad
     ymax += ypad

@@ -8,6 +8,7 @@ Sizes, indices and seeds pass `errors.counts` and samples
 gate covers; the properties draw a bad size for every sized entry point.
 """
 
+import json
 import math
 import pickle
 import warnings
@@ -21,6 +22,7 @@ import lapsewalk as lw
 from lapsewalk import ensemble, experiments
 from lapsewalk.cli import main
 from lapsewalk.errors import counts, finite_sample
+from lapsewalk.svg import line_plot
 
 P = lw.ModelParams(0.6, 0.2, 0.2, 0.5)
 SUPER = lw.ModelParams(0.9, 0.0, 0.1, 0.8)
@@ -86,6 +88,10 @@ TABLE = [
      lambda: experiments.clt_experiment(SUPER, 10, 5, 0), lw.OutOfDomain),
     ("superdiffusive_experiment-diffusive",
      lambda: experiments.superdiffusive_experiment(P, 10, 5, 0), lw.OutOfDomain),
+    ("line_plot-inf", lambda: line_plot([([1.0, INF], [1.0, 2.0], "a")]),
+     lw.InvalidState),
+    ("line_plot-log-0", lambda: line_plot([([1.0, 2.0], [0.0, 1.0], "a")],
+                                          logy=True), lw.InvalidState),
 ]
 
 
@@ -239,6 +245,30 @@ def test_cli_huge_size_reaches_its_cap(capsys):
 def test_cli_negative_seed_refused(capsys):
     assert main(["simulate", "-n", "10", "-t", "5", "--seed", "-1"]) == 2
     assert "master_seed must be >= 0, got -1" in capsys.readouterr().err
+
+
+# each report built with numpy integers for its sizes, counts or seed
+NUMPY_INT_REPORTS = {
+    "lln-n_steps": lambda i: experiments.lln_experiment(P, i(64), 20, 3),
+    "lln-n_traj": lambda i: experiments.lln_experiment(P, 64, i(20), 3),
+    "clt-exact-only": lambda i: experiments.clt_experiment(
+        lw.ModelParams(0.6, 0.2, 0.2, 0.3), i(50), i(0), i(3), i(1)),
+    "lil": lambda i: experiments.lil_experiment(P, i(1024), i(10), i(3)),
+    "simulate-seed": lambda i: experiments.simulate_report(P, 10, 5, i(3)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NUMPY_INT_REPORTS))
+def test_numpy_integer_report_has_the_python_int_bytes(entry):
+    call = NUMPY_INT_REPORTS[entry]
+    assert json.dumps(call(np.int64)) == json.dumps(call(int))
+
+
+def test_line_plot_draws_an_equal_range_far_from_zero():
+    # 2**53 + 1 rounds back to 2**53, so widening by 1 would leave no range
+    svg = line_plot([([2.0 ** 53, 2.0 ** 53], [1.0, 2.0], "a")])
+    assert svg.endswith("</svg>\n") and svg.count("<polyline") == 1
+    assert svg.count(">9.0e+15</text>") >= 2  # the x ticks
 
 
 def test_valid_sizes_unchanged():

@@ -7,7 +7,8 @@ running product and prefix into a block's first element, which is what a
 sequential scan does there, so any block width must reproduce every byte,
 including tables that end one transition before, on or after a block edge.
 The rows mode (`ns=`) runs the same blocks and must return the table's
-bytes at every requested n, in memory that does not grow with n_max.
+bytes at every requested n, in memory that does not grow with n_max, also
+with `cross=False`, which skips the E SZ recursion.
 """
 
 import tracemalloc
@@ -149,11 +150,25 @@ def _bytes(x):
     return np.float64(x).tobytes()
 
 
+def assert_rows_match_table(rows, table, cross):
+    """The rows' bytes are the table's; without `cross`, E SZ is None."""
+    for row in rows:
+        for name in FIELDS[:3]:
+            got, want = getattr(row, name), getattr(table, name)[row.n]
+            assert _bytes(got) == _bytes(want), (row.n, name)
+        if cross:
+            assert _bytes(row.mean_sz) == _bytes(table.mean_sz[row.n]), row.n
+        else:
+            assert row.mean_sz is None
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(case=moment_case(), data=st.data())
-@example(case=(7, 16, ModelParams(0.3, 0.3, 0.4, 0.0)), data=None)  # p = q, theta = 0
-@example(case=(7, 8, ModelParams(0.0, 0.0, 1.0, 0.5)), data=None)   # r = 1
-def test_moment_rows_match_table_bytes(case, data):
+@given(case=moment_case(), cross=st.booleans(), data=st.data())
+@example(case=(7, 16, ModelParams(0.3, 0.3, 0.4, 0.0)), cross=True,
+         data=None)  # p = q, theta = 0
+@example(case=(7, 8, ModelParams(0.0, 0.0, 1.0, 0.5)), cross=False,
+         data=None)  # r = 1
+def test_moment_rows_match_table_bytes(case, cross, data):
     block, n_max, params = case
     ns = [n for n in (1, 2, block, block + 1, n_max) if n <= n_max]
     if data is not None:  # any order, with repeats
@@ -161,12 +176,9 @@ def test_moment_rows_match_table_bytes(case, data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(exact, "_MOMENT_BLOCK", block)
         table = exact.exact_moments(params, n_max)
-        rows = exact.exact_moments(params, n_max, ns=ns)
+        rows = exact.exact_moments(params, n_max, ns=ns, cross=cross)
     assert [row.n for row in rows] == sorted(set(ns))
-    for row in rows:
-        for name in FIELDS:
-            got, want = getattr(row, name), getattr(table, name)[row.n]
-            assert _bytes(got) == _bytes(want), (row.n, name)
+    assert_rows_match_table(rows, table, cross)
 
 
 def test_moment_rows_match_table_bytes_at_default_block():
@@ -175,9 +187,9 @@ def test_moment_rows_match_table_bytes_at_default_block():
     ns = [1, 2, block, block + 1, 2 * block + 1, n_max]
     params = ModelParams(0.9, 0.05, 0.05, 0.6)
     table = exact.exact_moments(params, n_max)
-    for row in exact.exact_moments(params, n_max, ns=ns):
-        for name in FIELDS:
-            assert _bytes(getattr(row, name)) == _bytes(getattr(table, name)[row.n])
+    for cross in (True, False):
+        rows = exact.exact_moments(params, n_max, ns=ns, cross=cross)
+        assert_rows_match_table(rows, table, cross)
 
 
 @pytest.mark.parametrize("n_max", [1 << 17, 1 << 20])
@@ -186,13 +198,14 @@ def test_moment_rows_peak_memory_is_a_few_blocks(n_max):
     block = exact._MOMENT_BLOCK
     ns = [1, 2, block, block + 1, n_max]
     exact.exact_moments(params, 64, ns=[64])
-    tracemalloc.start()
-    try:
-        exact.exact_moments(params, n_max, ns=ns)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 12 * 8 * block
+    for cross in (True, False):
+        tracemalloc.start()
+        try:
+            exact.exact_moments(params, n_max, ns=ns, cross=cross)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 8 * block, cross
 
 
 def test_moment_rows_outside_range_refused():

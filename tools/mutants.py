@@ -90,13 +90,21 @@ MUTANTS = [
      "BOOTSTRAP_LEVEL = 0.98",
      "tests/test_gate_oracles.py::test_bootstrap_ci_is_the_99_percent_percentile_interval"),
     ("moment_cross_rate", "exact.py",
-     "rates = (al, ga, 2.0 * al, al + ga)",
-     "rates = (al, ga, 2.0 * al, al)",
+     "np.divide(al + ga, k, out=fac)",
+     "np.divide(al, k, out=fac)",
      "tests/test_exact.py::test_moment_recursions_match_dp"),
+    ("moment_rows_cross_ignored", "exact.py",
+     "for n0, cols in _moment_blocks(params, n_max, cross):",
+     "for n0, cols in _moment_blocks(params, n_max, False):",
+     "tests/test_moments.py::test_moment_rows_match_table_bytes"),
     ("dp_minus_lands_wrong", "exact.py",
      "(down, c_minus, stride)",
      "(down, c_minus, 1)",
      "tests/test_properties.py::test_exact_oracles_agree"),
+    ("dp_stride_without_spare_column", "exact.py",
+     "if m + 2 > stride:",
+     "if m + 1 > stride:",
+     "tests/test_exact.py::test_dp_slices_match_reference_bits"),
     ("dp_band_one_row_short", "exact.py",
      "z1 = min(z0 + _DP_BAND, rows)",
      "z1 = min(z0 + _DP_BAND - 1, rows)",
