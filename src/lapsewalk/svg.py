@@ -13,25 +13,47 @@ _W, _H = 720, 480
 _ML, _MR, _MT, _MB = 70, 20, 40, 55
 
 
-def _ticks(lo, hi, n=6):
-    """About n round tick values in [lo, hi]; lo < hi, since line_plot
-    widens an equal range first."""
-    raw = (hi - lo) / n
-    mag = 10.0 ** math.floor(math.log10(raw))
-    for m in (1.0, 2.0, 2.5, 5.0, 10.0):
-        if raw <= m * mag:
-            step = m * mag
-            break
-    start = math.ceil(lo / step) * step
-    out = []
-    t = start
-    while t <= hi + 1e-9 * step:
-        out.append(0.0 if abs(t) < 1e-12 * step else t)
-        t += step
-    return out
+def _ticks(lo, hi, step):
+    """k * step, rounded once, for each integer k with lo <= k * step <=
+    hi + step / 10^9, compared in exact rational arithmetic so that ranges
+    a few ulps wide far from zero get at most (hi - lo) / step + 1 ticks;
+    k = 0 gives exactly 0.0."""
+    # imported here: fractions loads decimal, about 2.5 ms of start-up that
+    # no command without --plot needs
+    from fractions import Fraction
+
+    lo, hi, step = Fraction(lo), Fraction(hi), Fraction(step)
+    return [float(k * step) for k in range(
+        math.ceil(lo / step), math.floor(hi / step + Fraction(1, 10 ** 9)) + 1)]
 
 
-def _fmt(v):
+def _span(values, pad, what):
+    """(lo, hi, ticks) of an axis drawn over `values`: [min, max], an equal
+    range widened by 1, or above 2^40 by 2^-40 of its value (at 2^53,
+    v + 1 == v), then padded by `pad` of its width on each side. The tick
+    step is the least 1, 2, 2.5, 5 or 10 times a power of ten that is at
+    least a sixth of the width. Raises InvalidState when the width
+    overflows float64 or the step underflows to zero."""
+    lo, hi = min(values), max(values)
+    if lo == hi:
+        hi += max(1.0, abs(hi) * 2.0 ** -40)
+    lo, hi = lo - pad * (hi - lo), hi + pad * (hi - lo)
+    raw = (hi - lo) / 6
+    mag = 10.0 ** math.floor(math.log10(raw)) if 0 < raw < math.inf else 0.0
+    step = next((m * mag for m in (1, 2, 2.5, 5, 10) if raw <= m * mag), 0.0)
+    if step == 0.0:
+        raise InvalidState(f"a plotted {what} range is too wide or too narrow "
+                           "for float64")
+    return lo, hi, _ticks(lo, hi, step)
+
+
+def _fmt(t, log, what):
+    """The text of the tick at t, or at 10^t on a log axis; raises
+    InvalidState when 10^t overflows float64."""
+    try:
+        v = 10.0 ** t if log else t
+    except OverflowError:
+        raise InvalidState(f"a log {what} tick 10^{t} is beyond float64") from None
     if v == 0:
         return "0"
     if abs(v) >= 1e4 or abs(v) < 1e-3:
@@ -42,8 +64,9 @@ def _fmt(v):
 def line_plot(series, title="", xlabel="", ylabel="", logx=False, logy=False):
     """Render `series` = [(xs, ys, label), ...] to an SVG document string.
 
-    An empty series raises SampleTooSmall; a NaN or an infinity, or a value
-    <= 0 on a log axis, raises InvalidState."""
+    An empty series raises SampleTooSmall; a NaN or an infinity, a value
+    <= 0 on a log axis, or a drawn range too wide or too narrow for float64
+    raises InvalidState."""
 
     def tx(values, log, what):
         finite_sample(values, 1, f"a plotted {what}")
@@ -54,19 +77,8 @@ def line_plot(series, title="", xlabel="", ylabel="", logx=False, logy=False):
     pts = []
     for xs, ys, _label in series:
         pts.append((tx(xs, logx, "x"), tx(ys, logy, "y")))
-    xmin = min(min(x) for x, _ in pts)
-    xmax = max(max(x) for x, _ in pts)
-    ymin = min(min(y) for _, y in pts)
-    ymax = max(max(y) for _, y in pts)
-    # an equal range widens by 1, or above 2^40 by 2^-40 of its value: at
-    # 2^53, v + 1 == v would leave the ticks no range
-    if xmax == xmin:
-        xmax += max(1.0, abs(xmax) * 2.0 ** -40)
-    if ymax == ymin:
-        ymax += max(1.0, abs(ymax) * 2.0 ** -40)
-    ypad = 0.05 * (ymax - ymin)
-    ymin -= ypad
-    ymax += ypad
+    xmin, xmax, xticks = _span([x for xs, _ in pts for x in xs], 0.0, "x")
+    ymin, ymax, yticks = _span([y for _, ys in pts for y in ys], 0.05, "y")
 
     px = lambda x: _ML + (x - xmin) / (xmax - xmin) * (_W - _ML - _MR)
     py = lambda y: _H - _MB - (y - ymin) / (ymax - ymin) * (_H - _MT - _MB)
@@ -84,16 +96,16 @@ def line_plot(series, title="", xlabel="", ylabel="", logx=False, logy=False):
         f'<rect x="{_ML}" y="{_MT}" width="{_W-_ML-_MR}" height="{_H-_MT-_MB}" '
         'fill="none" stroke="#333" stroke-width="1"/>'
     )
-    for t in _ticks(xmin, xmax):
+    for t in xticks:
         x = px(t)
-        label = _fmt(10.0 ** t) if logx else _fmt(t)
+        label = _fmt(t, logx, "x")
         out.append(f'<line x1="{x:.1f}" y1="{_H-_MB}" x2="{x:.1f}" '
                    f'y2="{_H-_MB+5}" stroke="#333"/>')
         out.append(f'<text x="{x:.1f}" y="{_H-_MB+18}" text-anchor="middle" '
                    f'font-family="sans-serif" font-size="11">{label}</text>')
-    for t in _ticks(ymin, ymax):
+    for t in yticks:
         y = py(t)
-        label = _fmt(10.0 ** t) if logy else _fmt(t)
+        label = _fmt(t, logy, "y")
         out.append(f'<line x1="{_ML-5}" y1="{y:.1f}" x2="{_ML}" y2="{y:.1f}" '
                    'stroke="#333"/>')
         out.append(f'<text x="{_ML-8}" y="{y+4:.1f}" text-anchor="end" '

@@ -11,11 +11,12 @@ gate covers; the properties draw a bad size for every sized entry point.
 import json
 import math
 import pickle
+import signal
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import lapsewalk as lw
@@ -92,6 +93,16 @@ TABLE = [
      lw.InvalidState),
     ("line_plot-log-0", lambda: line_plot([([1.0, 2.0], [0.0, 1.0], "a")],
                                           logy=True), lw.InvalidState),
+    ("line_plot-width-overflow",
+     lambda: line_plot([([-1e308, 1e308], [1.0, 2.0], "a")]), lw.InvalidState),
+    ("line_plot-pad-overflow",  # the y range overflows only once padded by 5%
+     lambda: line_plot([([1.0, 2.0], [0.0, 1.79e308], "a")]), lw.InvalidState),
+    ("line_plot-step-underflow",
+     lambda: line_plot([([0.0, 5e-324], [1.0, 2.0], "a")]), lw.InvalidState),
+    ("line_plot-log-tick-overflow",  # the padded log axis has a tick at 10^308.255
+     lambda: line_plot([([1.0, 2.0], [1.7976930509479376e308,
+                                      1.7976931327306082e308], "a")], logy=True),
+     lw.InvalidState),
 ]
 
 
@@ -269,6 +280,65 @@ def test_line_plot_draws_an_equal_range_far_from_zero():
     svg = line_plot([([2.0 ** 53, 2.0 ** 53], [1.0, 2.0], "a")])
     assert svg.endswith("</svg>\n") and svg.count("<polyline") == 1
     assert svg.count(">9.0e+15</text>") >= 2  # the x ticks
+
+
+def _within_2s(call):
+    """call(), or a TimeoutError once it has run 2 s."""
+    def timeout(signum, frame):
+        raise TimeoutError("ran past 2 s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(2)
+    try:
+        return call()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# ranges a few ulps wide, where a tick list summed step by step would stop
+# moving, and a subnormal width that still has a nonzero step
+@pytest.mark.parametrize("xs", [[1e17, 1e17 + 16], [1.0, 1.0 + 2.0 ** -52],
+                                [0.0, 1e-320]])
+def test_line_plot_draws_a_range_few_ulps_wide(xs):
+    svg = _within_2s(lambda: line_plot([(xs, [1.0, 2.0], "a")]))
+    assert svg.endswith("</svg>\n") and svg.count("<polyline") == 1
+
+
+def test_ticks_are_integer_multiples_of_one_step():
+    from lapsewalk.svg import _span, _ticks
+
+    assert _ticks(0.0, 1.0, 0.2) == [0.0, 0.2, 0.4, 0.2 * 3, 0.8, 1.0]
+    assert _span([0.0, 1.0], 0.0, "x") == (0.0, 1.0, _ticks(0.0, 1.0, 0.2))
+    # k = 0 gives +0.0, and the y pad of 5% widens [0, 1] to [-0.05, 1.05]
+    lo, hi, ticks = _span([1.0, 0.0], 0.05, "y")
+    assert (lo, hi) == (-0.05, 1.05) and ticks == _ticks(lo, hi, 0.2)
+    assert math.copysign(1.0, _ticks(-1.0, 1.0, 0.5)[2]) == 1.0
+
+
+# every finite float: subnormals, +-1.7e308 and ranges a few ulps wide
+FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from([5e-324, -1e-320, 1.7e308, -1.7e308, 2.0 ** 53]))
+RANGES = st.one_of(st.tuples(FINITE, FINITE),
+                   st.builds(lambda v, k: (v, v + k * math.ulp(v)), FINITE,
+                             st.integers(0, 64)))
+
+
+# no shrinking: where ticks never end, each shrink step would wait out the
+# 2 s alarm
+@settings(max_examples=400, deadline=None, derandomize=True, database=None,
+          phases=[Phase.generate])
+@given(xs=RANGES, ys=RANGES, logx=st.booleans(), logy=st.booleans())
+def test_line_plot_draws_or_refuses_every_finite_range(xs, ys, logx, logy):
+    try:
+        svg = _within_2s(lambda: line_plot([(list(xs), list(ys), "a")],
+                                           logx=logx, logy=logy))
+    except lw.LapsewalkError:
+        return
+    assert svg.endswith("</svg>\n")
+    # at most n + 2 = 8 tick labels on each axis
+    assert svg.count('"middle" font-family="sans-serif" font-size="11"') <= 8
+    assert svg.count('"end" font-family="sans-serif" font-size="11"') <= 8
 
 
 def test_valid_sizes_unchanged():

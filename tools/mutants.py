@@ -269,6 +269,10 @@ MUTANTS = [
      '"master_seed", master_seed, low=0,',
      '"master_seed", master_seed, low=-1,',
      "tests/test_boundaries.py::test_bad_seed_refused_before_any_walk"),
+    ("ticks_drop_last", "svg.py",
+     "math.floor(hi / step + Fraction(1, 10 ** 9)) + 1)]",
+     "math.floor(hi / step + Fraction(1, 10 ** 9)))]",
+     "tests/test_boundaries.py::test_ticks_are_integer_multiples_of_one_step"),
 ]
 
 
