@@ -268,15 +268,15 @@ class RegimePrediction:
     scale_formula: str
 
     def variance_scale(self, n) -> float:
-        """Predicted Var(S_n) scale; for superdiffusive, the Gaussian
-        residual scale phi n / (2 alpha - 1)."""
-        n = np.asarray(n, dtype=np.float64)
-        if self.regime is Regime.DIFFUSIVE:
-            out = self.phi * n / (1.0 - 2.0 * self.alpha)
-        elif self.regime is Regime.CRITICAL:
+        """Predicted Var(S_n) scale phi n log n at the critical point, else
+        phi n / |1 - 2 alpha|: for superdiffusive, the Gaussian residual
+        scale. `n` is an index or an array of them."""
+        n = np.asarray(counts("n", n, cap=INDEX_CAP, kind="index",
+                              cost="float64 indices"), dtype=np.float64)
+        if self.regime is Regime.CRITICAL:
             out = self.phi * n * np.log(n)
         else:
-            out = self.phi * n / (2.0 * self.alpha - 1.0)
+            out = self.phi * n / abs(1.0 - 2.0 * self.alpha)
         return out if out.ndim else float(out)
 
 
@@ -284,15 +284,12 @@ def regime_prediction(params: ModelParams) -> RegimePrediction:
     c = derive_constants(params)
     if c.alpha < 0.0:
         raise OutOfDomain("regime predictions require alpha >= 0 (p >= q)")
-    if c.regime is Regime.DIFFUSIVE:
-        formula = f"{c.phi:.6g} * n / {1.0 - 2.0 * c.alpha:.6g}"
-    elif c.regime is Regime.CRITICAL:
+    if c.regime is Regime.CRITICAL:
         formula = f"{c.phi:.6g} * n * log(n)"
     else:
-        formula = (
-            f"E[W^2] * a_n^2 + {c.phi:.6g} * n / {2.0 * c.alpha - 1.0:.6g}"
-            " (residual scale)"
-        )
+        formula = f"{c.phi:.6g} * n / {abs(1.0 - 2.0 * c.alpha):.6g}"
+    if c.regime is Regime.SUPERDIFFUSIVE:
+        formula = f"E[W^2] * a_n^2 + {formula} (residual scale)"
     return RegimePrediction(
         regime=c.regime,
         alpha=c.alpha,
@@ -306,12 +303,13 @@ def regime_prediction(params: ModelParams) -> RegimePrediction:
 def lil_envelope(params: ModelParams, n):
     """Iterated-logarithm envelope (the denominator of the limsup statement).
 
-    Diffusive:   sqrt(2 (phi/(1-2a)) n loglog((phi G^2/(1-2a)) n^(1-2a)))
-    Critical:    sqrt(2 phi n log n loglog(phi Gamma(3/2) log n))
-    Superdiff.:  sqrt(2 (phi/(2a-1)) n log|log((phi G^2/(2a-1)) n^(1-2a))|)
+    Critical:      sqrt(2 phi n log n loglog(phi Gamma(3/2) log n))
+    Non-critical:  sqrt(2 (phi/|1-2a|) n log|log((phi G^2/|1-2a|) n^(1-2a))|)
 
-    with G = Gamma(alpha + 1). Raises DomainTooSmall while the inner
-    (absolute) logarithm is still <= 1, i.e. before loglog turns positive.
+    with G = Gamma(alpha + 1); the inner logarithm falls to -infinity in
+    the superdiffusive regime and rises in the diffusive one, where it takes
+    no bars. Raises DomainTooSmall while the inner (absolute) logarithm is
+    still <= 1, i.e. before loglog turns positive.
     """
     c = derive_constants(params)
     if c.alpha < 0.0:
@@ -322,19 +320,17 @@ def lil_envelope(params: ModelParams, n):
     ns = np.atleast_1d(finite_sample(n, 0, "LIL envelope"))
     if (ns < 2).any():
         raise DomainTooSmall("envelope needs n >= 2")
-    g2 = math.gamma(c.alpha + 1.0) ** 2
-    if c.regime is Regime.DIFFUSIVE:
-        span = 1.0 - 2.0 * c.alpha
-        inner = np.log(c.phi * g2 / span * ns ** span)
-        scale = (c.phi / span) * ns
-    elif c.regime is Regime.CRITICAL:
+    if c.regime is Regime.CRITICAL:
         inner = np.log(c.phi * math.gamma(1.5) * np.log(ns))
         scale = c.phi * ns * np.log(ns)
     else:
-        span = 2.0 * c.alpha - 1.0
-        with np.errstate(divide="ignore"):
-            inner = np.abs(np.log(c.phi * g2 / span * ns ** (-span)))
-        scale = (c.phi / span) * ns
+        span = 1.0 - 2.0 * c.alpha
+        g2 = math.gamma(c.alpha + 1.0) ** 2
+        with np.errstate(divide="ignore"):  # n^span may underflow to 0
+            inner = np.log(c.phi * g2 / abs(span) * ns ** span)
+        if c.regime is Regime.SUPERDIFFUSIVE:
+            inner = np.abs(inner)
+        scale = (c.phi / abs(span)) * ns
     if (inner <= 1.0).any():
         raise DomainTooSmall(
             "inner log-log argument <= 1; increase n before using the envelope"

@@ -16,9 +16,9 @@ step, no minus threshold, with the same output bits.
 Sizes, counts, seeds and snapshot times pass `errors.counts` before any
 walk: n_steps up to STEPS_CAP, n_traj up to one rng stream per trajectory,
 n_boot up to BOOTSTRAP_CAP, workers and chunk_size from 1, and master_seed
-in [0, 2**64). Samples (the W sample, the bootstrap's and every
-accumulator's values) pass `errors.finite_sample`, so a NaN is refused with
-InvalidState instead of spreading into the moments.
+in [0, 2**64) (through `rng.seed_word`). Samples (the W sample, the
+bootstrap's and every accumulator's values) pass `errors.finite_sample`, so
+a NaN is refused with InvalidState instead of spreading into the moments.
 """
 
 from dataclasses import dataclass, field
@@ -29,7 +29,7 @@ from .analytic import expected_s, growth_values, lil_envelope
 from .errors import (Degenerate, DomainTooSmall, InvalidState, OutOfDomain,
                      SampleTooSmall, counts, finite_sample)
 from .model import STEPS_CAP, ModelParams, Regime, derive_constants
-from .rng import MASK64, STREAMS, Xoshiro256Batch
+from .rng import STREAMS, Xoshiro256Batch, seed_word
 
 CHUNK_SIZE_DEFAULT = 4096
 # widest lockstep walk one task runs; a speed constant, not part of the output
@@ -240,8 +240,7 @@ def run_ensemble(params: ModelParams, n_steps: int, n_traj: int,
     counts("n_traj", n_traj, cap=STREAMS, kind="stream", cost="one per trajectory")
     counts("workers", workers)
     counts("chunk_size", chunk_size)
-    master_seed = int(counts("master_seed", master_seed, low=0, cap=MASK64,
-                             kind="seed", cost="a 64-bit word"))
+    master_seed = seed_word(master_seed)
     if snapshots is None:
         snaps = dyadic_snapshots(n_steps)
     else:
@@ -320,9 +319,9 @@ class WEstimate:
     def from_sample(cls, w: np.ndarray) -> "WEstimate":
         """Estimate from a sample of M_n, one value per trajectory."""
         w = finite_sample(w, 2, "a sample variance")  # ddof=1 needs 2
-        var_w = float(w.var(ddof=1))
-        return cls(n_used=w.size, mean_w=float(w.mean()), var_w=var_w,
-                   stderr=(var_w / w.size) ** 0.5, sample=w)
+        acc = MomentAccumulator.from_values(w)
+        return cls(n_used=acc.count, mean_w=acc.mean, var_w=acc.variance,
+                   stderr=acc.stderr, sample=w)
 
 
 def estimate_w(params: ModelParams, n_steps: int, n_traj: int,

@@ -188,9 +188,12 @@ def exact_moments(params: ModelParams, n_max: int, ns=None, cross=True):
     Without `ns`, returns the whole `MomentTable`. With `ns`, returns a list
     of `ExactMoments` at the sorted distinct n of `ns` (each in 1..n_max),
     the same bits as the table's rows, in O(block) memory; `cross=False`
-    skips the E SZ recursion there and leaves `mean_sz` None.
+    skips the E SZ recursion there and leaves `mean_sz` None. The table
+    always holds `mean_sz`, so `cross=False` without `ns` is refused.
     """
     counts("n_max", n_max, cap=MOMENT_CAP, kind="moment", cost="O(n) cost")
+    if ns is None and not cross:
+        raise InvalidState("cross=False needs ns: the moment table holds mean_sz")
     if ns is not None:
         return _moment_rows(params, n_max, ns, cross)
     try:

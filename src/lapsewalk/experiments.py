@@ -26,7 +26,7 @@ from .ensemble import (
     run_ensemble,
 )
 from .errors import (CapExceeded, Degenerate, InvalidState, OutOfDomain,
-                     SampleTooSmall)
+                     SampleTooSmall, counts)
 from .exact import DP_CAP, exact_moments, standardized_exact_cdf
 from .model import ModelParams, Regime, derive_constants
 from .stats import KS_MIN_POINTS, fit_loglog, ks_distance_cdf, ks_test_normal
@@ -220,7 +220,7 @@ def clt_experiment(params, n_steps, n_traj, master_seed, workers=1) -> dict:
     if c.regime is not Regime.DIFFUSIVE:
         raise OutOfDomain(f"clt experiment needs alpha < 1/2, regime is {c.regime.value}")
     # at t = 0 the exact-law KS gate is the only gate, and it needs the DP
-    if n_traj == 0 and n_steps > DP_CAP:
+    if counts("n_steps", n_steps) > DP_CAP and n_traj == 0:
         raise CapExceeded(f"n = {n_steps} above the DP cap {DP_CAP}: no gate at t = 0")
     report, gates = _clt_core(params, n_steps, n_traj, master_seed, workers,
                               "clt", EXACT_KS_GATE)
@@ -232,7 +232,7 @@ def critical_experiment(params, n_steps, n_traj, master_seed, workers=1) -> dict
     c = derive_constants(params)
     if c.regime is not Regime.CRITICAL:
         raise OutOfDomain(f"critical experiment needs alpha = 1/2, got {c.alpha!r}")
-    if n_steps < 2:
+    if counts("n_steps", n_steps) < 2:
         raise Degenerate(f"critical experiment needs n >= 2: the scale "
                          f"phi n log n is 0 at n = {n_steps}")
     report, gates = _clt_core(params, n_steps, n_traj, master_seed, workers,
@@ -261,7 +261,7 @@ def superdiffusive_experiment(params, n_steps, n_traj, master_seed, workers=1) -
     # before the Monte Carlo work, so a bad alpha fails before any sampling
     v_inf = v_limit_superdiffusive(c.alpha)
     pred = regime_prediction(params)
-    n_far = HORIZON_FACTOR * n_steps
+    n_far = HORIZON_FACTOR * counts("n_steps", n_steps)
 
     ns = slope_fit_ns(n_far)
     var_s = {row.n: row.var_s
@@ -349,6 +349,7 @@ def regime_scan_experiment(p, q, r, alphas, n_max=2 ** 20) -> dict:
                            "p = q alpha is 0 for every theta")
     if not alphas:
         raise InvalidState("--alphas: no alpha values to scan")
+    counts("n_max", n_max)
     ns = np.array([2 ** k for k in range(10, 25) if 2 ** k <= n_max],
                   dtype=np.int64)
     if ns.size < 3:

@@ -15,6 +15,7 @@ superdiffusive.
 
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Real
 
 from .errors import InvalidParams, InvalidState, counts
 from .rng import RngStream
@@ -50,8 +51,8 @@ class ModelParams:
     def __post_init__(self):
         for name in ("p", "q", "r", "theta"):
             v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
-                raise InvalidParams(f"{name} must lie in [0, 1], got {v!r}")
+            if not (isinstance(v, Real) and 0.0 <= v <= 1.0):
+                raise InvalidParams(f"{name} must be a number in [0, 1], got {v!r}")
         total = self.p + self.q + self.r
         if abs(total - 1.0) > SIMPLEX_TOL:
             raise InvalidParams(
@@ -115,12 +116,13 @@ def step_distribution(params: ModelParams, n_plus: int, n_minus: int,
     """Exact conditional step law (p_plus, p_minus, p_zero) given the step
     counts after n = n_plus + n_minus + n_zero >= 1 steps.
 
+    The counts pass `errors.counts`: integers from 0 up to STEPS_CAP.
     ModelParams lets p + q + r miss 1 by SIMPLEX_TOL and a correct kernel
     adds only a few ulps of rounding, so a sum further than 2 * SIMPLEX_TOL
     from 1 is a kernel bug and raises InvalidState; nothing is rescaled.
     """
-    if min(n_plus, n_minus, n_zero) < 0:
-        raise InvalidState(f"negative step count in {(n_plus, n_minus, n_zero)}")
+    counts("step counts", (n_plus, n_minus, n_zero), low=0, cap=STEPS_CAP,
+           kind="step", cost="float64 step counts")
     n = n_plus + n_minus + n_zero
     if n < 1:
         raise InvalidState("the first step has no history; it is drawn from (p, q, r)")

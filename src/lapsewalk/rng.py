@@ -7,11 +7,12 @@
 #     seed_i = splitmix64_mix(master_seed XOR (i * 0x9E3779B97F4A7C15))
 #
 # The master seed and the stream indices lie in [0, 2**64): any other seed
-# is refused by errors.counts, any other index raises InvalidState.
+# is refused by `seed_word`, any other index raises InvalidState.
 # Uniform deviates take the top 53 bits of each output word. The scalar and
-# batch implementations below step the identical sequence; the batch form
-# advances one lane per trajectory so ensembles stay reproducible no matter
-# how trajectories are scheduled onto workers.
+# batch generators below seed through the same splitmix64 functions, which
+# take a Python int or a uint64 lane array, and step the identical
+# sequence; the batch form advances one lane per trajectory so ensembles
+# stay reproducible no matter how trajectories are scheduled onto workers.
 
 import numpy as np
 
@@ -23,9 +24,17 @@ GOLDEN = 0x9E3779B97F4A7C15
 _U53 = 2.0 ** -53
 
 
+def seed_word(master_seed):
+    """`master_seed` as a Python int; anything but an integer in [0, 2**64)
+    is refused by errors.counts."""
+    return int(counts("master_seed", master_seed, low=0, cap=MASK64,
+                      kind="seed", cost="a 64-bit word"))
+
+
 def splitmix64_mix(z):
-    """Output scrambler of splitmix64 applied to a single 64-bit word."""
-    z &= MASK64
+    """Output scrambler of splitmix64 applied to a 64-bit word, or to each
+    lane of a uint64 array (a new array: the first step copies)."""
+    z = z & MASK64
     z ^= z >> 30
     z = (z * 0xBF58476D1CE4E5B9) & MASK64
     z ^= z >> 27
@@ -34,18 +43,15 @@ def splitmix64_mix(z):
 
 
 def stream_seed(master_seed, stream_index):
-    """64-bit seed of stream `stream_index` under `master_seed`."""
+    """64-bit seed of stream `stream_index` under `master_seed`, or the seed
+    of every lane of a uint64 index array."""
     return splitmix64_mix(master_seed ^ ((stream_index * GOLDEN) & MASK64))
 
 
 def _state_words(seed):
-    # splitmix64_mix of four distinct inputs is a bijection: never all zero
-    words = []
-    state = seed & MASK64
-    for _ in range(4):
-        state = (state + GOLDEN) & MASK64
-        words.append(splitmix64_mix(state))
-    return words
+    # the four splitmix64 words after seed: splitmix64_mix is a bijection
+    # and their inputs are distinct, so they are never all zero
+    return [splitmix64_mix(seed + ((k * GOLDEN) & MASK64)) for k in range(1, 5)]
 
 
 def _rotl(x, k):
@@ -62,10 +68,8 @@ class RngStream:
     def __init__(self, master_seed, stream_index):
         if counts("stream index", stream_index, low=0) >= STREAMS:
             raise InvalidState(f"stream index must lie below 2**64, got {stream_index}")
-        seed = int(counts("master seed", master_seed, low=0, cap=MASK64,
-                          kind="seed", cost="a 64-bit word"))
         # as Python ints: numpy integers would overflow with warnings
-        self.s = _state_words(stream_seed(seed, int(stream_index)))
+        self.s = _state_words(stream_seed(seed_word(master_seed), int(stream_index)))
 
     def next_uint64(self):
         s = self.s
@@ -105,28 +109,10 @@ class Xoshiro256Batch:
         except OverflowError:
             raise InvalidState(f"stream indices must lie below 2**64, got "
                                f"{stream_indices!r}") from None
-        seed = int(counts("master seed", master_seed, low=0, cap=MASK64,
-                          kind="seed", cost="a 64-bit word"))
-        state = self._mix(np.uint64(seed) ^ (idx * np.uint64(GOLDEN)))
-        # as in _state_words, the four words are never all zero
-        words = []
-        for _ in range(4):
-            state = state + np.uint64(GOLDEN)
-            words.append(self._mix(state))
-        s0, s1, s2, s3 = words
+        s0, s1, s2, s3 = _state_words(stream_seed(seed_word(master_seed), idx))
         self.s0, self.s2, self.s3 = s0, s2, s3
         self._s1 = s1[np.newaxis]
         self._t = np.empty_like(s0)
-
-    @staticmethod
-    def _mix(z):
-        z = z.copy()
-        z ^= z >> np.uint64(30)
-        z *= np.uint64(0xBF58476D1CE4E5B9)
-        z ^= z >> np.uint64(27)
-        z *= np.uint64(0x94D049BB133111EB)
-        z ^= z >> np.uint64(31)
-        return z
 
     def _words(self, scratch):
         """Step every lane once per row of scratch, a (rows, width) uint64

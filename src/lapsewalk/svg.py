@@ -47,6 +47,11 @@ def _span(values, pad, what):
     return lo, hi, _ticks(lo, hi, step)
 
 
+def _text(s):
+    """s as SVG text content, with & and < escaped."""
+    return str(s).replace("&", "&amp;").replace("<", "&lt;")
+
+
 def _fmt(t, log, what):
     """The text of the tick at t, or at 10^t on a log axis; raises
     InvalidState when 10^t overflows float64."""
@@ -64,9 +69,9 @@ def _fmt(t, log, what):
 def line_plot(series, title="", xlabel="", ylabel="", logx=False, logy=False):
     """Render `series` = [(xs, ys, label), ...] to an SVG document string.
 
-    An empty series raises SampleTooSmall; a NaN or an infinity, a value
-    <= 0 on a log axis, or a drawn range too wide or too narrow for float64
-    raises InvalidState."""
+    Text is escaped. An empty series raises SampleTooSmall; xs and ys of
+    unequal length, a NaN or an infinity, a value <= 0 on a log axis, or a
+    drawn range too wide or too narrow for float64 raises InvalidState."""
 
     def tx(values, log, what):
         finite_sample(values, 1, f"a plotted {what}")
@@ -76,6 +81,9 @@ def line_plot(series, title="", xlabel="", ylabel="", logx=False, logy=False):
 
     pts = []
     for xs, ys, _label in series:
+        if len(xs) != len(ys):
+            raise InvalidState(f"a plotted series needs one y per x, got "
+                               f"{len(xs)} xs and {len(ys)} ys")
         pts.append((tx(xs, logx, "x"), tx(ys, logy, "y")))
     xmin, xmax, xticks = _span([x for xs, _ in pts for x in xs], 0.0, "x")
     ymin, ymax, yticks = _span([y for _, ys in pts for y in ys], 0.05, "y")
@@ -89,7 +97,7 @@ def line_plot(series, title="", xlabel="", ylabel="", logx=False, logy=False):
         f'width="{_W}" height="{_H}" viewBox="0 0 {_W} {_H}">',
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
         f'<text x="{_W/2:.0f}" y="22" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15">{title}</text>',
+        f'font-family="sans-serif" font-size="15">{_text(title)}</text>',
     ]
     # axes box
     out.append(
@@ -111,10 +119,10 @@ def line_plot(series, title="", xlabel="", ylabel="", logx=False, logy=False):
         out.append(f'<text x="{_ML-8}" y="{y+4:.1f}" text-anchor="end" '
                    f'font-family="sans-serif" font-size="11">{label}</text>')
     out.append(f'<text x="{_W/2:.0f}" y="{_H-12}" text-anchor="middle" '
-               f'font-family="sans-serif" font-size="13">{xlabel}</text>')
+               f'font-family="sans-serif" font-size="13">{_text(xlabel)}</text>')
     out.append(f'<text x="18" y="{_H/2:.0f}" text-anchor="middle" '
                f'font-family="sans-serif" font-size="13" '
-               f'transform="rotate(-90 18 {_H/2:.0f})">{ylabel}</text>')
+               f'transform="rotate(-90 18 {_H/2:.0f})">{_text(ylabel)}</text>')
 
     for i, ((xs, ys), (_, _, label)) in enumerate(zip(pts, series)):
         color = _COLORS[i % len(_COLORS)]
@@ -125,6 +133,6 @@ def line_plot(series, title="", xlabel="", ylabel="", logx=False, logy=False):
         out.append(f'<line x1="{_W-_MR-150}" y1="{ly-4}" x2="{_W-_MR-125}" '
                    f'y2="{ly-4}" stroke="{color}" stroke-width="2"/>')
         out.append(f'<text x="{_W-_MR-120}" y="{ly}" font-family="sans-serif" '
-                   f'font-size="11">{label}</text>')
+                   f'font-size="11">{_text(label)}</text>')
     out.append("</svg>")
     return "\n".join(out) + "\n"

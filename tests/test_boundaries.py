@@ -13,6 +13,7 @@ import math
 import pickle
 import signal
 import warnings
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from lapsewalk.svg import line_plot
 P = lw.ModelParams(0.6, 0.2, 0.2, 0.5)
 SUPER = lw.ModelParams(0.9, 0.0, 0.1, 0.8)
 NEG = lw.ModelParams(0.2, 0.6, 0.2, 0.5)  # alpha = -0.2
+CRIT = lw.ModelParams(0.8666666666666667, 0.03333333333333333, 0.1, 0.6)
 NAN, INF = float("nan"), float("inf")
 EMPTY_CDF = lw.DiscreteCdf(points=np.empty(0), probs=np.empty(0), cdf=np.empty(0))
 
@@ -103,6 +105,26 @@ TABLE = [
      lambda: line_plot([([1.0, 2.0], [1.7976930509479376e308,
                                       1.7976931327306082e308], "a")], logy=True),
      lw.InvalidState),
+    ("line_plot-unequal-lengths",  # drawn truncated to the shorter one
+     lambda: line_plot([([1.0, 2.0, 3.0], [1.0, 2.0], "a")]), lw.InvalidState),
+    ("step_distribution-nan", lambda: lw.step_distribution(P, NAN, 0, 0),
+     lw.InvalidState),
+    ("step_distribution-1.5", lambda: lw.step_distribution(P, 1.5, 0, 0),
+     lw.InvalidState),
+    ("step_distribution-10**400",
+     lambda: lw.step_distribution(P, 10 ** 400, 0, 0), lw.CapExceeded),
+    ("step_distribution-str", lambda: lw.step_distribution(P, "1", 0, 0),
+     lw.InvalidState),
+    ("ModelParams-str", lambda: lw.ModelParams("0.6", 0.2, 0.2, 0.5),
+     lw.InvalidParams),
+    ("ModelParams-None", lambda: lw.ModelParams(None, 0.2, 0.2, 0.5),
+     lw.InvalidParams),
+    ("variance_scale--1", lambda: lw.regime_prediction(P).variance_scale(-1),
+     lw.InvalidState),
+    ("variance_scale-critical-0",
+     lambda: lw.regime_prediction(CRIT).variance_scale(0), lw.InvalidState),
+    ("exact_moments-cross-without-ns",  # returned the table with mean_sz
+     lambda: lw.exact_moments(P, 10, cross=False), lw.InvalidState),
 ]
 
 
@@ -143,6 +165,8 @@ SIZED = {
     "simulate_trajectory": lambda n: lw.simulate_trajectory(
         P, n, lw.RngStream(0, 0), [1]),
     "bootstrap-n_boot": lambda n: lw.bootstrap_variance_ci([1.0, 2.0, 3.0], n_boot=n),
+    "step_distribution": lambda n: lw.step_distribution(P, n, 0, 0),
+    "variance_scale": lambda n: lw.regime_prediction(P).variance_scale(n),
 }
 # count options and grids: any integer >= 1 is a valid answer, 10**20 too
 COUNT_OPTIONS = {
@@ -178,6 +202,35 @@ def test_bad_sizes_refused_before_any_walk(monkeypatch):
             lw.run_ensemble(P, n, 10)
         with pytest.raises(lw.LapsewalkError):
             lw.run_ensemble(P, 10, n)
+
+
+# an experiment's size is refused under its own name, before anything is
+# derived from it: before, n_max = 5000.5 ran, n_steps = 1.5 was refused as
+# "n_max must be an integer, got 24.0" and critical's raised Degenerate
+EXPERIMENT_SIZES = {
+    "regime_scan-n_max": ("n_max", lambda: experiments.regime_scan_experiment(
+        0.6, 0.2, 0.2, [0.3], n_max=5000.5)),
+    "superdiffusive-n_steps": ("n_steps", lambda: experiments.superdiffusive_experiment(
+        SUPER, 1.5, 10, 0)),
+    "critical-n_steps": ("n_steps", lambda: experiments.critical_experiment(
+        CRIT, 1.5, 0, 0)),
+    "clt-n_steps": ("n_steps", lambda: experiments.clt_experiment(P, 2.5, 0, 0)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(EXPERIMENT_SIZES))
+def test_experiment_size_refused_by_its_own_name(entry):
+    name, call = EXPERIMENT_SIZES[entry]
+    with pytest.raises(lw.InvalidState, match=f"^{name} must be an integer"):
+        call()
+
+
+def test_line_plot_escapes_its_text():
+    svg = line_plot([([1.0, 2.0], [1.0, 2.0], "a < b & c")], title="P & Q",
+                    xlabel="<x>", ylabel="y & z")
+    texts = {t.text for t in ET.fromstring(svg).iter(
+        "{http://www.w3.org/2000/svg}text")}
+    assert {"a < b & c", "P & Q", "<x>", "y & z"} <= texts
 
 
 # a master seed is a 64-bit word: a float is refused, and an int outside

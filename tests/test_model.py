@@ -129,7 +129,7 @@ def test_step_distribution_rejects_bad_counts_and_sums():
         lw.step_distribution(off, 2, 1, 1)
     params = lw.ModelParams(0.5, 0.3, 0.2, 0.5)
     for counts in ((-1, 2, 2), (2, -1, 2), (2, 2, -1)):
-        with pytest.raises(lw.InvalidState, match="negative"):
+        with pytest.raises(lw.InvalidState, match=r"^step counts must be >= 0, got -1$"):
             lw.step_distribution(params, *counts)
 
 

@@ -149,6 +149,10 @@ MUTANTS = [
      "            prod, cum = 1.0, 0.0\n",
      "            cum = 0.0\n",
      "tests/test_series.py::test_series_matches_reference_bits_over_many_chunks"),
+    ("variance_scale_signed_span", "analytic.py",
+     "self.phi * n / abs(1.0 - 2.0 * self.alpha)",
+     "self.phi * n / (1.0 - 2.0 * self.alpha)",
+     "tests/test_analytic.py::test_regime_prediction_superdiffusive_threshold"),
     ("sum_inv_a_sign", "analytic.py",
      "+ 1.0 / (alpha - 1.0)",
      "- 1.0 / (alpha - 1.0)",
@@ -265,7 +269,7 @@ MUTANTS = [
      '        raise InvalidState(f"{what} needs a finite sample")\n',
      "        pass\n",
      "tests/test_boundaries.py::test_boundary_table_refused_typed"),
-    ("seed_gate_lets_minus_one", "ensemble.py",
+    ("seed_gate_lets_minus_one", "rng.py",
      '"master_seed", master_seed, low=0,',
      '"master_seed", master_seed, low=-1,',
      "tests/test_boundaries.py::test_bad_seed_refused_before_any_walk"),
