@@ -6,20 +6,19 @@ position into a martingale; its variance clock v_n = sum 1/a_k^2 diverges for
 alpha <= 1/2 and converges for alpha > 1/2, which is exactly the
 diffusive/superdiffusive transition. Everything here is computed by forward
 recurrence in float64; log-gamma forms are reserved for tests. Indices n
-pass `errors.counts`: they are integers from 1 up to `INDEX_CAP`.
+pass `errors.counts`: they are integers from 1 up to `model.STEPS_CAP`.
 """
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
-from .errors import Degenerate, DomainTooSmall, OutOfDomain, counts, finite_sample
-from .model import ModelParams, Regime, derive_constants
+from .errors import DomainTooSmall, OutOfDomain, counts, finite_sample
+from .model import STEPS_CAP, ModelParams, Regime, domain_constants
 
 _CHUNK = 1 << 19
-# the recurrences count n in float64, exact only up to 2**53
-INDEX_CAP = 2 ** 53
 # sub-block width of the v_limit series scans: speed only, never the bits
 _SERIES_BLOCK = 1 << 15
 # the direct v_limit scan stops once a term is below _SCAN_TOL times the
@@ -37,12 +36,12 @@ _SKIP_MARGIN = 1.001
 
 
 def _check_rate(rate):
-    if not (0.0 <= rate < 1.0):
+    if not (isinstance(rate, Real) and 0.0 <= rate < 1.0):
         raise OutOfDomain(f"alpha must lie in [0, 1), got {rate!r}")
 
 
 def _growth_table(rate, n_max):
-    counts("n_max", n_max, cap=INDEX_CAP, kind="index", cost="float64 indices")
+    counts("n_max", n_max, cap=STEPS_CAP, kind="index", cost="float64 indices")
     vals = np.empty(n_max + 1)
     vals[0] = np.nan
     vals[1] = 1.0
@@ -76,7 +75,7 @@ def growth_values(rate, ns):
     Runs the product recurrence in chunks; O(max n) time, O(chunk) memory.
     """
     _check_rate(rate)
-    ns_arr = np.atleast_1d(counts("n", ns, cap=INDEX_CAP, kind="index",
+    ns_arr = np.atleast_1d(counts("n", ns, cap=STEPS_CAP, kind="index",
                                   cost="float64 indices"))
     order = np.argsort(ns_arr, kind="stable")
     out = np.empty(ns_arr.size)
@@ -131,7 +130,7 @@ def v_limit_superdiffusive(alpha: float) -> float:
     in three preallocated buffers, carrying both scans across sub-block
     edges; the sub-block width sets speed and memory only.
     """
-    if not (0.5 < alpha <= 1.0):
+    if not (isinstance(alpha, Real) and 0.5 < alpha <= 1.0):
         raise OutOfDomain(f"series converges only for alpha in (1/2, 1], got {alpha!r}")
     v_inf = _v_limit_thomae(alpha)
     # the scan stops at the first k > 10 with t_k < _SCAN_TOL * partial_k; t_k
@@ -242,17 +241,13 @@ def expected_s(params: ModelParams, n):
 
     `n` may be an int or an array of ints; arrays return an array.
     """
-    c = derive_constants(params)
-    if c.alpha < 0.0:
-        raise OutOfDomain("expected_s requires alpha >= 0 (p >= q)")
+    c = domain_constants(params, "expected_s")
     return _expected_walk(c.beta, c.omega, c.alpha, n)
 
 
 def expected_z(params: ModelParams, n):
     """Exact E[Z_n]; same closed form with (psi, gamma, tau, b_n)."""
-    c = derive_constants(params)
-    if c.alpha < 0.0:
-        raise OutOfDomain("expected_z requires alpha >= 0 (p >= q)")
+    c = domain_constants(params, "expected_z")
     return _expected_walk(c.psi, c.tau, c.gamma, n)
 
 
@@ -271,7 +266,7 @@ class RegimePrediction:
         """Predicted Var(S_n) scale phi n log n at the critical point, else
         phi n / |1 - 2 alpha|: for superdiffusive, the Gaussian residual
         scale. `n` is an index or an array of them."""
-        n = np.asarray(counts("n", n, cap=INDEX_CAP, kind="index",
+        n = np.asarray(counts("n", n, cap=STEPS_CAP, kind="index",
                               cost="float64 indices"), dtype=np.float64)
         if self.regime is Regime.CRITICAL:
             out = self.phi * n * np.log(n)
@@ -281,9 +276,7 @@ class RegimePrediction:
 
 
 def regime_prediction(params: ModelParams) -> RegimePrediction:
-    c = derive_constants(params)
-    if c.alpha < 0.0:
-        raise OutOfDomain("regime predictions require alpha >= 0 (p >= q)")
+    c = domain_constants(params, "a regime prediction")
     if c.regime is Regime.CRITICAL:
         formula = f"{c.phi:.6g} * n * log(n)"
     else:
@@ -311,11 +304,7 @@ def lil_envelope(params: ModelParams, n):
     no bars. Raises DomainTooSmall while the inner (absolute) logarithm is
     still <= 1, i.e. before loglog turns positive.
     """
-    c = derive_constants(params)
-    if c.alpha < 0.0:
-        raise OutOfDomain("LIL envelope requires alpha >= 0")
-    if c.phi <= 0.0:
-        raise Degenerate("LIL envelope undefined for phi = 0")
+    c = domain_constants(params, "the LIL envelope", scaled=True)
     scalar = np.ndim(n) == 0
     ns = np.atleast_1d(finite_sample(n, 0, "LIL envelope"))
     if (ns < 2).any():

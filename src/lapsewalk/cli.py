@@ -20,9 +20,9 @@ import sys
 
 from . import experiments
 from .analytic import regime_prediction, v_limit_superdiffusive
-from .errors import Degenerate, InvalidState, LapsewalkError, counts
+from .errors import InvalidState, LapsewalkError, counts
 from .exact import distribution_dp, exact_moments
-from .model import ModelParams, Regime, derive_constants
+from .model import ModelParams, Regime, domain_constants
 from .report import base_report, csv_lines, emit_json, fmt_float
 from .stats import normal_cdf
 from .svg import line_plot
@@ -169,10 +169,8 @@ def build_parser():
 
 def cmd_predict(o):
     params = _params_from(o)
-    c = derive_constants(params)
-    pred = regime_prediction(params)  # raises OutOfDomain for alpha < 0
-    if pred.phi == 0.0:
-        raise Degenerate("phi = 0: variance predictions are degenerate")
+    c = domain_constants(params, "a variance prediction", scaled=True)
+    pred = regime_prediction(params)
     if c.regime is Regime.DIFFUSIVE:
         vn_asymptote = (f"v_n ~ Gamma(alpha+1)^2 n^(1-2 alpha)/(1-2 alpha)"
                         f" [exponent {1 - 2 * c.alpha:.6g}]")

@@ -26,9 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analytic import expected_s, growth_values, lil_envelope
-from .errors import (Degenerate, DomainTooSmall, InvalidState, OutOfDomain,
-                     SampleTooSmall, counts, finite_sample)
-from .model import STEPS_CAP, ModelParams, Regime, derive_constants
+from .errors import DomainTooSmall, InvalidState, SampleTooSmall, counts, finite_sample
+from .model import STEPS_CAP, ModelParams, Regime, domain_constants, snapshot_times
 from .rng import STREAMS, Xoshiro256Batch, seed_word
 
 CHUNK_SIZE_DEFAULT = 4096
@@ -44,6 +43,15 @@ BOOTSTRAP_LEVEL = 0.99
 BOOTSTRAP_SEED = 20210905
 BOOTSTRAP_CAP = 10 ** 6
 _DRAW_WINDOW = 256  # most steps of uniforms a walk draws at once; speed only
+
+
+def trajectory_floor(n_traj, floor, needs):
+    """Refuse `n_traj` unless `counts` reads it as an integer (of any sign)
+    and it is at least `floor`; below the floor SampleTooSmall says
+    "<needs> trajectories >= <floor>"."""
+    counts("n_traj", n_traj, low=float("-inf"))
+    if n_traj < floor:
+        raise SampleTooSmall(f"{needs} trajectories >= {floor}, got {n_traj}")
 
 
 def dyadic_snapshots(n_max: int):
@@ -241,13 +249,10 @@ def run_ensemble(params: ModelParams, n_steps: int, n_traj: int,
     counts("workers", workers)
     counts("chunk_size", chunk_size)
     master_seed = seed_word(master_seed)
-    if snapshots is None:
-        snaps = dyadic_snapshots(n_steps)
-    else:
-        snaps = sorted(set(np.asarray(snapshots).tolist()))
-    if not snaps or snaps[0] < 1 or snaps[-1] > n_steps:
+    snaps = (dyadic_snapshots(n_steps) if snapshots is None
+             else snapshot_times(snapshots, n_steps))
+    if not snaps:
         raise InvalidState("snapshots must be one or more times in [1, n_steps]")
-    counts("snapshots", snaps)
 
     # a task walks up to LANES_MAX lanes of whole blocks at once, with at
     # least min(workers, n_blocks) tasks so that every worker gets one
@@ -295,7 +300,7 @@ def martingale_track(params: ModelParams, ensemble: EnsembleResult):
     M is an affine map of S per snapshot, so the statistics follow exactly
     from acc_s without raw trajectories.
     """
-    c = derive_constants(params)
+    c = domain_constants(params, "the martingale M_n")
     snaps = np.asarray(ensemble.snapshots, dtype=np.int64)
     means = np.atleast_1d(expected_s(params, snaps))
     norms = np.atleast_1d(growth_values(c.alpha, snaps))
@@ -327,11 +332,9 @@ class WEstimate:
 def estimate_w(params: ModelParams, n_steps: int, n_traj: int,
                master_seed: int = 0, workers: int = 1) -> WEstimate:
     """Estimate W by M_{n_steps} per trajectory (superdiffusive only)."""
-    c = derive_constants(params)
-    if c.regime is not Regime.SUPERDIFFUSIVE:
-        raise OutOfDomain(f"W exists only for alpha > 1/2; regime is {c.regime.value}")
-    if n_traj < 2:  # from_sample's floor, refused before the walk
-        raise SampleTooSmall(f"a sample variance needs >= 2 points, got {n_traj}")
+    c = domain_constants(params, "W", Regime.SUPERDIFFUSIVE)
+    # from_sample's floor, refused before the walk
+    trajectory_floor(n_traj, 2, "a sample variance needs")
     ens = run_ensemble(params, n_steps, n_traj, snapshots=[n_steps],
                        master_seed=master_seed, keep_raw=True, workers=workers)
     w = (ens.sample_s[0] - expected_s(params, n_steps)) / growth_values(c.alpha, n_steps)
@@ -362,11 +365,7 @@ def residual_clt_sample(params: ModelParams, n_steps: int, n_traj: int,
     (S_n - E S_n - W_hat a_n)/sqrt(phi n/(2a-1)), with W_hat the
     per-trajectory martingale value at n_far = HORIZON_FACTOR * n_steps.
     """
-    c = derive_constants(params)
-    if c.regime is not Regime.SUPERDIFFUSIVE:
-        raise OutOfDomain(f"residual CLT needs alpha > 1/2; regime is {c.regime.value}")
-    if c.phi <= 0.0:
-        raise Degenerate("phi = 0: residuals cannot be standardized")
+    c = domain_constants(params, "the residual CLT", Regime.SUPERDIFFUSIVE, scaled=True)
     n_far = HORIZON_FACTOR * counts("n_steps", n_steps)
     ens = run_ensemble(params, n_far, n_traj, snapshots=[n_steps, n_far],
                        master_seed=master_seed, keep_raw=True, workers=workers)

@@ -40,14 +40,15 @@ class SampleTooSmall(LapsewalkError):
 
 def counts(name, values, low=1, cap=None, kind="", cost=""):
     """`values` as given: a Python or numpy integer, or an integer array,
-    possibly empty. A value that is not an integer, or one below `low`,
-    raises InvalidState; one above `cap` raises CapExceeded, whose text names
-    the cap's `kind` and `cost`. The caller passes the cap when it runs, and
-    Python ints beyond int64 compare exactly."""
+    possibly empty. A value that is not an integer (a bool is not), or one
+    below `low`, raises InvalidState; one above `cap` raises CapExceeded,
+    whose text names the cap's `kind` and `cost`. The caller passes the cap
+    when it runs, and Python ints beyond int64 compare exactly."""
     # a list's ints stay exact as objects: numpy reads [-1, 2**63] as floats
     v = values if isinstance(values, np.ndarray) else np.asarray(values, dtype=object)
     if v.size and not (v.dtype.kind in "iu"
-                       or all(isinstance(x, (int, np.integer)) for x in v.flat)):
+                       or all(isinstance(x, (int, np.integer))
+                              and not isinstance(x, bool) for x in v.flat)):
         raise InvalidState(f"{name} must be an integer, got {values!r}")
     if v.size and v.min() < low:
         raise InvalidState(f"{name} must be >= {low}, got {v.min()}")
@@ -58,8 +59,11 @@ def counts(name, values, low=1, cap=None, kind="", cost=""):
 
 def finite_sample(values, low, what):
     """`values` as a float64 array of at least `low` points, all finite:
-    too few raise SampleTooSmall, a NaN or an infinity InvalidState."""
+    too few raise SampleTooSmall, a NaN, an infinity or a second dimension
+    InvalidState."""
     x = np.asarray(values, dtype=np.float64)
+    if x.ndim > 1:
+        raise InvalidState(f"{what} needs a flat sample, got shape {x.shape}")
     if x.size < low:
         raise SampleTooSmall(f"{what} needs >= {low} points, got {x.size}")
     if not np.isfinite(x).all():

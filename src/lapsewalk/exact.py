@@ -208,11 +208,11 @@ def exact_moments(params: ModelParams, n_max: int, ns=None, cross=True):
 
 
 def _moment_rows(params, n_max, ns, cross):
-    want = np.unique(ns)
+    want = np.unique(counts("moment rows", ns, low=float("-inf")))
     if want.size and not 1 <= want[0] <= want[-1] <= n_max:
         raise InvalidState(f"moment rows must lie in [1, {n_max}], "
                            f"got {want[0]}..{want[-1]}")
-    want = counts("moment rows", want).astype(np.int64)
+    want = want.astype(np.int64)
     rows = np.empty((4 if cross else 3, want.size))
     done = 0
     for n0, cols in _moment_blocks(params, n_max, cross):

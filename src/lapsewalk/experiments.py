@@ -24,11 +24,11 @@ from .ensemble import (
     martingale_track,
     residual_clt_sample,
     run_ensemble,
+    trajectory_floor,
 )
-from .errors import (CapExceeded, Degenerate, InvalidState, OutOfDomain,
-                     SampleTooSmall, counts)
+from .errors import CapExceeded, Degenerate, InvalidState, counts
 from .exact import DP_CAP, exact_moments, standardized_exact_cdf
-from .model import ModelParams, Regime, derive_constants
+from .model import ModelParams, Regime, derive_constants, domain_constants
 from .stats import KS_MIN_POINTS, fit_loglog, ks_distance_cdf, ks_test_normal
 
 SIGMA_GATE = 4.0
@@ -48,9 +48,7 @@ MC_KS_GATES = {"clt": (0.01, 1.36), "critical": (0.03, 1.63),
 def _mc_ks_gate(kind, n_traj):
     """Experiment kind's Monte Carlo KS bound at n_traj trajectories; a
     sample the KS test would refuse is refused here, before any work."""
-    if n_traj < KS_MIN_POINTS:
-        raise SampleTooSmall(f"the KS gate needs trajectories >= "
-                             f"{KS_MIN_POINTS}, got {n_traj}")
+    trajectory_floor(n_traj, KS_MIN_POINTS, "the KS gate needs")
     offset, coefficient = MC_KS_GATES[kind]
     return offset + coefficient / math.sqrt(n_traj)
 
@@ -106,11 +104,6 @@ def _finish(report, gates):
     return report
 
 
-def _require_nondegenerate(params):
-    if derive_constants(params).phi <= 0.0:
-        raise Degenerate("phi = 0: standardized experiments refuse these parameters")
-
-
 def _snapshot_stats(ensemble):
     rows = []
     for i, n in enumerate(ensemble.snapshots):
@@ -135,8 +128,8 @@ def lln_experiment(params, n_steps, n_traj, master_seed, workers=1) -> dict:
     above Monte Carlo resolution in the superdiffusive regime). The walk is
     summarized on the dyadic grid up to n, so the gates judge n itself.
     """
-    if n_traj < 2:  # with one trajectory the stderr is 0
-        raise SampleTooSmall(f"the stderr gates need trajectories >= 2, got {n_traj}")
+    # with one trajectory the stderr is 0
+    trajectory_floor(n_traj, 2, "the stderr gates need")
     pred = regime_prediction(params)
     ens = run_ensemble(params, n_steps, n_traj, master_seed=master_seed,
                        workers=workers)
@@ -177,7 +170,6 @@ def _clt_core(params, n_steps, n_traj, master_seed, workers, kind,
     from the moment recursions; the theorem's asymptotic scale is reported
     alongside for comparison. n_traj = 0 runs the exact part only.
     """
-    _require_nondegenerate(params)
     gate = _mc_ks_gate(kind, n_traj) if n_traj != 0 else None
     pred = regime_prediction(params)
     (row,) = exact_moments(params, n_steps, ns=[n_steps], cross=False)
@@ -216,9 +208,7 @@ def _clt_core(params, n_steps, n_traj, master_seed, workers, kind,
 
 def clt_experiment(params, n_steps, n_traj, master_seed, workers=1) -> dict:
     """Diffusive CLT: standardized S_n against N(0,1)."""
-    c = derive_constants(params)
-    if c.regime is not Regime.DIFFUSIVE:
-        raise OutOfDomain(f"clt experiment needs alpha < 1/2, regime is {c.regime.value}")
+    domain_constants(params, "the clt experiment", Regime.DIFFUSIVE, scaled=True)
     # at t = 0 the exact-law KS gate is the only gate, and it needs the DP
     if counts("n_steps", n_steps) > DP_CAP and n_traj == 0:
         raise CapExceeded(f"n = {n_steps} above the DP cap {DP_CAP}: no gate at t = 0")
@@ -229,9 +219,7 @@ def clt_experiment(params, n_steps, n_traj, master_seed, workers=1) -> dict:
 
 def critical_experiment(params, n_steps, n_traj, master_seed, workers=1) -> dict:
     """Critical regime: Var(S_n)/(phi n log n) band plus the CLT check."""
-    c = derive_constants(params)
-    if c.regime is not Regime.CRITICAL:
-        raise OutOfDomain(f"critical experiment needs alpha = 1/2, got {c.alpha!r}")
+    domain_constants(params, "the critical experiment", Regime.CRITICAL, scaled=True)
     if counts("n_steps", n_steps) < 2:
         raise Degenerate(f"critical experiment needs n >= 2: the scale "
                          f"phi n log n is 0 at n = {n_steps}")
@@ -253,10 +241,8 @@ def superdiffusive_experiment(params, n_steps, n_traj, master_seed, workers=1) -
     theorem's own scale sqrt(phi n / (2 alpha - 1)) is reported unrescaled
     as well).
     """
-    c = derive_constants(params)
-    if c.regime is not Regime.SUPERDIFFUSIVE:
-        raise OutOfDomain(f"superdiffusive experiment needs alpha > 1/2, got {c.alpha!r}")
-    _require_nondegenerate(params)
+    c = domain_constants(params, "the superdiffusive experiment",
+                         Regime.SUPERDIFFUSIVE, scaled=True)
     gate = _mc_ks_gate("superdiffusive", n_traj)
     # before the Monte Carlo work, so a bad alpha fails before any sampling
     v_inf = v_limit_superdiffusive(c.alpha)

@@ -17,13 +17,15 @@ from dataclasses import dataclass
 from enum import Enum
 from numbers import Real
 
-from .errors import InvalidParams, InvalidState, counts
+import numpy as np
+
+from .errors import Degenerate, InvalidParams, InvalidState, OutOfDomain, counts
 from .rng import RngStream
 
 SIMPLEX_TOL = 1e-12
 CRITICAL_TOL = 1e-12
-# a walk's step counts and step index pass through float64, exact only up
-# to 2**53
+# a walk's step counts and step index, and the index n of the analytic
+# recurrences, pass through float64, exact only up to 2**53
 STEPS_CAP = 2 ** 53
 
 
@@ -86,7 +88,8 @@ class DerivedConstants:
 
 
 def derive_constants(params: ModelParams) -> DerivedConstants:
-    """Compute DerivedConstants; accepts alpha < 0 (downstream ops reject it)."""
+    """Compute DerivedConstants; accepts alpha < 0 (`domain_constants`
+    refuses it for every quantity that is not defined there)."""
     p, q, theta = params.p, params.q, params.theta
     beta = p - q
     psi = p + q
@@ -109,6 +112,32 @@ def derive_constants(params: ModelParams) -> DerivedConstants:
         psi=psi,
         regime=classify_regime(alpha),
     )
+
+
+def domain_constants(params: ModelParams, what: str, regime: Regime = None,
+                     scaled: bool = False) -> DerivedConstants:
+    """derive_constants(params) for the quantity `what`, which the paper
+    defines for alpha >= 0 only, and, when `regime` is named, in that regime
+    only: outside either OutOfDomain is raised. A `scaled` quantity is
+    standardized by phi, so phi = 0 raises Degenerate."""
+    c = derive_constants(params)
+    if c.alpha < 0.0:
+        raise OutOfDomain(f"{what} needs alpha >= 0 (p >= q), got {c.alpha!r}")
+    if regime is not None and c.regime is not regime:
+        raise OutOfDomain(f"{what} needs the {regime.value} regime, got "
+                          f"alpha = {c.alpha!r}")
+    if scaled and c.phi <= 0.0:
+        raise Degenerate(f"phi = 0: {what} has no variance to standardize by")
+    return c
+
+
+def snapshot_times(snapshots, n_steps):
+    """The sorted distinct times of `snapshots`, a flat sequence of integers
+    in [1, n_steps], possibly empty; anything else raises InvalidState."""
+    times = np.asarray(counts("snapshots", snapshots), dtype=object)
+    if times.ndim != 1 or times.size and times.max() > n_steps:
+        raise InvalidState(f"snapshots must be a flat list of times in [1, {n_steps}]")
+    return sorted(set(map(int, times.tolist())))
 
 
 def step_distribution(params: ModelParams, n_plus: int, n_minus: int,
@@ -150,10 +179,7 @@ def simulate_trajectory(params, n_steps, stream: RngStream, snapshots):
     threshold.
     """
     counts("n_steps", n_steps, cap=STEPS_CAP, kind="step", cost="float64 step counts")
-    snaps = sorted(set(snapshots))
-    if snaps and (snaps[0] < 1 or snaps[-1] > n_steps):
-        raise InvalidState("snapshots must lie in [1, n_steps]")
-    wanted = set(counts("snapshots", snaps))
+    wanted = set(snapshot_times(snapshots, n_steps))
 
     out = []
     n_plus = n_minus = n_zero = 0

@@ -125,6 +125,42 @@ TABLE = [
      lambda: lw.regime_prediction(CRIT).variance_scale(0), lw.InvalidState),
     ("exact_moments-cross-without-ns",  # returned the table with mean_sz
      lambda: lw.exact_moments(P, 10, cross=False), lw.InvalidState),
+    # a trajectory count is read as an integer before any floor compares it
+    ("clt_experiment-n_traj-str",
+     lambda: experiments.clt_experiment(P, 10, "5", 0), lw.InvalidState),
+    ("lln_experiment-n_traj-str",
+     lambda: experiments.lln_experiment(P, 10, "5", 0), lw.InvalidState),
+    ("superdiffusive_experiment-n_traj-str",
+     lambda: experiments.superdiffusive_experiment(SUPER, 10, "5", 0),
+     lw.InvalidState),
+    ("estimate_w-n_traj-str", lambda: lw.estimate_w(SUPER, 10, "5"), lw.InvalidState),
+    # snapshots are a flat list of integer times
+    ("run_ensemble-snapshots-int",
+     lambda: lw.run_ensemble(P, 10, 5, snapshots=5), lw.InvalidState),
+    ("run_ensemble-snapshots-str",
+     lambda: lw.run_ensemble(P, 10, 5, snapshots="5"), lw.InvalidState),
+    ("run_ensemble-snapshots-nested",
+     lambda: lw.run_ensemble(P, 10, 5, snapshots=[[1, 2]]), lw.InvalidState),
+    ("simulate_trajectory-snapshots-int",
+     lambda: lw.simulate_trajectory(P, 10, lw.RngStream(0, 0), 5), lw.InvalidState),
+    ("simulate_trajectory-snapshots-str",
+     lambda: lw.simulate_trajectory(P, 10, lw.RngStream(0, 0), "5"), lw.InvalidState),
+    ("simulate_trajectory-snapshots-nested",
+     lambda: lw.simulate_trajectory(P, 10, lw.RngStream(0, 0), [[1, 2]]),
+     lw.InvalidState),
+    # a sample has one dimension
+    ("fit_loglog-2d",
+     lambda: lw.fit_loglog([[1, 2], [3, 4]], [[1, 2], [3, 4]]), lw.InvalidState),
+    ("ks_test_normal-2d", lambda: lw.ks_test_normal(np.ones((5, 4))), lw.InvalidState),
+    # a bool is not a count: n_steps = True walked one step
+    ("bootstrap-n_boot-True",
+     lambda: lw.bootstrap_variance_ci([1.0, 2.0, 3.0], n_boot=True), lw.InvalidState),
+    ("run_ensemble-n_steps-True", lambda: lw.run_ensemble(P, True, 5), lw.InvalidState),
+    # a rate is a real number
+    ("growth_values-rate-str", lambda: lw.growth_values("0.3", 5), lw.OutOfDomain),
+    ("a_sequence-rate-str", lambda: lw.a_sequence("0.3", 5), lw.OutOfDomain),
+    ("v_limit-str", lambda: lw.v_limit_superdiffusive("0.6"), lw.OutOfDomain),
+    ("exact_moments-ns-str", lambda: lw.exact_moments(P, 10, ns="5"), lw.InvalidState),
 ]
 
 
@@ -193,6 +229,64 @@ def test_every_sized_entry_refuses_a_bad_size(entry, size):
 def test_every_count_option_refuses_a_bad_value(entry, size):
     with pytest.raises(lw.LapsewalkError):
         COUNT_OPTIONS[entry](size)
+
+
+@pytest.mark.parametrize("n_traj", [NAN, "5"], ids=["nan", "str"])
+@pytest.mark.parametrize("entry", ["lln", "clt", "critical", "superdiffusive",
+                                   "estimate_w"])
+def test_bad_trajectory_count_refused_before_any_work(monkeypatch, entry, n_traj):
+    # a NaN passed every floor (NaN < 10 is false), so clt ran its exact
+    # moments and DP before run_ensemble refused it
+    for name in ("exact_moments", "run_ensemble", "regime_prediction",
+                 "v_limit_superdiffusive", "standardized_exact_cdf"):
+        monkeypatch.setattr(experiments, name, _walked)
+    monkeypatch.setattr(ensemble, "run_ensemble", _walked)
+    call = {
+        "lln": lambda t: experiments.lln_experiment(P, 10, t, 0),
+        "clt": lambda t: experiments.clt_experiment(P, 10, t, 0),
+        "critical": lambda t: experiments.critical_experiment(CRIT, 10, t, 0),
+        "superdiffusive": lambda t: experiments.superdiffusive_experiment(
+            SUPER, 10, t, 0),
+        "estimate_w": lambda t: lw.estimate_w(SUPER, 10, t),
+    }[entry]
+    with pytest.raises(lw.InvalidState, match="^n_traj must be an integer"):
+        call(n_traj)
+
+
+# every quantity outside its domain is refused by one gate, in one set of
+# words: alpha < 0 and the wrong regime with OutOfDomain, and phi = 0, where
+# the quantity is standardized by phi, with Degenerate
+PHI0 = lw.ModelParams(1.0, 0.0, 0.0, 0.8)  # alpha = 0.8, phi = 0
+DOMAIN = {
+    "expected_s-alpha<0": (lambda: lw.expected_s(NEG, 10), lw.OutOfDomain,
+                           "expected_s needs alpha >= 0 (p >= q), got -0.19"),
+    "regime_prediction-alpha<0": (lambda: lw.regime_prediction(NEG),
+                                  lw.OutOfDomain, "needs alpha >= 0"),
+    "lil_envelope-phi0": (lambda: lw.lil_envelope(PHI0, 10 ** 6), lw.Degenerate,
+                          "phi = 0: the LIL envelope has no variance"),
+    "estimate_w-diffusive": (lambda: lw.estimate_w(P, 10, 5), lw.OutOfDomain,
+                             "W needs the superdiffusive regime, got alpha = 0.19"),
+    "residual_clt-phi0": (lambda: lw.residual_clt_sample(PHI0, 10, 5),
+                          lw.Degenerate, "phi = 0: the residual CLT"),
+    "clt-superdiffusive": (lambda: experiments.clt_experiment(SUPER, 10, 5, 0),
+                           lw.OutOfDomain, "needs the diffusive regime"),
+    "critical-diffusive": (lambda: experiments.critical_experiment(P, 10, 5, 0),
+                           lw.OutOfDomain, "needs the critical regime"),
+    "superdiffusive-alpha<0": (
+        lambda: experiments.superdiffusive_experiment(NEG, 10, 5, 0),
+        lw.OutOfDomain, "needs alpha >= 0"),
+    "superdiffusive-phi0": (
+        lambda: experiments.superdiffusive_experiment(PHI0, 10, 5, 0),
+        lw.Degenerate, "phi = 0: the superdiffusive experiment"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(DOMAIN))
+def test_domain_refusals_in_one_set_of_words(entry):
+    call, cls, words = DOMAIN[entry]
+    with pytest.raises(cls) as info:
+        call()
+    assert words in str(info.value)
 
 
 def test_bad_sizes_refused_before_any_walk(monkeypatch):

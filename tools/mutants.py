@@ -193,10 +193,18 @@ MUTANTS = [
      '"critical": (0.03, 1.63)',
      '"critical": (0.03, 1.73)',
      "tests/test_gate_oracles.py::test_mc_ks_gates_are_the_documented_formulas"),
-    ("nondegenerate_allows_phi_zero", "experiments.py",
-     "derive_constants(params).phi <= 0.0",
-     "derive_constants(params).phi < 0.0",
+    ("nondegenerate_allows_phi_zero", "model.py",
+     "if scaled and c.phi <= 0.0:",
+     "if scaled and c.phi < 0.0:",
      "tests/test_cli.py::test_experiment_refused_before_any_work"),
+    ("domain_gate_skips_regime", "model.py",
+     "if regime is not None and c.regime is not regime:",
+     "if False:",
+     "tests/test_ensemble.py::test_estimate_w_requires_superdiffusive"),
+    ("domain_gate_lets_alpha_below_zero", "model.py",
+     "if c.alpha < 0.0:",
+     "if c.alpha < -1.0:",
+     "tests/test_analytic.py::test_regime_prediction_rejects_negative_alpha"),
     ("exact_first_row_gets_scale", "cli.py",
      "if row.n > 1 else None",
      "if row.n >= 1 else None",
@@ -218,12 +226,12 @@ MUTANTS = [
      '("regime-scan", "lil-diagnostic", "clt"),',
      "tests/test_cli.py::test_experiment_flag_the_kind_does_not_read_exit_2"),
     ("lln_takes_one_trajectory", "experiments.py",
-     "if n_traj < 2:",
-     "if n_traj < 1:",
+     'trajectory_floor(n_traj, 2, "the stderr gates need")',
+     'trajectory_floor(n_traj, 1, "the stderr gates need")',
      "tests/test_cli.py::test_experiment_refused_before_any_work"),
     ("empty_snapshots_walk_dyadic", "ensemble.py",
-     "    if snapshots is None:\n        snaps = dyadic_snapshots(n_steps)\n",
-     "    if not snapshots:\n        snaps = dyadic_snapshots(n_steps)\n",
+     "dyadic_snapshots(n_steps) if snapshots is None",
+     "dyadic_snapshots(n_steps) if snapshots is None or len(snapshots) == 0",
      "tests/test_ensemble.py::test_ensemble_counts_and_snapshot_validation"),
     ("scan_superdiffusive_slope", "experiments.py",
      "ref = 2.0 * c.alpha\n",
