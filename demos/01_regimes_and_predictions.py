@@ -23,8 +23,7 @@ print(f"{'theta':>6} {'alpha':>6} {'regime':>15} {'S_n/n ->':>9} "
 
 for theta in (0.0, 0.2, 0.4, 0.5 / (P - Q), 0.7, 0.85, 0.95):
     params = lw.ModelParams(P, Q, R, theta)
-    c = lw.derive_constants(params)
-    pred = lw.regime_prediction(params)
+    c = lw.regime_prediction(params)  # the constants and their limit laws
     if c.regime is lw.Regime.SUPERDIFFUSIVE:
         vn = f"-> {lw.v_limit_superdiffusive(c.alpha):.5f}"
     elif c.regime is lw.Regime.CRITICAL:
@@ -32,7 +31,7 @@ for theta in (0.0, 0.2, 0.4, 0.5 / (P - Q), 0.7, 0.85, 0.95):
     else:
         vn = f"~ c n^{1 - 2 * c.alpha:.2f}"
     print(f"{theta:6.3f} {c.alpha:6.3f} {c.regime.value:>15} "
-          f"{pred.lln_limit:9.4f} {pred.z_lln_limit:9.4f} {c.phi:7.4f} {vn:>24}")
+          f"{c.lln_limit:9.4f} {c.z_lln_limit:9.4f} {c.phi:7.4f} {vn:>24}")
 
 print()
 print("variance scale formulas at the three example points:")

@@ -6,7 +6,6 @@ and critical regimes, and the superdiffusive martingale limit.
 """
 
 from .analytic import (
-    RegimePrediction,
     a_sequence,
     expected_s,
     expected_z,

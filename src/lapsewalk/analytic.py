@@ -10,13 +10,11 @@ pass `errors.counts`: they are integers from 1 up to `model.STEPS_CAP`.
 """
 
 import math
-from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
-from .errors import DomainTooSmall, OutOfDomain, counts, finite_sample
-from .model import STEPS_CAP, ModelParams, Regime, domain_constants
+from .errors import DomainTooSmall, OutOfDomain, counts, finite_sample, is_real
+from .model import STEPS_CAP, DerivedConstants, ModelParams, Regime, domain_constants
 
 _CHUNK = 1 << 19
 # sub-block width of the v_limit series scans: speed only, never the bits
@@ -36,7 +34,7 @@ _SKIP_MARGIN = 1.001
 
 
 def _check_rate(rate):
-    if not (isinstance(rate, Real) and 0.0 <= rate < 1.0):
+    if not (is_real(rate) and 0.0 <= rate < 1.0):
         raise OutOfDomain(f"alpha must lie in [0, 1), got {rate!r}")
 
 
@@ -93,8 +91,11 @@ def growth_values(rate, ns):
 
 
 def sum_inv_a_closed(alpha: float, n: int, a_n: float) -> float:
-    """Exact value of sum_{l=1}^{n-1} 1/a_{l+1} given a_n."""
+    """Exact value of sum_{l=1}^{n-1} 1/a_{l+1} given a_n; `n` is an index
+    or an array of them."""
     _check_rate(alpha)
+    n = np.asarray(counts("n", n, cap=STEPS_CAP, kind="index",
+                          cost="float64 indices"), dtype=np.float64)
     return n / ((1.0 - alpha) * a_n) + 1.0 / (alpha - 1.0)
 
 
@@ -130,7 +131,7 @@ def v_limit_superdiffusive(alpha: float) -> float:
     in three preallocated buffers, carrying both scans across sub-block
     edges; the sub-block width sets speed and memory only.
     """
-    if not (isinstance(alpha, Real) and 0.5 < alpha <= 1.0):
+    if not (is_real(alpha) and 0.5 < alpha <= 1.0):
         raise OutOfDomain(f"series converges only for alpha in (1/2, 1], got {alpha!r}")
     v_inf = _v_limit_thomae(alpha)
     # the scan stops at the first k > 10 with t_k < _SCAN_TOL * partial_k; t_k
@@ -232,8 +233,7 @@ def _v_limit_thomae(alpha):
 def _expected_walk(first, fresh, rate, n):
     """first a_n + fresh a_n sum_{l<n} 1/a_{l+1}, with a_n at `rate`."""
     a_n = growth_values(rate, n)
-    return first * a_n + fresh * a_n * sum_inv_a_closed(
-        rate, np.asarray(n, dtype=np.float64), a_n)
+    return first * a_n + fresh * a_n * sum_inv_a_closed(rate, n, a_n)
 
 
 def expected_s(params: ModelParams, n):
@@ -251,46 +251,10 @@ def expected_z(params: ModelParams, n):
     return _expected_walk(c.psi, c.tau, c.gamma, n)
 
 
-@dataclass(frozen=True)
-class RegimePrediction:
-    """Limit-theorem predictions induced by the regime of alpha."""
-
-    regime: Regime
-    alpha: float
-    phi: float
-    lln_limit: float       # a.s. limit of S_n / n
-    z_lln_limit: float     # a.s. limit of Z_n / n
-    scale_formula: str
-
-    def variance_scale(self, n) -> float:
-        """Predicted Var(S_n) scale phi n log n at the critical point, else
-        phi n / |1 - 2 alpha|: for superdiffusive, the Gaussian residual
-        scale. `n` is an index or an array of them."""
-        n = np.asarray(counts("n", n, cap=STEPS_CAP, kind="index",
-                              cost="float64 indices"), dtype=np.float64)
-        if self.regime is Regime.CRITICAL:
-            out = self.phi * n * np.log(n)
-        else:
-            out = self.phi * n / abs(1.0 - 2.0 * self.alpha)
-        return out if out.ndim else float(out)
-
-
-def regime_prediction(params: ModelParams) -> RegimePrediction:
-    c = domain_constants(params, "a regime prediction")
-    if c.regime is Regime.CRITICAL:
-        formula = f"{c.phi:.6g} * n * log(n)"
-    else:
-        formula = f"{c.phi:.6g} * n / {abs(1.0 - 2.0 * c.alpha):.6g}"
-    if c.regime is Regime.SUPERDIFFUSIVE:
-        formula = f"E[W^2] * a_n^2 + {formula} (residual scale)"
-    return RegimePrediction(
-        regime=c.regime,
-        alpha=c.alpha,
-        phi=c.phi,
-        lln_limit=c.omega / (1.0 - c.alpha),
-        z_lln_limit=c.tau / (1.0 - c.gamma),
-        scale_formula=formula,
-    )
+def regime_prediction(params: ModelParams) -> DerivedConstants:
+    """The constants of `params`, whose properties are its regime's limit
+    laws; alpha < 0 raises OutOfDomain."""
+    return domain_constants(params, "a regime prediction")
 
 
 def lil_envelope(params: ModelParams, n):

@@ -170,7 +170,6 @@ def build_parser():
 def cmd_predict(o):
     params = _params_from(o)
     c = domain_constants(params, "a variance prediction", scaled=True)
-    pred = regime_prediction(params)
     if c.regime is Regime.DIFFUSIVE:
         vn_asymptote = (f"v_n ~ Gamma(alpha+1)^2 n^(1-2 alpha)/(1-2 alpha)"
                         f" [exponent {1 - 2 * c.alpha:.6g}]")
@@ -181,16 +180,16 @@ def cmd_predict(o):
     report = base_report(
         "predict", **experiments.model_sections(params),
         predictions={
-            "lln_limit": pred.lln_limit,
-            "z_lln_limit": pred.z_lln_limit,
-            "variance_scale": pred.scale_formula,
-            "variance_scale_at_1e6": pred.variance_scale(10 ** 6),
+            "lln_limit": c.lln_limit,
+            "z_lln_limit": c.z_lln_limit,
+            "variance_scale": c.scale_formula,
+            "variance_scale_at_1e6": c.variance_scale(10 ** 6),
             "v_n_asymptote": vn_asymptote,
         },
     )
     if c.regime is Regime.SUPERDIFFUSIVE:
         report["predictions"]["v_limit"] = v_limit_superdiffusive(c.alpha)
-        report["predictions"]["residual_scale"] = pred.variance_scale(10 ** 6)
+        report["predictions"]["residual_scale"] = c.variance_scale(10 ** 6)
     if o["format"] == "json":
         _write_text(o["output"], emit_json(report))
     else:

@@ -22,11 +22,13 @@ a NaN is refused with InvalidState instead of spreading into the moments.
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .analytic import expected_s, growth_values, lil_envelope
-from .errors import DomainTooSmall, InvalidState, SampleTooSmall, counts, finite_sample
+from .errors import (DomainTooSmall, InvalidState, SampleTooSmall, counts,
+                     finite_sample, is_real)
 from .model import STEPS_CAP, ModelParams, Regime, domain_constants, snapshot_times
 from .rng import STREAMS, Xoshiro256Batch, seed_word
 
@@ -106,9 +108,11 @@ class MomentAccumulator:
         )
 
     def standardized(self, center: float, scale: float) -> "MomentAccumulator":
-        """Accumulator of (x - center)/scale, scale > 0, without raw data."""
-        if not scale > 0.0:
-            raise InvalidState(f"scale must be > 0, got {scale!r}")
+        """Accumulator of (x - center)/scale, scale > 0, without raw data;
+        center and scale are real numbers."""
+        if not (is_real(center) and is_real(scale) and scale > 0.0):
+            raise InvalidState(f"scale must be > 0 and center a real number, "
+                               f"got scale {scale!r}, center {center!r}")
         return MomentAccumulator(
             count=self.count,
             mean=(self.mean - center) / scale,
@@ -128,8 +132,6 @@ class MomentAccumulator:
 
 @dataclass
 class EnsembleResult:
-    n_steps: int
-    n_traj: int
     snapshots: list
     acc_s: list
     acc_z: list
@@ -214,14 +216,13 @@ def _simulate_chunk(params: ModelParams, n_steps, snaps, master_seed, lo, hi):
                             const_minus, a, cum, tmp)
 
 
-def _chunk_job(task):
+def _chunk_job(params, n_steps, snaps, master_seed, block, keep_raw, lo, hi):
     """Worker entry point (module-level so it pickles for process pools).
 
     Simulates the consecutive blocks of [lo, hi) together and returns, per
     snapshot, one accumulator per block (in block order) for S and for Z,
     plus the raw S rows when keep_raw is set.
     """
-    params, n_steps, snaps, master_seed, lo, hi, block, keep_raw = task
     starts = range(0, hi - lo, block)
     accs_s, accs_z, raw = [], [], []
     for s, z in _simulate_chunk(params, n_steps, snaps, master_seed, lo, hi):
@@ -259,19 +260,19 @@ def run_ensemble(params: ModelParams, n_steps: int, n_traj: int,
     n_blocks = -(-n_traj // chunk_size)
     per_task = max(1, min(LANES_MAX // chunk_size, n_blocks // workers))
     width = per_task * chunk_size
-    tasks = [
-        (params, n_steps, snaps, master_seed, lo, min(lo + width, n_traj),
-         chunk_size, keep_raw)
-        for lo in range(0, n_traj, width)
-    ]
-    if workers > 1 and len(tasks) > 1:
+    # a task is its trajectory range [lo, hi); the rest every task shares
+    los = range(0, n_traj, width)
+    his = [min(lo + width, n_traj) for lo in los]
+    job = partial(_chunk_job, params, n_steps, snaps, master_seed, chunk_size,
+                  keep_raw)
+    if workers > 1 and len(los) > 1:
         # imported here, so that a CLI start that runs no pool does not
         # pay for importing multiprocessing
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            results = list(pool.map(_chunk_job, tasks))
+        with ProcessPoolExecutor(max_workers=min(workers, len(los))) as pool:
+            results = list(pool.map(job, los, his))
     else:
-        results = [_chunk_job(t) for t in tasks]
+        results = list(map(job, los, his))
 
     # fold in block-index order: bit-identical for any worker count or width
     acc_s = [MomentAccumulator() for _ in snaps]
@@ -288,10 +289,8 @@ def run_ensemble(params: ModelParams, n_steps: int, n_traj: int,
         sample_s = [np.concatenate([res[2][i] for res in results])
                     for i in range(len(snaps))]
 
-    return EnsembleResult(
-        n_steps=n_steps, n_traj=n_traj, snapshots=snaps,
-        acc_s=acc_s, acc_z=acc_z, sample_s=sample_s,
-    )
+    return EnsembleResult(snapshots=snaps, acc_s=acc_s, acc_z=acc_z,
+                          sample_s=sample_s)
 
 
 def martingale_track(params: ModelParams, ensemble: EnsembleResult):
@@ -302,8 +301,8 @@ def martingale_track(params: ModelParams, ensemble: EnsembleResult):
     """
     c = domain_constants(params, "the martingale M_n")
     snaps = np.asarray(ensemble.snapshots, dtype=np.int64)
-    means = np.atleast_1d(expected_s(params, snaps))
-    norms = np.atleast_1d(growth_values(c.alpha, snaps))
+    means = expected_s(params, snaps)
+    norms = growth_values(c.alpha, snaps)
     return [
         acc.standardized(float(means[i]), float(norms[i]))
         for i, acc in enumerate(ensemble.acc_s)
@@ -417,7 +416,7 @@ def lil_diagnostic(params: ModelParams, n_max: int, n_traj: int,
                        master_seed=master_seed, keep_raw=True,
                        workers=workers, chunk_size=chunk_size)
     snaps_arr = np.asarray(snaps, dtype=np.int64)
-    means = np.atleast_1d(expected_s(params, snaps_arr))
+    means = expected_s(params, snaps_arr)
     envs_arr = np.asarray(envs)
     stat = np.vstack([
         np.abs(ens.sample_s[i] - means[i]) / envs_arr[i]

@@ -1,5 +1,8 @@
-"""Exception types shared across the package, and the two gates every size,
-index and sample passes on its way in: `counts` and `finite_sample`."""
+"""Exception types shared across the package, and the gates every size,
+index, real number and sample passes on its way in: `counts`, `is_real` and
+`finite_sample`."""
+
+from numbers import Real
 
 import numpy as np
 
@@ -57,11 +60,19 @@ def counts(name, values, low=1, cap=None, kind="", cost=""):
     return values
 
 
+def is_real(value):
+    """Whether `value` is a real number; a bool is not one."""
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
 def finite_sample(values, low, what):
     """`values` as a float64 array of at least `low` points, all finite:
-    too few raise SampleTooSmall, a NaN, an infinity or a second dimension
-    InvalidState."""
-    x = np.asarray(values, dtype=np.float64)
+    too few raise SampleTooSmall, a NaN, an infinity, a second dimension or
+    a value that is not a number (a ragged row among them) InvalidState."""
+    try:
+        x = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise InvalidState(f"{what} needs a flat sample of numbers") from None
     if x.ndim > 1:
         raise InvalidState(f"{what} needs a flat sample, got shape {x.shape}")
     if x.size < low:

@@ -26,7 +26,7 @@ from .ensemble import (
     run_ensemble,
     trajectory_floor,
 )
-from .errors import CapExceeded, Degenerate, InvalidState, counts
+from .errors import CapExceeded, Degenerate, InvalidState, counts, is_real
 from .exact import DP_CAP, exact_moments, standardized_exact_cdf
 from .model import ModelParams, Regime, derive_constants, domain_constants
 from .stats import KS_MIN_POINTS, fit_loglog, ks_distance_cdf, ks_test_normal
@@ -162,24 +162,24 @@ def lln_experiment(params, n_steps, n_traj, master_seed, workers=1) -> dict:
     return _finish(report, gates)
 
 
-def _clt_core(params, n_steps, n_traj, master_seed, workers, kind,
+def _clt_core(c, params, n_steps, n_traj, master_seed, workers, kind,
               exact_gate=None):
-    """Shared CLT machinery: exact-CDF KS (when feasible) + Monte Carlo KS.
+    """Shared CLT machinery: exact-CDF KS (when feasible) + Monte Carlo KS,
+    at `params` with the constants `c` from the domain gate.
 
     The Monte Carlo sample is standardized by the exact mean and variance
     from the moment recursions; the theorem's asymptotic scale is reported
     alongside for comparison. n_traj = 0 runs the exact part only.
     """
     gate = _mc_ks_gate(kind, n_traj) if n_traj != 0 else None
-    pred = regime_prediction(params)
     (row,) = exact_moments(params, n_steps, ns=[n_steps], cross=False)
     mean_n, var_n = row.mean_s, row.var_s
     results = {
         "exact_mean": mean_n,
         "exact_var": var_n,
-        "theorem_scale_var": pred.variance_scale(n_steps),
-        "var_ratio": var_n / pred.variance_scale(n_steps),
-        "scale_formula": pred.scale_formula,
+        "theorem_scale_var": c.variance_scale(n_steps),
+        "var_ratio": var_n / c.variance_scale(n_steps),
+        "scale_formula": c.scale_formula,
     }
     gates = []
     if exact_gate is not None and n_steps <= DP_CAP:
@@ -208,22 +208,22 @@ def _clt_core(params, n_steps, n_traj, master_seed, workers, kind,
 
 def clt_experiment(params, n_steps, n_traj, master_seed, workers=1) -> dict:
     """Diffusive CLT: standardized S_n against N(0,1)."""
-    domain_constants(params, "the clt experiment", Regime.DIFFUSIVE, scaled=True)
+    c = domain_constants(params, "the clt experiment", Regime.DIFFUSIVE, scaled=True)
     # at t = 0 the exact-law KS gate is the only gate, and it needs the DP
     if counts("n_steps", n_steps) > DP_CAP and n_traj == 0:
         raise CapExceeded(f"n = {n_steps} above the DP cap {DP_CAP}: no gate at t = 0")
-    report, gates = _clt_core(params, n_steps, n_traj, master_seed, workers,
+    report, gates = _clt_core(c, params, n_steps, n_traj, master_seed, workers,
                               "clt", EXACT_KS_GATE)
     return _finish(report, gates)
 
 
 def critical_experiment(params, n_steps, n_traj, master_seed, workers=1) -> dict:
     """Critical regime: Var(S_n)/(phi n log n) band plus the CLT check."""
-    domain_constants(params, "the critical experiment", Regime.CRITICAL, scaled=True)
+    c = domain_constants(params, "the critical experiment", Regime.CRITICAL, scaled=True)
     if counts("n_steps", n_steps) < 2:
         raise Degenerate(f"critical experiment needs n >= 2: the scale "
                          f"phi n log n is 0 at n = {n_steps}")
-    report, gates = _clt_core(params, n_steps, n_traj, master_seed, workers,
+    report, gates = _clt_core(c, params, n_steps, n_traj, master_seed, workers,
                               "critical")
     gates.insert(0, _gate("variance_law", report["results"]["var_ratio"], "in",
                           CRITICAL_VAR_BAND))
@@ -246,7 +246,6 @@ def superdiffusive_experiment(params, n_steps, n_traj, master_seed, workers=1) -
     gate = _mc_ks_gate("superdiffusive", n_traj)
     # before the Monte Carlo work, so a bad alpha fails before any sampling
     v_inf = v_limit_superdiffusive(c.alpha)
-    pred = regime_prediction(params)
     n_far = HORIZON_FACTOR * counts("n_steps", n_steps)
 
     ns = slope_fit_ns(n_far)
@@ -272,7 +271,7 @@ def superdiffusive_experiment(params, n_steps, n_traj, master_seed, workers=1) -
     var_bound = max(W_VAR_TOL, SIGMA_GATE * var_se_rel)
 
     ks_raw = ks_test_normal(residuals)
-    theorem_scale = math.sqrt(pred.variance_scale(n_steps))
+    theorem_scale = math.sqrt(c.variance_scale(n_steps))
     exact_resid_sd = float(norm[0]) * math.sqrt(var_m_far - var_m_n)
     rescaled = residuals * (theorem_scale / exact_resid_sd)
     ks_rescaled = ks_test_normal(rescaled)
@@ -333,6 +332,8 @@ def regime_scan_experiment(p, q, r, alphas, n_max=2 ** 20) -> dict:
     if p == q:
         raise InvalidState("regime-scan solves theta = alpha / (p - q), but at "
                            "p = q alpha is 0 for every theta")
+    if not isinstance(alphas, (list, tuple)):
+        raise InvalidState(f"--alphas: a list of alpha values, got {alphas!r}")
     if not alphas:
         raise InvalidState("--alphas: no alpha values to scan")
     counts("n_max", n_max)
@@ -343,6 +344,8 @@ def regime_scan_experiment(p, q, r, alphas, n_max=2 ** 20) -> dict:
                            "1024 up; the log-log fit needs 3, so n_max >= 4096")
     beta = p - q
     for alpha in alphas:
+        if not is_real(alpha):
+            raise InvalidState(f"--alphas: {alpha!r} is not a real number")
         if alphas.count(alpha) > 1:
             raise InvalidState(f"--alphas: {alpha!r} is listed more than once")
         if not 0.0 <= alpha / beta < 1.0:

@@ -15,11 +15,10 @@ superdiffusive.
 
 from dataclasses import dataclass
 from enum import Enum
-from numbers import Real
 
 import numpy as np
 
-from .errors import Degenerate, InvalidParams, InvalidState, OutOfDomain, counts
+from .errors import Degenerate, InvalidParams, InvalidState, OutOfDomain, counts, is_real
 from .rng import RngStream
 
 SIMPLEX_TOL = 1e-12
@@ -53,7 +52,7 @@ class ModelParams:
     def __post_init__(self):
         for name in ("p", "q", "r", "theta"):
             v = getattr(self, name)
-            if not (isinstance(v, Real) and 0.0 <= v <= 1.0):
+            if not (is_real(v) and 0.0 <= v <= 1.0):
                 raise InvalidParams(f"{name} must be a number in [0, 1], got {v!r}")
         total = self.p + self.q + self.r
         if abs(total - 1.0) > SIMPLEX_TOL:
@@ -66,7 +65,8 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class DerivedConstants:
-    """Constants derived from (p, q, r, theta) and the regime they induce.
+    """Constants derived from (p, q, r, theta), the regime they induce and
+    the limit laws of that regime.
 
     alpha = (p-q)*theta      memory strength, drives the phase transition
     omega = (p-q)*(1-theta)  fresh-step drift
@@ -75,6 +75,8 @@ class DerivedConstants:
     phi   = tau/(1-gamma) - (omega/(1-alpha))^2   limiting one-step variance
     beta  = p - q            E[S_1]
     psi   = p + q            E[Z_1]
+
+    The laws are properties, not fields, so `asdict` holds the eight above.
     """
 
     alpha: float
@@ -85,6 +87,39 @@ class DerivedConstants:
     beta: float
     psi: float
     regime: Regime
+
+    @property
+    def lln_limit(self) -> float:
+        """a.s. limit of S_n / n."""
+        return self.omega / (1.0 - self.alpha)
+
+    @property
+    def z_lln_limit(self) -> float:
+        """a.s. limit of Z_n / n."""
+        return self.tau / (1.0 - self.gamma)
+
+    @property
+    def scale_formula(self) -> str:
+        """`variance_scale` as text, with phi and |1 - 2 alpha| filled in."""
+        if self.regime is Regime.CRITICAL:
+            formula = f"{self.phi:.6g} * n * log(n)"
+        else:
+            formula = f"{self.phi:.6g} * n / {abs(1.0 - 2.0 * self.alpha):.6g}"
+        if self.regime is Regime.SUPERDIFFUSIVE:
+            formula = f"E[W^2] * a_n^2 + {formula} (residual scale)"
+        return formula
+
+    def variance_scale(self, n) -> float:
+        """Predicted Var(S_n) scale phi n log n at the critical point, else
+        phi n / |1 - 2 alpha|: for superdiffusive, the Gaussian residual
+        scale. `n` is an index or an array of them."""
+        n = np.asarray(counts("n", n, cap=STEPS_CAP, kind="index",
+                              cost="float64 indices"), dtype=np.float64)
+        if self.regime is Regime.CRITICAL:
+            out = self.phi * n * np.log(n)
+        else:
+            out = self.phi * n / abs(1.0 - 2.0 * self.alpha)
+        return out if out.ndim else float(out)
 
 
 def derive_constants(params: ModelParams) -> DerivedConstants:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -243,6 +244,25 @@ def test_regime_prediction_superdiffusive_threshold():
     assert pred.regime is lw.Regime.SUPERDIFFUSIVE
     assert math.isclose(pred.alpha, 0.81)
     assert pred.variance_scale(100) == pred.phi * 100 / (2 * pred.alpha - 1)
+
+
+def test_regime_prediction_is_the_constants():
+    # the limit laws are properties: a report's "derived" section keeps the
+    # eight fields, and the laws read the same as their formulas
+    c = lw.regime_prediction(PARAMS)
+    assert c == lw.derive_constants(PARAMS)
+    assert list(asdict(c)) == ["alpha", "omega", "tau", "gamma", "phi", "beta",
+                               "psi", "regime"]
+    assert c.lln_limit == c.omega / (1.0 - c.alpha)
+    assert c.z_lln_limit == c.tau / (1.0 - c.gamma)
+    assert c.scale_formula == "0.604167 * n / 0.6"
+    crit = lw.derive_constants(lw.ModelParams(0.8666666666666667,
+                                              0.03333333333333333, 0.1, 0.6))
+    assert crit.scale_formula == f"{crit.phi:.6g} * n * log(n)"
+    assert crit.variance_scale(100) == crit.phi * 100.0 * math.log(100.0)
+    superdiff = lw.derive_constants(lw.ModelParams(0.9, 0.0, 0.1, 0.8))
+    assert superdiff.scale_formula.startswith("E[W^2] * a_n^2 + ")
+    assert superdiff.scale_formula.endswith(" (residual scale)")
 
 
 def test_regime_prediction_rejects_negative_alpha():

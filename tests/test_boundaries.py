@@ -21,7 +21,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import lapsewalk as lw
-from lapsewalk import ensemble, experiments
+from lapsewalk import cli, ensemble, experiments
 from lapsewalk.cli import main
 from lapsewalk.errors import counts, finite_sample
 from lapsewalk.svg import line_plot
@@ -161,6 +161,25 @@ TABLE = [
     ("a_sequence-rate-str", lambda: lw.a_sequence("0.3", 5), lw.OutOfDomain),
     ("v_limit-str", lambda: lw.v_limit_superdiffusive("0.6"), lw.OutOfDomain),
     ("exact_moments-ns-str", lambda: lw.exact_moments(P, 10, ns="5"), lw.InvalidState),
+    # a bool is not a real number: True was alpha = 1 and False alpha = 0
+    ("ModelParams-bool", lambda: lw.ModelParams(True, False, False, 0.5),
+     lw.InvalidParams),
+    ("growth_values-rate-bool", lambda: lw.growth_values(False, 3), lw.OutOfDomain),
+    ("v_limit-bool", lambda: lw.v_limit_superdiffusive(True), lw.OutOfDomain),
+    # a ragged sample raised numpy's bare "inhomogeneous shape" ValueError
+    ("ks_test_normal-ragged", lambda: lw.ks_test_normal([[1.0], [2.0, 3.0]]),
+     lw.InvalidState),
+    ("fit_loglog-ragged", lambda: lw.fit_loglog([[1.0], [2.0, 3.0]], [1, 2, 3]),
+     lw.InvalidState),
+    ("line_plot-ragged", lambda: line_plot([([[1.0], [2.0, 3.0]], [1.0, 2.0], "a")]),
+     lw.InvalidState),
+    ("bootstrap-ragged", lambda: lw.bootstrap_variance_ci([[1.0], [2.0, 3.0]]),
+     lw.InvalidState),
+    # a scale and an index that are strings raised bare TypeErrors
+    ("standardized-scale-str",
+     lambda: lw.MomentAccumulator().standardized(0.0, "1"), lw.InvalidState),
+    ("sum_inv_a_closed-n-str", lambda: lw.sum_inv_a_closed(0.3, "5", 2.0),
+     lw.InvalidState),
 ]
 
 
@@ -296,6 +315,36 @@ def test_bad_sizes_refused_before_any_walk(monkeypatch):
             lw.run_ensemble(P, n, 10)
         with pytest.raises(lw.LapsewalkError):
             lw.run_ensemble(P, 10, n)
+
+
+# alphas that are not a list of real numbers: a string and a bare float
+# raised TypeErrors, and False ran as alpha = 0 into the report
+@pytest.mark.parametrize("alphas", [["0.1"], 0.1, [False]],
+                         ids=["str", "float", "bool"])
+def test_regime_scan_bad_alphas_refused_before_any_moments(monkeypatch, alphas):
+    monkeypatch.setattr(experiments, "exact_moments", _walked)
+    with pytest.raises(lw.InvalidState, match="^--alphas: "):
+        experiments.regime_scan_experiment(0.6, 0.2, 0.2, alphas, n_max=4096)
+
+
+def test_predict_and_superdiffusive_ask_the_domain_gate_once(monkeypatch, tmp_path):
+    # the limit laws are read from the gate's constants, not from a second
+    # regime_prediction lookup
+    asked = []
+
+    def gate(params, what, *args, **kwargs):
+        asked.append(what)
+        return lw.model.domain_constants(params, what, *args, **kwargs)
+
+    for owner in (cli, experiments):
+        monkeypatch.setattr(owner, "domain_constants", gate)
+        monkeypatch.setattr(owner, "regime_prediction", _walked)
+    assert main(["predict", "-p", "0.9", "-q", "0", "-r", "0.1", "--theta", "0.8",
+                 "-o", str(tmp_path / "predict.txt")]) == 0
+    assert asked == ["a variance prediction"]
+    asked.clear()
+    experiments.superdiffusive_experiment(SUPER, 16, 10, 0)
+    assert asked == ["the superdiffusive experiment"]
 
 
 # an experiment's size is refused under its own name, before anything is

@@ -57,6 +57,10 @@ MUTANTS = [
      "    np.multiply(n_plus, p, out=a)\n",
      "    np.multiply(n_plus, q, out=a)\n",
      "tests/test_ensemble.py::test_keep_raw_rows_match_scalar_walk"),
+    ("last_task_past_n_traj", "ensemble.py",
+     "min(lo + width, n_traj)",
+     "lo + width",
+     "tests/test_ensemble.py::test_keep_raw_rows_match_scalar_walk"),
     ("window_step_count_restarts", "ensemble.py",
      "enumerate(rng.uniforms(window[:n_steps - start]), start + 1)",
      "enumerate(rng.uniforms(window[:n_steps - start]), 1)",
@@ -149,7 +153,7 @@ MUTANTS = [
      "            prod, cum = 1.0, 0.0\n",
      "            cum = 0.0\n",
      "tests/test_series.py::test_series_matches_reference_bits_over_many_chunks"),
-    ("variance_scale_signed_span", "analytic.py",
+    ("variance_scale_signed_span", "model.py",
      "self.phi * n / abs(1.0 - 2.0 * self.alpha)",
      "self.phi * n / (1.0 - 2.0 * self.alpha)",
      "tests/test_analytic.py::test_regime_prediction_superdiffusive_threshold"),
@@ -272,6 +276,10 @@ MUTANTS = [
     ("counts_accepts_floats", "errors.py",
      '        raise InvalidState(f"{name} must be an integer, got {values!r}")\n',
      "        pass\n",
+     "tests/test_boundaries.py::test_boundary_table_refused_typed"),
+    ("real_accepts_bool", "errors.py",
+     "isinstance(value, Real) and not isinstance(value, bool)",
+     "isinstance(value, Real)",
      "tests/test_boundaries.py::test_boundary_table_refused_typed"),
     ("sample_accepts_nan", "errors.py",
      '        raise InvalidState(f"{what} needs a finite sample")\n',
