@@ -28,12 +28,13 @@ print(f"fitted exponent {fit.slope:.4f} vs 2 alpha = {2 * c.alpha:.4f} "
 
 print()
 print("== W estimate at n = 30000, 3000 trajectories ==")
-west = lw.estimate_w(params, 30000, 3000, master_seed=424242, workers=2)
+w = lw.estimate_w(params, 30000, 3000, master_seed=424242, workers=2)
+acc = lw.MomentAccumulator.from_values(w)
 a_n = lw.growth_values(c.alpha, 30000)
 exact_vm = float(tab.var_s[30000]) / a_n ** 2
-lo, hi = lw.bootstrap_variance_ci(west.sample, n_boot=500)
-print(f"mean_w = {west.mean_w:.4f} +- {west.stderr:.4f} (should straddle 0)")
-print(f"var_w  = {west.var_w:.4f}, exact Var(M_n) = {exact_vm:.4f}, "
+lo, hi = lw.bootstrap_variance_ci(w, n_boot=500)
+print(f"mean_w = {acc.mean:.4f} +- {acc.stderr:.4f} (should straddle 0)")
+print(f"var_w  = {acc.variance:.4f}, exact Var(M_n) = {exact_vm:.4f}, "
       f"99% bootstrap CI [{lo:.4f}, {hi:.4f}]")
 
 print()

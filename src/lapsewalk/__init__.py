@@ -20,7 +20,6 @@ from .ensemble import (
     EnsembleResult,
     LilDiagnostic,
     MomentAccumulator,
-    WEstimate,
     bootstrap_variance_ci,
     dyadic_snapshots,
     estimate_w,

@@ -13,7 +13,8 @@ import math
 
 import numpy as np
 
-from .errors import DomainTooSmall, OutOfDomain, counts, finite_sample, is_real
+from .errors import (DomainTooSmall, InvalidState, OutOfDomain, counts,
+                     finite_sample, is_real)
 from .model import STEPS_CAP, DerivedConstants, ModelParams, Regime, domain_constants
 
 _CHUNK = 1 << 19
@@ -75,6 +76,7 @@ def growth_values(rate, ns):
     _check_rate(rate)
     ns_arr = np.atleast_1d(counts("n", ns, cap=STEPS_CAP, kind="index",
                                   cost="float64 indices"))
+    finite_sample(ns_arr, 0, "n")  # refuses a second dimension
     order = np.argsort(ns_arr, kind="stable")
     out = np.empty(ns_arr.size)
     running = 1.0
@@ -92,11 +94,15 @@ def growth_values(rate, ns):
 
 def sum_inv_a_closed(alpha: float, n: int, a_n: float) -> float:
     """Exact value of sum_{l=1}^{n-1} 1/a_{l+1} given a_n; `n` is an index
-    or an array of them."""
+    or a flat array of them, and `a_n` a finite real > 0 or an array of
+    them of n's shape."""
     _check_rate(alpha)
     n = np.asarray(counts("n", n, cap=STEPS_CAP, kind="index",
                           cost="float64 indices"), dtype=np.float64)
-    return n / ((1.0 - alpha) * a_n) + 1.0 / (alpha - 1.0)
+    a = finite_sample(a_n, 0, "a_n")
+    if a.shape != n.shape or not (a > 0.0).all():
+        raise InvalidState(f"a_n must be > 0 and of n's shape, got {a_n!r}")
+    return n / ((1.0 - alpha) * a) + 1.0 / (alpha - 1.0)
 
 
 def v_limit_superdiffusive(alpha: float) -> float:

@@ -16,12 +16,12 @@ step, no minus threshold, with the same output bits.
 Sizes, counts, seeds and snapshot times pass `errors.counts` before any
 walk: n_steps up to STEPS_CAP, n_traj up to one rng stream per trajectory,
 n_boot up to BOOTSTRAP_CAP, workers and chunk_size from 1, and master_seed
-in [0, 2**64) (through `rng.seed_word`). Samples (the W sample, the
-bootstrap's and every accumulator's values) pass `errors.finite_sample`, so
-a NaN is refused with InvalidState instead of spreading into the moments.
+in [0, 2**64) (through `rng.seed_word`). Samples (the bootstrap's and
+every accumulator's values) pass `errors.finite_sample`, so a NaN is
+refused with InvalidState instead of spreading into the moments.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -220,17 +220,17 @@ def _chunk_job(params, n_steps, snaps, master_seed, block, keep_raw, lo, hi):
     """Worker entry point (module-level so it pickles for process pools).
 
     Simulates the consecutive blocks of [lo, hi) together and returns, per
-    snapshot, one accumulator per block (in block order) for S and for Z,
-    plus the raw S rows when keep_raw is set.
+    snapshot, one (S, Z) accumulator pair per block (in block order), plus
+    the raw S rows when keep_raw is set.
     """
     starts = range(0, hi - lo, block)
-    accs_s, accs_z, raw = [], [], []
+    accs, raw = [], []
     for s, z in _simulate_chunk(params, n_steps, snaps, master_seed, lo, hi):
-        accs_s.append([MomentAccumulator.from_values(s[i:i + block]) for i in starts])
-        accs_z.append([MomentAccumulator.from_values(z[i:i + block]) for i in starts])
+        accs.append([(MomentAccumulator.from_values(s[i:i + block]),
+                      MomentAccumulator.from_values(z[i:i + block])) for i in starts])
         if keep_raw:
             raw.append(s)
-    return accs_s, accs_z, raw
+    return accs, raw
 
 
 def run_ensemble(params: ModelParams, n_steps: int, n_traj: int,
@@ -277,18 +277,15 @@ def run_ensemble(params: ModelParams, n_steps: int, n_traj: int,
     # fold in block-index order: bit-identical for any worker count or width
     acc_s = [MomentAccumulator() for _ in snaps]
     acc_z = [MomentAccumulator() for _ in snaps]
-    for accs_s, accs_z, _raw in results:
-        for i in range(len(snaps)):
-            for acc in accs_s[i]:
-                acc_s[i] = acc_s[i].merge(acc)
-            for acc in accs_z[i]:
-                acc_z[i] = acc_z[i].merge(acc)
+    for accs, _raw in results:
+        for i, pairs in enumerate(accs):
+            for a_s, a_z in pairs:
+                acc_s[i] = acc_s[i].merge(a_s)
+                acc_z[i] = acc_z[i].merge(a_z)
 
-    sample_s = None
-    if keep_raw:
-        sample_s = [np.concatenate([res[2][i] for res in results])
-                    for i in range(len(snaps))]
-
+    # raw S rows per snapshot, in task order
+    rows = zip(*(raw for _accs, raw in results))
+    sample_s = [np.concatenate(r) for r in rows] if keep_raw else None
     return EnsembleResult(snapshots=snaps, acc_s=acc_s, acc_z=acc_z,
                           sample_s=sample_s)
 
@@ -309,35 +306,18 @@ def martingale_track(params: ModelParams, ensemble: EnsembleResult):
     ]
 
 
-@dataclass
-class WEstimate:
-    """Monte Carlo estimate of the superdiffusive limit variable W."""
-
-    n_used: int
-    mean_w: float
-    var_w: float
-    stderr: float
-    sample: np.ndarray = field(repr=False, default=None)
-
-    @classmethod
-    def from_sample(cls, w: np.ndarray) -> "WEstimate":
-        """Estimate from a sample of M_n, one value per trajectory."""
-        w = finite_sample(w, 2, "a sample variance")  # ddof=1 needs 2
-        acc = MomentAccumulator.from_values(w)
-        return cls(n_used=acc.count, mean_w=acc.mean, var_w=acc.variance,
-                   stderr=acc.stderr, sample=w)
-
-
 def estimate_w(params: ModelParams, n_steps: int, n_traj: int,
-               master_seed: int = 0, workers: int = 1) -> WEstimate:
-    """Estimate W by M_{n_steps} per trajectory (superdiffusive only)."""
+               master_seed: int = 0, workers: int = 1) -> np.ndarray:
+    """The sample that estimates W: M_{n_steps} per trajectory
+    (superdiffusive only); MomentAccumulator.from_values gives its
+    statistics."""
     c = domain_constants(params, "W", Regime.SUPERDIFFUSIVE)
-    # from_sample's floor, refused before the walk
+    # a sample variance needs two values; refused before the walk
     trajectory_floor(n_traj, 2, "a sample variance needs")
     ens = run_ensemble(params, n_steps, n_traj, snapshots=[n_steps],
                        master_seed=master_seed, keep_raw=True, workers=workers)
-    w = (ens.sample_s[0] - expected_s(params, n_steps)) / growth_values(c.alpha, n_steps)
-    return WEstimate.from_sample(w)
+    return ((ens.sample_s[0] - expected_s(params, n_steps))
+            / growth_values(c.alpha, n_steps))
 
 
 def bootstrap_variance_ci(sample, n_boot: int = 1000):

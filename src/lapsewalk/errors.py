@@ -68,8 +68,14 @@ def is_real(value):
 def finite_sample(values, low, what):
     """`values` as a float64 array of at least `low` points, all finite:
     too few raise SampleTooSmall, a NaN, an infinity, a second dimension or
-    a value that is not a number (a ragged row among them) InvalidState."""
+    a value that is not a real number (a string, a bool or a ragged row
+    among them) InvalidState."""
     try:
+        # numpy reads "1.5" and True as numbers: an array is judged by its
+        # dtype, anything else by its items as given
+        if not (isinstance(values, np.ndarray) and values.dtype.kind in "iuf"
+                or all(map(is_real, np.asarray(values, dtype=object).flat))):
+            raise TypeError
         x = np.asarray(values, dtype=np.float64)
     except (TypeError, ValueError):
         raise InvalidState(f"{what} needs a flat sample of numbers") from None

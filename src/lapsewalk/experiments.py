@@ -18,7 +18,7 @@ from .analytic import (
 )
 from .ensemble import (
     HORIZON_FACTOR,
-    WEstimate,
+    MomentAccumulator,
     bootstrap_variance_ci,
     lil_diagnostic,
     martingale_track,
@@ -259,14 +259,13 @@ def superdiffusive_experiment(params, n_steps, n_traj, master_seed, workers=1) -
     w, residuals = residual_clt_sample(params, n_steps, n_traj,
                                        master_seed=master_seed,
                                        workers=workers)
-    west = WEstimate.from_sample(w)
+    w_acc = MomentAccumulator.from_values(w)
     ci_lo, ci_hi = bootstrap_variance_ci(w)
-    var_rel = abs(west.var_w - var_m_n) / var_m_n
+    var_rel = abs(w_acc.variance - var_m_n) / var_m_n
     # the sample variance itself fluctuates with relative stderr
     # sqrt((kurtosis - (n-3)/(n-1)) / n); widen the tolerance to 4 of those
     # when n_traj is small so the gate stays a ~4 sigma statement
-    kurt = n_traj * float(((w - w.mean()) ** 4).sum()) / float(
-        ((w - w.mean()) ** 2).sum()) ** 2
+    kurt = n_traj * float(((w - w_acc.mean) ** 4).sum()) / w_acc.m2 ** 2
     var_se_rel = math.sqrt(max(kurt - (n_traj - 3) / (n_traj - 1), 0.0) / n_traj)
     var_bound = max(W_VAR_TOL, SIGMA_GATE * var_se_rel)
 
@@ -291,8 +290,8 @@ def superdiffusive_experiment(params, n_steps, n_traj, master_seed, workers=1) -
         slope_results = {"slope": None, "slope_ns": ns}
 
     report = _report("superdiffusive", params, {
-        "mean_w": west.mean_w, "stderr_w": west.stderr,
-        "var_w": west.var_w,
+        "mean_w": w_acc.mean, "stderr_w": w_acc.stderr,
+        "var_w": w_acc.variance,
         "var_w_ci99": [ci_lo, ci_hi],
         "exact_var_m": var_m_n,
         "exact_var_m_far": var_m_far,
@@ -309,7 +308,7 @@ def superdiffusive_experiment(params, n_steps, n_traj, master_seed, workers=1) -
     }, n_steps=n_steps, n_traj=n_traj, master_seed=master_seed, workers=workers,
         horizon_factor=HORIZON_FACTOR)
     gates = [
-        _gate("w_mean", abs(west.mean_w), "<=", SIGMA_GATE * west.stderr,
+        _gate("w_mean", abs(w_acc.mean), "<=", SIGMA_GATE * w_acc.stderr,
               f"{SIGMA_GATE} stderr = {{!r}}"),
         _gate("w_var_positive", ci_lo, ">", 0, "{!r} (99% bootstrap CI)"),
         _gate("w_var_vs_exact", var_rel, "<=", var_bound),

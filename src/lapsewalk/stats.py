@@ -66,7 +66,9 @@ def ks_distance_cdf(exact_cdf) -> float:
     Evaluates both sides of every jump; exact for lattice distributions.
     """
     phi = normal_cdf_array(finite_sample(exact_cdf.points, 1, "KS distance"))
-    cdf = finite_sample(exact_cdf.cdf, phi.size, "KS distance")
+    cdf = finite_sample(exact_cdf.cdf, 0, "KS distance")
+    if cdf.size != phi.size:
+        raise InvalidState(f"KS distance: {cdf.size} cdf values for {phi.size} points")
     left = np.concatenate(([0.0], cdf[:-1]))
     return float(np.maximum(np.abs(cdf - phi), np.abs(left - phi)).max())
 

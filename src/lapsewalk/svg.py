@@ -70,8 +70,9 @@ def line_plot(series, title="", xlabel="", ylabel="", logx=False, logy=False):
     """Render `series` = [(xs, ys, label), ...] to an SVG document string.
 
     Text is escaped. An empty series raises SampleTooSmall; xs and ys of
-    unequal length, a NaN or an infinity, a value <= 0 on a log axis, or a
-    drawn range too wide or too narrow for float64 raises InvalidState."""
+    unequal length, a NaN, an infinity, a string or a bool, a value <= 0 on
+    a log axis, or a drawn range too wide or too narrow for float64 raises
+    InvalidState."""
 
     def tx(values, log, what):
         finite_sample(values, 1, f"a plotted {what}")

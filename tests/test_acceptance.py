@@ -223,12 +223,13 @@ def test_criterion_08_w_limit(w_estimate, super_table):
     c = lw.derive_constants(P_SUPER)
     n = 10 ** 5
     exact_vm = float(super_table.var_s[n]) / lw.growth_values(c.alpha, n) ** 2
-    rel = abs(w_estimate.var_w - exact_vm) / exact_vm
-    ci_lo, ci_hi = lw.bootstrap_variance_ci(w_estimate.sample, n_boot=1000)
-    mean_ok = abs(w_estimate.mean_w) <= 4.0 * w_estimate.stderr
+    acc = lw.MomentAccumulator.from_values(w_estimate)
+    rel = abs(acc.variance - exact_vm) / exact_vm
+    ci_lo, ci_hi = lw.bootstrap_variance_ci(w_estimate, n_boot=1000)
+    mean_ok = abs(acc.mean) <= 4.0 * acc.stderr
     ok = mean_ok and rel <= 0.05 and ci_lo > 0.0
     report(8, "superdiffusive W", ok,
-           f"(mean {w_estimate.mean_w:.4f} +- {w_estimate.stderr:.4f}, "
+           f"(mean {acc.mean:.4f} +- {acc.stderr:.4f}, "
            f"var rel dev {rel:.4f}, CI99 [{ci_lo:.4f}, {ci_hi:.4f}])")
     assert mean_ok
     assert rel <= 0.05
@@ -298,9 +299,7 @@ def test_criterion_11_worker_determinism(lln_ensemble, clt_ensemble,
     checks = {
         "lln": pickle.dumps(lln_ensemble) == pickle.dumps(lln4),
         "clt": pickle.dumps(clt_ensemble) == pickle.dumps(clt4),
-        "w": (w_estimate.mean_w == w4.mean_w
-              and w_estimate.var_w == w4.var_w
-              and np.array_equal(w_estimate.sample, w4.sample)),
+        "w": w_estimate.tobytes() == w4.tobytes(),
         "lil": np.array_equal(lil_result.running_max, lil2.running_max),
     }
     ok = all(checks.values())

@@ -49,8 +49,6 @@ TABLE = [
     ("lil_envelope-inf", lambda: lw.lil_envelope(P, INF), lw.InvalidState),
     ("bootstrap-nan", lambda: lw.bootstrap_variance_ci([1.0, NAN, 2.0, 3.0]),
      lw.InvalidState),
-    ("w_estimate-nan", lambda: lw.WEstimate.from_sample(np.array([1.0, NAN, 2.0])),
-     lw.InvalidState),
     ("accumulator-nan",
      lambda: lw.MomentAccumulator.from_values(np.array([1.0, NAN, 2.0])),
      lw.InvalidState),
@@ -180,6 +178,44 @@ TABLE = [
      lambda: lw.MomentAccumulator().standardized(0.0, "1"), lw.InvalidState),
     ("sum_inv_a_closed-n-str", lambda: lw.sum_inv_a_closed(0.3, "5", 2.0),
      lw.InvalidState),
+    # numpy parses numeric strings and bytes and reads a bool as 0 or 1, so
+    # these passed as samples: a KS test of "1.5" returned d = 0.933
+    ("ks_test_normal-str", lambda: lw.ks_test_normal(["1.5"] * 12), lw.InvalidState),
+    ("ks_test_normal-bool", lambda: lw.ks_test_normal([True, False] * 6),
+     lw.InvalidState),
+    ("ks_test_normal-bool-array",
+     lambda: lw.ks_test_normal(np.array([True, False] * 6)), lw.InvalidState),
+    ("ks_test_normal-one-bool", lambda: lw.ks_test_normal([True] + [1.5] * 11),
+     lw.InvalidState),
+    ("fit_loglog-str", lambda: lw.fit_loglog(["1", "2", "3"], [1.0, 2.0, 3.0]),
+     lw.InvalidState),
+    ("accumulator-bytes", lambda: lw.MomentAccumulator.from_values([b"1", b"2"]),
+     lw.InvalidState),
+    ("bootstrap-str", lambda: lw.bootstrap_variance_ci(["1", "2", "3"]),
+     lw.InvalidState),
+    ("line_plot-str", lambda: line_plot([(["1", "2"], [1.0, 2.0], "a")]),
+     lw.InvalidState),
+    ("line_plot-bool", lambda: line_plot([([False, True], [1.0, 2.0], "a")]),
+     lw.InvalidState),
+    ("lil_envelope-bool", lambda: lw.lil_envelope(P, True), lw.InvalidState),
+    # a 2-D index array raised numpy's bare "only 0-dimensional arrays" TypeError
+    ("growth_values-2d", lambda: lw.growth_values(0.3, [[1, 2], [3, 4]]),
+     lw.InvalidState),
+    ("expected_s-2d", lambda: lw.expected_s(P, [[1, 2], [3, 4]]), lw.InvalidState),
+    # a_n that is a string, of another shape, zero or NaN: a bare TypeError, a
+    # bare broadcast ValueError, inf and NaN
+    ("sum_inv_a_closed-a_n-str", lambda: lw.sum_inv_a_closed(0.3, 5, "2.0"),
+     lw.InvalidState),
+    ("sum_inv_a_closed-a_n-shape",
+     lambda: lw.sum_inv_a_closed(0.3, [4, 5], np.ones(3)), lw.InvalidState),
+    ("sum_inv_a_closed-a_n-0", lambda: lw.sum_inv_a_closed(0.3, 5, 0.0),
+     lw.InvalidState),
+    ("sum_inv_a_closed-a_n-nan", lambda: lw.sum_inv_a_closed(0.3, 5, NAN),
+     lw.InvalidState),
+    # a hand-built law with 2 points and 3 cdf values: a bare broadcast ValueError
+    ("ks_distance_cdf-lengths", lambda: lw.ks_distance_cdf(lw.DiscreteCdf(
+        points=np.array([0.0, 1.0]), probs=np.array([0.5, 0.5]),
+        cdf=np.array([0.2, 0.5, 1.0]))), lw.InvalidState),
 ]
 
 
@@ -437,6 +473,16 @@ def test_finite_sample_messages_and_classes():
     for bad in (NAN, INF, -INF):
         with pytest.raises(lw.InvalidState, match="finite"):
             finite_sample([1.0, bad, 3.0], 2, "a fit")
+    # numbers keep their bits: a float64 array is returned as it is, and a
+    # list's real items (numpy scalars and ints beyond int64 too) as floats
+    a = np.array([0.1, 2.5e-300])
+    assert finite_sample(a, 0, "a fit") is a
+    items = [0.1, np.float32(0.5), np.int64(-3), 2 ** 70]
+    assert finite_sample(items, 0, "a fit").tolist() == [0.1, 0.5, -3.0, 2.0 ** 70]
+    for bad in (["1.5"], [b"1"], [True], np.array([False]), np.array([1j])):
+        with pytest.raises(lw.InvalidState, match=r"^a fit needs a flat sample of "
+                                                  r"numbers$"):
+            finite_sample(bad, 0, "a fit")
 
 
 def test_cli_huge_size_reaches_its_cap(capsys):

@@ -320,12 +320,6 @@ def test_estimate_w_requires_superdiffusive():
         lw.estimate_w(PARAMS, 100, 10)
 
 
-def test_w_estimate_refuses_one_value():
-    # the ddof=1 variance of one value is NaN, and so would be the stderr
-    with pytest.raises(lw.SampleTooSmall, match="got 1"):
-        lw.WEstimate.from_sample(np.array([1.0]))
-
-
 def test_estimate_w_refuses_one_trajectory_before_walking(monkeypatch):
     def walked(*args, **kwargs):
         raise AssertionError("walked before one trajectory was refused")
@@ -349,15 +343,16 @@ def test_bootstrap_ci_refuses_no_resamples():
 
 def test_estimate_w_small_scale():
     n = 2 * 10 ** 4
-    west = lw.estimate_w(SUPER, n, 2000, master_seed=11)
-    assert abs(west.mean_w) <= 4.0 * west.stderr
+    w = lw.estimate_w(SUPER, n, 2000, master_seed=11)
+    acc = lw.MomentAccumulator.from_values(w)
+    assert abs(acc.mean) <= 4.0 * acc.stderr
     c = lw.derive_constants(SUPER)
     tab = lw.exact_moments(SUPER, n)
     exact_vm = tab.var_s[n] / lw.growth_values(c.alpha, n) ** 2
-    assert abs(west.var_w - exact_vm) / exact_vm <= 0.05
-    lo, hi = lw.bootstrap_variance_ci(west.sample, n_boot=400)
+    assert abs(acc.variance - exact_vm) / exact_vm <= 0.05
+    lo, hi = lw.bootstrap_variance_ci(w, n_boot=400)
     assert lo > 0.0 and hi > lo
-    assert west.sample.size == west.n_used == 2000
+    assert w.shape == (acc.count,) == (2000,)
 
 
 def test_residual_clt_guard_and_sample():
@@ -387,11 +382,10 @@ def test_single_walk_w_matches_estimate_w_bytes():
     n, n_traj, seed = 64, 300, 7
     west = lw.estimate_w(SUPER, n, n_traj, master_seed=seed)
     w, _ = lw.residual_clt_sample(SUPER, n, n_traj, master_seed=seed)
-    single = lw.WEstimate.from_sample(w)
-    assert single.n_used == west.n_used == n_traj
-    assert single.sample.tobytes() == west.sample.tobytes()
-    want = [x.hex() for x in (west.mean_w, west.var_w, west.stderr)]
-    assert [x.hex() for x in (single.mean_w, single.var_w, single.stderr)] == want
+    assert west.dtype == w.dtype == np.float64 and west.shape == (n_traj,)
+    assert w.tobytes() == west.tobytes()
+    acc = lw.MomentAccumulator.from_values(west)
+    want = [x.hex() for x in (acc.mean, acc.variance, acc.stderr)]
     results = experiments.superdiffusive_experiment(SUPER, n, n_traj,
                                                     seed)["results"]
     assert [results[k].hex() for k in ("mean_w", "var_w", "stderr_w")] == want

@@ -89,6 +89,10 @@ MUTANTS = [
      "m2 = self.m2 + other.m2 + delta * d_n * na * nb",
      "m2 = self.m2 + other.m2",
      "tests/test_ensemble.py::test_merge_matches_whole_and_is_associative"),
+    ("fold_z_merges_s", "ensemble.py",
+     "acc_z[i].merge(a_z)",
+     "acc_z[i].merge(a_s)",
+     "tests/test_properties.py::test_scalar_walk_matches_batch_rows"),
     ("bootstrap_98_percent", "ensemble.py",
      "BOOTSTRAP_LEVEL = 0.99",
      "BOOTSTRAP_LEVEL = 0.98",
@@ -188,6 +192,10 @@ MUTANTS = [
     ("w_var_bound_kurt_minus_1", "experiments.py",
      "kurt - (n_traj - 3) / (n_traj - 1)",
      "kurt - 1",
+     "tests/test_gate_oracles.py::test_w_variance_bound_widens_with_the_sample_kurtosis"),
+    ("w_kurtosis_unsquared", "experiments.py",
+     "w_acc.m2 ** 2",
+     "w_acc.m2",
      "tests/test_gate_oracles.py::test_w_variance_bound_widens_with_the_sample_kurtosis"),
     ("residual_sd_keeps_var_m_n", "experiments.py",
      "math.sqrt(var_m_far - var_m_n)",
